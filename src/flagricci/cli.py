@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -54,8 +53,14 @@ def parse_point(text: str, dim: int = 3) -> np.ndarray:
 
 
 def atomic_write(path: str, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write content to path through a temporary file and a rename.
+
+    The temporary file is created with mode 0o666, so the umask sets the
+    final mode, as for a file opened for writing directly.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, ".tmp-%d-%s" % (os.getpid(), os.urandom(8).hex()))
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(content)

@@ -5,6 +5,13 @@ All maps are vectorized over a trailing axis of length 3, so a single point
 the three isotropy summands; the unnormalized field R satisfies dx/dt = R(x)
 for the homogeneous flow, and the projected field X keeps the flow on the
 plane x1 + x2 + x3 = 1.
+
+The cubic is written once, in coefficient form (_cubic), and evaluated both
+on arrays (ricci_field) and on Python floats (point_field, the integrator's
+field). On a 1-D point numpy takes its 0-d path, where `d ** 2` is C pow; on
+a batch numpy squares as d * d. The two differ in the last bit for about one
+point in two thousand, so a row of a 2-D batch need not equal the same point
+passed alone. The float path follows the 1-D point exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +28,32 @@ def _family_abc(spec: FlagSpec):
     return spec.params
 
 
+def _cubic_coefficients(spec: FlagSpec):
+    """(a, b) with R_i = -x_i (a_i (x_i^2 - (x_j - x_k)^2) + b_i x_j x_k).
+
+    Family A/E with parameters (m, n, p): a = (p, n, m),
+    b = (2(m+n), 2(m+p), 2(n+p)); family D(l): a = (l-2, l-2, 2),
+    b = (2l, 2l, 4(l-2)).
+    """
+    if spec.family == "D":
+        (ell,) = spec.params
+        return (ell - 2, ell - 2, 2), (2 * ell, 2 * ell, 4 * (ell - 2))
+    m, n, p = _family_abc(spec)
+    return (p, n, m), (2 * (m + n), 2 * (m + p), 2 * (n + p))
+
+
+def _cubic(a, b, x1, x2, x3):
+    # The one written form of the cubic, for arrays and for Python floats.
+    # The order of every operation fixes the result bits: the squares stay
+    # `** 2`, which on a 0-d array and on a float is C pow, and b_i x_j x_k
+    # multiplies left to right.
+    return (
+        -x1 * (a[0] * (x1 * x1 - (x2 - x3) ** 2) + b[0] * x2 * x3),
+        -x2 * (a[1] * (x2 * x2 - (x3 - x1) ** 2) + b[1] * x1 * x3),
+        -x3 * (a[2] * (x3 * x3 - (x1 - x2) ** 2) + b[2] * x1 * x2),
+    )
+
+
 def ricci_field(spec: FlagSpec, x) -> np.ndarray:
     """Unnormalized cubic field R(x); homogeneous of degree 3.
 
@@ -29,18 +62,8 @@ def ricci_field(spec: FlagSpec, x) -> np.ndarray:
     rounding.
     """
     x = np.asarray(x, dtype=float)
-    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    if spec.family == "D":
-        (ell,) = spec.params
-        r1 = -x1 * ((ell - 2) * (x1 * x1 - (x2 - x3) ** 2) + 2 * ell * x2 * x3)
-        r2 = -x2 * ((ell - 2) * (x2 * x2 - (x3 - x1) ** 2) + 2 * ell * x1 * x3)
-        r3 = -x3 * (2 * (x3 * x3 - (x1 - x2) ** 2) + 4 * (ell - 2) * x1 * x2)
-    else:
-        m, n, p = _family_abc(spec)
-        r1 = -x1 * (p * (x1 * x1 - (x2 - x3) ** 2) + 2 * (m + n) * x2 * x3)
-        r2 = -x2 * (n * (x2 * x2 - (x3 - x1) ** 2) + 2 * (m + p) * x1 * x3)
-        r3 = -x3 * (m * (x3 * x3 - (x1 - x2) ** 2) + 2 * (n + p) * x1 * x2)
-    return np.stack([r1, r2, r3], axis=-1)
+    a, b = _cubic_coefficients(spec)
+    return np.stack(_cubic(a, b, x[..., 0], x[..., 1], x[..., 2]), axis=-1)
 
 
 def projected_field(spec: FlagSpec, x) -> np.ndarray:
@@ -49,6 +72,28 @@ def projected_field(spec: FlagSpec, x) -> np.ndarray:
     r = ricci_field(spec, x)
     total = r.sum(axis=-1, keepdims=True)
     return r - total * x
+
+
+def point_field(spec: FlagSpec):
+    """Projected field X on one point of Python floats, as a function.
+
+    The returned f takes a length-3 sequence of floats and returns a tuple of
+    three floats equal, bit for bit, to projected_field(spec, x) on the 1-D
+    array x: the same cubic in the same order of operations, and the sum of
+    R taken left to right, as numpy sums three elements. It skips numpy's
+    per-call overhead, which dominates on a single point.
+    """
+    a, b = _cubic_coefficients(spec)
+    a = tuple(float(c) for c in a)
+    b = tuple(float(c) for c in b)
+
+    def f(x):
+        x1, x2, x3 = x
+        r1, r2, r3 = _cubic(a, b, x1, x2, x3)
+        total = r1 + r2 + r3
+        return (r1 - total * x1, r2 - total * x2, r3 - total * x3)
+
+    return f
 
 
 def reduced_field(spec: FlagSpec, uv) -> np.ndarray:

@@ -1,9 +1,11 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from flagricci.cli import fmt, load_config, main, parse_point
+from flagricci.cli import atomic_write, fmt, load_config, main, parse_point
 
 
 def run(capsys, *argv):
@@ -264,3 +266,16 @@ def test_verify_fast_passes(capsys):
     lines = [l for l in out.strip().splitlines() if l.startswith("[")]
     assert len(lines) == 20
     assert all(l.startswith("[PASS]") for l in lines)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_atomic_write_mode_follows_umask(tmp_path, umask):
+    target = tmp_path / "out.csv"
+    old = os.umask(umask)
+    try:
+        atomic_write(str(target), "t\n")
+    finally:
+        os.umask(old)
+    assert target.read_text() == "t\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+    assert os.listdir(tmp_path) == ["out.csv"]

@@ -13,6 +13,7 @@ from flagricci.fields import (
     cone_flux_closed_form,
     cone_form,
     cone_form_grad,
+    point_field,
     projected_field,
     reduced_field,
     ricci_field,
@@ -177,3 +178,21 @@ def test_cubic_homogeneity():
         r1 = ricci_field(spec, 3.0 * x)
         r2 = 27.0 * ricci_field(spec, x)
         assert np.allclose(r1, r2, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [A111, A321, make_flag("D", (5,)), make_flag("D", (8,)), E],
+    ids=lambda s: s.label,
+)
+def test_point_field_matches_projected_field_bitwise(spec):
+    # the integrator's float field must equal numpy's 1-D point path in
+    # every bit, signed zeros included
+    rng = np.random.default_rng(17)
+    pts = list(rng.dirichlet(np.ones(3), size=2000))
+    pts += list(rng.uniform(0.0, 3.0, size=(500, 3)))
+    pts += [np.array([0.3, 0.7, 0.0]), np.array([0.0, 0.0, 1.0]), np.ones(3) / 3.0]
+    f = point_field(spec)
+    for x in pts:
+        got = np.array(f(x.tolist()))
+        assert got.tobytes() == projected_field(spec, x).tobytes(), x

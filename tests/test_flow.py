@@ -73,6 +73,8 @@ def test_rejects_bad_starts():
         integrate(A111, np.array([-0.2, 0.6, 0.6]))
     with pytest.raises(ValueError):
         integrate(A111, np.array([0.5, 0.5]))
+    with pytest.raises(ValueError):
+        integrate_field(lambda y: y, np.array([0.5, 0.5]), 1.0)
 
 
 def test_integration_error_on_nan():
@@ -165,3 +167,36 @@ def test_flow_keeps_disk_invariant():
     for x0 in sample_disk(rng, 20):
         traj = integrate(A111, x0, t_max=30.0)
         assert np.max(cone_form(traj.states)) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_start(bad):
+    with pytest.raises(ValueError, match=r"x0\[1\] = .* is not finite"):
+        integrate(A111, np.array([0.2, bad, 0.5]))
+
+
+def test_field_eval_count_adaptive():
+    traj = integrate(A111, np.array([0.2, 0.3, 0.5]), t_max=50.0)
+    acc, rej = traj.n_accepted, traj.n_rejected
+    assert rej > 0
+    assert traj.n_field_evals == 1 + 6 * (acc + rej) + acc
+
+
+def test_field_eval_count_fixed_step():
+    f = lambda y: projected_field(A111, y)
+    traj = integrate_field(f, np.array([0.55, 0.35, 0.10]), 4.0, fixed_step=0.2)
+    assert traj.n_rejected == 0
+    assert traj.n_field_evals == 1 + 7 * traj.n_accepted
+
+
+def test_numpy_field_gives_the_same_trajectory():
+    # a numpy callable follows the same contract as the float field
+    x0 = np.array([0.2, 0.3, 0.5])
+    fast = integrate(A211, x0, t_max=20.0, t_eval=[1.0, 5.0])
+    slow = integrate_field(
+        lambda y: projected_field(A211, y), x0, 20.0, t_eval=[1.0, 5.0]
+    )
+    for name in ("times", "states", "f_values", "sum_residuals", "step_sizes"):
+        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+    assert fast.eval_states.tobytes() == slow.eval_states.tobytes()
+    assert fast.n_field_evals == slow.n_field_evals
