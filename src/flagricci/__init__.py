@@ -18,6 +18,7 @@ from .collapse import (
     hausdorff,
     is_subalgebra,
     kernel_summands,
+    orbit_distance,
     sampling_resolution,
 )
 from .fields import (
@@ -45,7 +46,6 @@ from .orbits import (
     OrbitCloud,
     TorusElement,
     build_model,
-    embed_point,
     haar_unitaries,
     induced_metric,
     sample_orbit,
@@ -94,7 +94,6 @@ __all__ = [
     "cone_form",
     "cone_form_grad",
     "disk_membership",
-    "embed_point",
     "find_equilibria",
     "frame_metric",
     "gram",
@@ -108,6 +107,7 @@ __all__ = [
     "jacobian",
     "kernel_summands",
     "make_flag",
+    "orbit_distance",
     "parse_flag",
     "projected_field",
     "psd_to_coeffs",

@@ -255,12 +255,12 @@ def cmd_orbit(args) -> int:
         h1 = model.torus_element(parse_point(args.h1, dim=2))
         h2 = model.torus_element(parse_point(args.h2, dim=2))
     cloud = sample_orbit(model, h1, h2, args.count, args.seed)
-    text = json.dumps(cloud.as_dict())
+    text = cloud.to_json()
     if args.out:
-        atomic_write(args.out, text + "\n")
+        atomic_write(args.out, text)
         print("wrote %s (%d points in su(%d)^2)" % (args.out, cloud.count, cloud.n_ambient))
     else:
-        print(text)
+        sys.stdout.write(text)
     return 0
 
 
@@ -371,7 +371,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
-    p = add("collapse", cmd_collapse, "orbit-cloud distances along a collapsing flow")
+    p = add("collapse", cmd_collapse, "exact orbit distances along a collapsing flow")
     p.add_argument("--flag", **common_flag)
     p.add_argument("--point", help="start point on the realizable disk")
     p.add_argument("--times", help="comma-separated sample times")

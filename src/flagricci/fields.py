@@ -21,6 +21,18 @@ import numpy as np
 from .flags import FlagSpec
 
 
+def require_finite(x, name: str = "x") -> np.ndarray:
+    """x as a float array; raises ValueError naming its first non-finite coordinate."""
+    x = np.asarray(x, dtype=float)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            "%s[%s] = %r is not finite" % (name, ", ".join(map(str, idx)), float(x[idx]))
+        )
+    return x
+
+
 def _family_abc(spec: FlagSpec):
     # family E shares the (1,1,1) cubic of family A
     if spec.family == "E":
@@ -128,9 +140,9 @@ def cone_flux(spec: FlagSpec, x, tol: float = 1e-9) -> np.ndarray:
     """Flux R . grad F at points on the cone {F = 0}.
 
     Rejects points with |F| > tol * max(1, |x|_inf^2); F scales quadratically,
-    so the tolerance is applied at unit scale.
+    so the tolerance is applied at unit scale. Non-finite points are rejected.
     """
-    x = np.asarray(x, dtype=float)
+    x = require_finite(x)
     f = cone_form(x)
     scale = np.maximum(1.0, np.max(np.abs(x), axis=-1) ** 2)
     if np.any(np.abs(f) > tol * scale):

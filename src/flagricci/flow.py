@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import cone_form, point_field, reduced_field, ricci_field
+from .fields import cone_form, point_field, reduced_field, require_finite, ricci_field
 from .flags import FlagSpec
 
 CLAMP_TOL = 1e-14
@@ -280,9 +280,7 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (3,):
         raise ValueError("x0 must be a 3-vector")
-    for i, v in enumerate(x0.tolist()):
-        if not math.isfinite(v):
-            raise ValueError("x0[%d] = %r is not finite" % (i, v))
+    require_finite(x0, "x0")
     if np.min(x0) < -1e-12 or abs(x0.sum() - 1.0) > 1e-8:
         raise ValueError("x0 = %r is not on the closed simplex" % (x0,))
     x0 = np.clip(x0, 0.0, None)

@@ -15,6 +15,7 @@ basis is dual to (alpha1, alpha2).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,11 +130,6 @@ def build_model(m: int, n: int, p: int) -> LieModel:
     return LieModel((m, n, p))
 
 
-def omega_basis(model: LieModel):
-    """The pair dual to the simple restricted roots: alpha_i(omega_j) = delta_ij."""
-    return model.omega
-
-
 def _flatten_real(mats, n_amb) -> np.ndarray:
     """Isometric real coordinates: <X, Y> becomes the Euclidean dot product."""
     arr = np.asarray(mats)
@@ -227,6 +223,21 @@ class OrbitCloud:
         return flat.reshape(self.count, -1)
 
     def as_dict(self) -> dict:
+        points = [[float(v) for v in row] for row in self.flat_points]
+        return dict(self._header(), points=points)
+
+    def to_json(self) -> str:
+        """json.dumps(self.as_dict()) and a newline, built one point at a time.
+
+        The text is the same, but only one point's coordinates are Python
+        floats at any time: as_dict holds all count x 4N^2 of them, some
+        13 MiB for 2000 points in su(6)^2, and dumping it takes as much again.
+        """
+        head = json.dumps(self._header())
+        points = ", ".join(json.dumps(row.tolist()) for row in self.flat_points)
+        return '%s, "points": [%s]}\n' % (head[:-1], points)
+
+    def _header(self) -> dict:
         return {
             "N": self.n_ambient,
             "blocks": list(self.blocks),
@@ -234,7 +245,6 @@ class OrbitCloud:
             "H2": [float(v) for v in self.h2.phases],
             "seed": self.seed,
             "count": self.count,
-            "points": [[float(v) for v in row] for row in self.flat_points],
         }
 
 
@@ -253,16 +263,3 @@ def sample_orbit(
         model.n_ambient, model.blocks, h1, h2, int(seed), int(count), points
     )
 
-
-def embed_point(model: LieModel, h1: TorusElement, h2: TorusElement, u):
-    """Orbit point (u h1 u^-1, u h2 u^-1) for a single special unitary u."""
-    u = np.asarray(u, dtype=complex)
-    n = model.n_ambient
-    if u.shape != (n, n):
-        raise ValueError("u must be %d x %d" % (n, n))
-    if np.max(np.abs(u @ u.conj().T - np.eye(n))) > 1e-10:
-        raise ValueError("u is not unitary within 1e-10")
-    if abs(np.linalg.det(u) - 1.0) > 1e-10:
-        raise ValueError("u must have determinant 1 within 1e-10")
-    uh = u.conj().T
-    return np.stack([u @ h1.matrix @ uh, u @ h2.matrix @ uh])

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .fields import cone_form
+from .fields import cone_form, require_finite
 from .flags import TRootTable
 
 # x = COEFF_MATRIX @ (Y[0,0], Y[1,1], Y[0,1]); determinant of the square map
@@ -130,11 +130,11 @@ def sym_sqrt(y, tol: float = 1e-10) -> np.ndarray:
 def realizing_frame(x, tol: float = 1e-10) -> np.ndarray:
     """Canonical symmetric 2x2 frame realizing coefficients x.
 
-    Defined on the first-orthant part of {F <= 0}; raises ValueError outside.
-    Satisfies frame_metric(table, realizing_frame(x)) = x and is the unique
-    PSD square root of coeffs_to_psd(x).
+    Defined on the first-orthant part of {F <= 0}; raises ValueError outside
+    and on non-finite input. Satisfies frame_metric(table, realizing_frame(x))
+    = x and is the unique PSD square root of coeffs_to_psd(x).
     """
-    x = np.asarray(x, dtype=float)
+    x = require_finite(x)
     if np.min(x) < -tol:
         raise ValueError("coefficients must be nonnegative, got %r" % (x,))
     try:

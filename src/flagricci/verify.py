@@ -301,18 +301,39 @@ def check_hausdorff_pseudometric(fast=False) -> str:
     model = orbits.build_model(1, 1, 1)
     rng = _rng(114)
     clouds = []
-    for seed in (1, 2, 3):
+    for _ in range(3):
         c = rng.standard_normal((2, 2))
         h1 = model.torus_element(c[:, 0])
         h2 = model.torus_element(c[:, 1])
-        clouds.append(orbits.sample_orbit(model, h1, h2, 60 if fast else 150, seed))
+        # one seed for all three: the same Haar samples under every frame
+        clouds.append(orbits.sample_orbit(model, h1, h2, 60 if fast else 150, 7))
     a, b, c3 = clouds
     assert clp.hausdorff(a, a) == 0.0
     dab = clp.hausdorff(a, b)
     assert abs(dab - clp.hausdorff(b, a)) <= 1e-12
     dac, dcb = clp.hausdorff(a, c3), clp.hausdorff(c3, b)
     assert dab <= dac + dcb + 1e-12, "triangle inequality violated"
-    return "identity, symmetry, triangle inequality on 3 clouds (d_ab %.3f)" % dab
+    # the sampled distance lies between the exact orbit distance and the
+    # matched bound: the distance between the two frames' images of one
+    # Haar sample, the same for every sample
+    scale = np.sqrt(2.0 * model.n_ambient)
+    for x, y in ((a, b), (a, c3), (c3, b)):
+        exact = clp.orbit_distance((x.h1, x.h2), (y.h1, y.h2))
+        dz = (x.h1.phases - y.h1.phases) + 1j * (x.h2.phases - y.h2.phases)
+        matched = scale * float(np.linalg.norm(dz))
+        norm = scale * max(
+            float(np.linalg.norm(f.h1.phases + 1j * f.h2.phases)) for f in (x, y)
+        )
+        sampled = clp.hausdorff(x, y)
+        tol = 1e-9 * norm
+        assert exact - tol <= sampled <= matched + tol, (
+            "sampled distance %.17g outside [exact %.17g, matched %.17g]"
+            % (sampled, exact, matched)
+        )
+    return (
+        "identity, symmetry, triangle inequality, exact <= sampled <= matched "
+        "on 3 clouds (d_ab %.3f)" % dab
+    )
 
 
 def check_collapse_verdicts(fast=False) -> str:

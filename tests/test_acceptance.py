@@ -6,14 +6,15 @@ loosen them.
 """
 
 import time
+from itertools import permutations
 
 import numpy as np
 
-from flagricci.collapse import collapse_run, collapse_verdict
+from flagricci.collapse import collapse_run, collapse_verdict, hausdorff
 from flagricci.fields import cone_flux, cone_flux_closed_form, cone_form, ricci_field
 from flagricci.flags import make_flag, t_root_table
 from flagricci.flow import find_equilibria, integrate
-from flagricci.orbits import build_model, induced_metric
+from flagricci.orbits import build_model, induced_metric, sample_orbit
 from flagricci.realize import (
     circle_point,
     frame_metric,
@@ -192,6 +193,48 @@ def test_criterion_09_hausdorff_collapse_profile():
         assert d[-1] <= 2.0 * run.resolution, (
             "final distance %.4f vs resolution %.4f" % (d[-1], run.resolution)
         )
+
+
+def test_collapse_profile_is_the_exact_orbit_distance():
+    # The README run. Each distance must be the best matching of the diagonal
+    # entries z = phases(h1) + i phases(h2), found here by brute force over
+    # all permutations; 200-point clouds on one Haar seed must lie between
+    # that and the matched bound; and the profile must fall strictly.
+    def frame(model, x):
+        tau = realizing_frame(np.clip(x, 0.0, None), tol=1e-8)
+        return model.torus_element(tau[:, 0]), model.torus_element(tau[:, 1])
+
+    for blocks in ((1, 1, 1), (2, 2, 2)):
+        model = build_model(*blocks)
+        run = collapse_run(
+            make_flag("A", blocks),
+            model,
+            np.array([0.42, 0.40, 0.18]),
+            times=[0, 1, 2, 4, 8],
+            count=2000,
+            seed=0,
+        )
+        scale = np.sqrt(2.0 * model.n_ambient)
+        limit = frame(model, run.x_limit)
+        w = limit[0].phases + 1j * limit[1].phases
+        limit_cloud = sample_orbit(model, *limit, 200, 0)
+        for x, d in zip(run.states, run.distances):
+            fx = frame(model, x)
+            z = fx[0].phases + 1j * fx[1].phases
+            exact = scale * min(
+                np.linalg.norm(z - w[list(p)]) for p in permutations(range(len(z)))
+            )
+            assert abs(d - exact) <= 1e-12 * exact, (blocks, d, exact)
+            matched = scale * np.linalg.norm(z - w)
+            norm = scale * max(np.linalg.norm(z), np.linalg.norm(w))
+            sampled = hausdorff(sample_orbit(model, *fx, 200, 0), limit_cloud)
+            assert exact - 1e-9 * norm <= sampled <= matched + 1e-9 * norm, (
+                blocks,
+                sampled,
+                exact,
+                matched,
+            )
+        assert np.all(np.diff(run.distances) < 0), run.distances
 
 
 def test_criterion_10_no_recurrence():

@@ -1,7 +1,9 @@
 """CLI output files, byte for byte, against the golden copies in tests/golden/.
 
 The golden files were written by the CLI before the integrator's step loop
-moved to Python floats. To regenerate one, run the command of its case with
+moved to Python floats. collapse_A111.csv was written again when the
+collapse profile became the exact orbit distance: only its hausdorff column
+moved, by at most 3.4e-15 relative. To regenerate one, run the command of its case with
 `--out tests/golden/<name>`; any change in these bytes must be deliberate.
 """
 

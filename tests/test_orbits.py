@@ -1,13 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from flagricci.flags import make_flag, t_root_table
 from flagricci.orbits import (
     build_model,
-    embed_point,
     haar_unitaries,
     induced_metric,
-    omega_basis,
     sample_orbit,
 )
 from flagricci.realize import frame_metric, realizing_frame, sample_disk
@@ -45,7 +45,7 @@ def test_basis_matrices_are_antihermitian_traceless():
 def test_omega_duality():
     for blocks in ((1, 1, 1), (2, 1, 1), (3, 2, 1)):
         model = build_model(*blocks)
-        w1, w2 = omega_basis(model)
+        w1, w2 = model.omega
         assert np.allclose(model.alpha_values(w1), [1.0, 0.0, 1.0], rtol=0, atol=1e-13)
         assert np.allclose(model.alpha_values(w2), [0.0, 1.0, 1.0], rtol=0, atol=1e-13)
         for w in (w1, w2):
@@ -126,7 +126,7 @@ def test_sample_orbit_same_seed_same_unitaries():
 
 def test_cloud_flat_points_and_dict():
     model = build_model(1, 1, 1)
-    cloud = sample_orbit(model, *omega_basis(model), 6, seed=0)
+    cloud = sample_orbit(model, *model.omega, 6, seed=0)
     flat = cloud.flat_points
     assert flat.shape == (6, 4 * 9)
     d = cloud.as_dict()
@@ -137,6 +137,13 @@ def test_cloud_flat_points_and_dict():
     rebuilt = np.array(d["points"])  # each point is one flattened re/im row
     assert rebuilt.shape == (6, 4 * 9)
     assert np.allclose(rebuilt, flat, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("blocks,count", [((1, 1, 1), 1), ((2, 2, 2), 7)])
+def test_cloud_to_json_matches_dumps(blocks, count):
+    model = build_model(*blocks)
+    cloud = sample_orbit(model, *model.omega, count, seed=5)
+    assert cloud.to_json() == json.dumps(cloud.as_dict()) + "\n"
 
 
 def test_flat_embedding_is_isometric():
@@ -156,23 +163,11 @@ def test_flat_embedding_is_isometric():
         assert model.inner(a, b) == pytest.approx(fa @ fb, rel=1e-12, abs=1e-12)
 
 
-def test_embed_point_validates():
-    model = build_model(1, 1, 1)
-    w1, w2 = omega_basis(model)
-    u = haar_unitaries(np.random.default_rng(1), 3, 1)[0]
-    pair = embed_point(model, w1, w2, u)
-    assert pair.shape == (2, 3, 3)
-    with pytest.raises(ValueError):
-        embed_point(model, w1, w2, np.eye(3) * 2.0)  # not unitary
-    with pytest.raises(ValueError):
-        embed_point(model, w1, w2, np.eye(4))  # wrong shape
-
-
 def test_induced_metric_accepts_any_diagonal_on_su3():
     # with three 1x1 blocks every traceless diagonal is a torus element, so
     # the block-scalar check always passes
     model = build_model(1, 1, 1)
-    w1, w2 = omega_basis(model)
+    w1, w2 = model.omega
     elem = type(w1)(phases=np.array([0.9, -0.6, -0.3]), omega_coords=np.array([0.0, 0.0]))
     induced_metric(model, elem, w2)
 
@@ -181,7 +176,7 @@ def test_induced_metric_rejects_non_central_diagonal():
     # on su(4) with a 2x2 block, a diagonal that is not constant on the
     # block is not in the torus; the induced Gram stops being block-scalar
     model = build_model(2, 1, 1)
-    w1, w2 = omega_basis(model)
+    w1, w2 = model.omega
     bad = type(w1)(
         phases=np.array([0.5, -0.5, 0.2, -0.2]),
         omega_coords=np.array([0.0, 0.0]),
