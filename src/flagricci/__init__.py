@@ -38,6 +38,7 @@ from .flow import (
     classify_limit,
     find_equilibria,
     integrate,
+    integrate_many,
     integrate_field,
     jacobian,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "hausdorff",
     "induced_metric",
     "integrate",
+    "integrate_many",
     "integrate_field",
     "is_psd",
     "is_subalgebra",

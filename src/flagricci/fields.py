@@ -6,12 +6,14 @@ the three isotropy summands; the unnormalized field R satisfies dx/dt = R(x)
 for the homogeneous flow, and the projected field X keeps the flow on the
 plane x1 + x2 + x3 = 1.
 
-The cubic is written once, in coefficient form (_cubic), and evaluated both
-on arrays (ricci_field) and on Python floats (point_field, the integrator's
-field). On a 1-D point numpy takes its 0-d path, where `d ** 2` is C pow; on
-a batch numpy squares as d * d. The two differ in the last bit for about one
-point in two thousand, so a row of a 2-D batch need not equal the same point
-passed alone. The float path follows the 1-D point exactly.
+The cubic is written once, in coefficient form (_cubic), and evaluated on
+arrays (ricci_field), on Python floats (point_field, the single-start
+integrator's field) and on column arrays (column_field, the batch
+integrator's field). On a 1-D point numpy takes its 0-d path, where `d ** 2`
+is C pow; on a batch numpy squares as d * d. The two differ in the last bit
+for about one point in two thousand, so a row of a 2-D batch need not equal
+the same point passed alone. The float path follows the 1-D point exactly,
+and column_field follows it too by squaring through cpow.
 """
 
 from __future__ import annotations
@@ -54,15 +56,42 @@ def _cubic_coefficients(spec: FlagSpec):
     return (p, n, m), (2 * (m + n), 2 * (m + p), 2 * (n + p))
 
 
-def _cubic(a, b, x1, x2, x3):
-    # The one written form of the cubic, for arrays and for Python floats.
-    # The order of every operation fixes the result bits: the squares stay
-    # `** 2`, which on a 0-d array and on a float is C pow, and b_i x_j x_k
-    # multiplies left to right.
+def cpow(x, p) -> np.ndarray:
+    """x ** p on every element of the 1-D float array x, through C pow.
+
+    A Python float's ** and a 0-d array's are C pow. numpy's array power is
+    not: it squares as x * x, and where the CPU has AVX-512 its vectorized
+    power, even with an array exponent, differs from C pow in the last bit
+    for a few percent of elements. An array path that must equal the float
+    path bit for bit takes its powers here, at the cost of one Python
+    operation per element.
+    """
+    return np.array([v ** p for v in x.tolist()])
+
+
+class _CPowTwo:
+    """The exponent 2 for which `x ** CPOW_TWO` is cpow(x, 2) on a float array."""
+
+    # makes ndarray.__pow__ defer to __rpow__
+    __array_ufunc__ = None
+
+    def __rpow__(self, x):
+        return cpow(x, 2)
+
+
+CPOW_TWO = _CPowTwo()
+
+
+def _cubic(a, b, x1, x2, x3, two=2):
+    # The one written form of the cubic, for arrays, Python floats and
+    # columns. The order of every operation fixes the result bits: the
+    # squares are `** two`, which with two = 2 is C pow on a 0-d array and
+    # on a float; columns pass two = CPOW_TWO to get the same C pow. b_i x_j
+    # x_k multiplies left to right.
     return (
-        -x1 * (a[0] * (x1 * x1 - (x2 - x3) ** 2) + b[0] * x2 * x3),
-        -x2 * (a[1] * (x2 * x2 - (x3 - x1) ** 2) + b[1] * x1 * x3),
-        -x3 * (a[2] * (x3 * x3 - (x1 - x2) ** 2) + b[2] * x1 * x2),
+        -x1 * (a[0] * (x1 * x1 - (x2 - x3) ** two) + b[0] * x2 * x3),
+        -x2 * (a[1] * (x2 * x2 - (x3 - x1) ** two) + b[1] * x1 * x3),
+        -x3 * (a[2] * (x3 * x3 - (x1 - x2) ** two) + b[2] * x1 * x2),
     )
 
 
@@ -86,6 +115,20 @@ def projected_field(spec: FlagSpec, x) -> np.ndarray:
     return r - total * x
 
 
+def _componentwise_field(spec: FlagSpec, two):
+    a, b = _cubic_coefficients(spec)
+    a = tuple(float(c) for c in a)
+    b = tuple(float(c) for c in b)
+
+    def f(x):
+        x1, x2, x3 = x
+        r1, r2, r3 = _cubic(a, b, x1, x2, x3, two)
+        total = r1 + r2 + r3
+        return (r1 - total * x1, r2 - total * x2, r3 - total * x3)
+
+    return f
+
+
 def point_field(spec: FlagSpec):
     """Projected field X on one point of Python floats, as a function.
 
@@ -95,17 +138,18 @@ def point_field(spec: FlagSpec):
     R taken left to right, as numpy sums three elements. It skips numpy's
     per-call overhead, which dominates on a single point.
     """
-    a, b = _cubic_coefficients(spec)
-    a = tuple(float(c) for c in a)
-    b = tuple(float(c) for c in b)
+    return _componentwise_field(spec, 2)
 
-    def f(x):
-        x1, x2, x3 = x
-        r1, r2, r3 = _cubic(a, b, x1, x2, x3)
-        total = r1 + r2 + r3
-        return (r1 - total * x1, r2 - total * x2, r3 - total * x3)
 
-    return f
+def column_field(spec: FlagSpec):
+    """Projected field X on a batch of points given as three columns.
+
+    The returned f takes (x1, x2, x3), three 1-D float arrays of one length,
+    and returns the three columns of X. Row i equals point_field(spec) at
+    (x1[i], x2[i], x3[i]) bit for bit: every operation is elementwise and
+    the squares go through cpow.
+    """
+    return _componentwise_field(spec, CPOW_TWO)
 
 
 def reduced_field(spec: FlagSpec, uv) -> np.ndarray:

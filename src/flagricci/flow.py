@@ -2,25 +2,33 @@
 
 The integrator is an embedded Dormand-Prince 5(4) pair with a PI step-size
 controller. After every accepted step the state is cleaned for the simplex
-geometry: coordinates with magnitude below CLAMP_TOL are set to exactly zero
-and the state is renormalized to unit sum. Together with the factored form of
-the field (each component proportional to its own coordinate) this keeps
-coordinate faces invariant exactly. Integration stops early once the field
-norm falls below EQUILIBRIUM_TOL.
+geometry (_clean_state): coordinates with magnitude below CLAMP_TOL are set
+to exactly zero and the state is renormalized to unit sum. Together with the
+factored form of the field (each component proportional to its own
+coordinate) this keeps coordinate faces invariant exactly. Integration stops
+early once the field norm falls below EQUILIBRIUM_TOL.
 
-The step loop runs on Python floats. The state, the stage inputs, the error
-norm, the controller, the clean step, the stop rule and the t_eval landing
-are plain float arithmetic, and the Trajectory arrays are built once, when
-the loop ends: on a 3-vector, numpy's per-call overhead costs more than the
-arithmetic. numpy keeps only the operations whose rounding a Python
-expression would not reproduce: the eight contractions of each step
-(_A[i] @ K[:i] for the six stages, _B5 @ K and _ERR @ K) on one contiguous
-(7, 3) stage array, and the dot product under the stop rule's norm, both
-evaluated by BLAS. Every other operation is the one numpy does elementwise on
-a 3-vector: a sum of three is taken left to right, a mean divides that sum by
-3, an array square is d * d, and cone_form runs on the finished states array.
-The result is bit-identical to the same loop on numpy arrays, which keeps
-the CLI's 17-digit output unchanged; tests/golden holds the reference bytes.
+Two loops run this step, and both give the same bits. One start runs on
+Python floats (integrate_field, behind integrate): the state, the stage
+inputs, the error norm, the controller, the clean step, the stop rule and
+the t_eval landing are plain float arithmetic, and the Trajectory arrays
+are built once, when the loop ends. numpy keeps only the operations whose
+rounding a Python expression would not reproduce: the eight contractions of
+each step (_A[i] @ K[:i] for the six stages, _B5 @ K and _ERR @ K) on one
+contiguous (7, 3) stage array, and the dot product under the stop rule's
+norm, both evaluated by BLAS. Every other operation is the one numpy does
+elementwise on a 3-vector, so the result is bit-identical to the same loop
+on numpy arrays; tests/golden holds the CLI's reference bytes.
+
+Many starts run in lockstep on an (N, 3) state (_lockstep, behind
+integrate_many). Each row keeps its own step size, controller memory,
+verdict, clean step, stop rule, t_max landing and step budget, and retires
+when it stops. The contractions are the same BLAS calls, one per row, the
+field is fields.column_field and every power goes through fields.cpow, so
+each row equals its single-start run bit for bit. On one start numpy's
+per-call overhead costs more than the arithmetic, so integrate_many hands a
+one-row batch to the float loop (about 6.6 ms for t_max 50 on A(1,1,1),
+on one core of a 2-vCPU x86-64 machine).
 """
 
 from __future__ import annotations
@@ -30,7 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import cone_form, point_field, reduced_field, require_finite, ricci_field
+from .fields import (
+    column_field,
+    cone_form,
+    cpow,
+    point_field,
+    reduced_field,
+    require_finite,
+    ricci_field,
+)
 from .flags import FlagSpec
 
 CLAMP_TOL = 1e-14
@@ -93,15 +109,23 @@ class Trajectory:
         return self.states[-1]
 
 
-def _clean_state(y):
-    y1, y2, y3 = (0.0 if abs(v) < CLAMP_TOL else v for v in y)
+def _clean_state(y1, y2, y3):
+    """Clamp coordinates below CLAMP_TOL to zero and renormalize to unit sum.
+
+    Works alike on three floats and on three column arrays. Returns the
+    cleaned coordinates and |sum - 1| before the renormalization.
+    """
+    # y - y * (|y| < tol) is exactly +0.0 where the test holds and y elsewhere
+    y1 = y1 - y1 * (abs(y1) < CLAMP_TOL)
+    y2 = y2 - y2 * (abs(y2) < CLAMP_TOL)
+    y3 = y3 - y3 * (abs(y3) < CLAMP_TOL)
     total = y1 + y2 + y3
     return (y1 / total, y2 / total, y3 / total), abs(total - 1.0)
 
 
-def _rms(q1, q2, q3):
-    # np.sqrt(np.mean(q ** 2)) on a 3-vector, operation for operation
-    return math.sqrt((q1 * q1 + q2 * q2 + q3 * q3) / 3)
+def _mean_square(q1, q2, q3):
+    # np.mean(q ** 2) on a 3-vector, operation for operation
+    return (q1 * q1 + q2 * q2 + q3 * q3) / 3
 
 
 def integrate_field(
@@ -113,26 +137,21 @@ def integrate_field(
     t_eval=None,
     max_steps: int = 500_000,
     fixed_step: float | None = None,
-    clean=_clean_state,
-    stop_norm: float = EQUILIBRIUM_TOL,
 ) -> Trajectory:
-    """Integrate dx/dt = f(x) from the 3-vector x0 to t_max with the 5(4) pair.
+    """Integrate dx/dt = f(x) on the simplex from the 3-vector x0 to t_max.
 
     f takes the state as a length-3 sequence of floats and returns a length-3
     sequence. fields.point_field(spec) is the fast form; a numpy callable
     such as lambda y: projected_field(spec, y) is still accepted and gives
-    the same bits, only slower. clean is applied to the state after each
-    accepted step, with the same sequence contract, and must return
-    (new_state, residual); pass clean=None to integrate a generic field.
-    fixed_step disables adaptivity (used by the order tests). t_eval times
-    are landed on exactly by shortening steps.
+    the same bits, only slower. Every accepted state goes through
+    _clean_state, and the run stops once |f| < EQUILIBRIUM_TOL. fixed_step
+    disables adaptivity (used by the order tests). t_eval times are landed
+    on exactly by shortening steps.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     if fixed_step is not None and fixed_step <= 0:
         raise ValueError("fixed_step must be positive")
-    if clean is None:
-        clean = lambda y: (y, 0.0)
 
     y = np.asarray(x0, dtype=float)
     if y.shape != (3,):
@@ -171,7 +190,7 @@ def integrate_field(
     status = "t_max"
     # the dot product np.linalg.norm takes; BLAS rounds it differently from
     # a Python sum of squares
-    if math.sqrt(k0.dot(k0)) < stop_norm:
+    if math.sqrt(k0.dot(k0)) < EQUILIBRIUM_TOL:
         status = "equilibrium"
 
     n_acc = n_rej = 0
@@ -180,8 +199,8 @@ def integrate_field(
             h = min(fixed_step, t_max)
         else:
             s = [atol + rtol * abs(v) for v in y]
-            d0 = _rms(*(v / sv for v, sv in zip(y, s)))
-            d1 = _rms(*(v / sv for v, sv in zip(k0.tolist(), s)))
+            d0 = math.sqrt(_mean_square(*(v / sv for v, sv in zip(y, s))))
+            d1 = math.sqrt(_mean_square(*(v / sv for v, sv in zip(k0.tolist(), s))))
             h = 0.01 * d0 / d1 if d1 > 1e-12 else 1e-6
             h = min(max(h, 1e-10), t_max)
         err_prev = 1.0
@@ -215,16 +234,18 @@ def integrate_field(
                 accept, err = True, 0.0
             else:
                 e1, e2, e3 = (_ERR @ K).tolist()
-                err = _rms(
-                    h_try * e1 / (atol + rtol * max(abs(y1), abs(z1))),
-                    h_try * e2 / (atol + rtol * max(abs(y2), abs(z2))),
-                    h_try * e3 / (atol + rtol * max(abs(y3), abs(z3))),
+                err = math.sqrt(
+                    _mean_square(
+                        h_try * e1 / (atol + rtol * max(abs(y1), abs(z1))),
+                        h_try * e2 / (atol + rtol * max(abs(y2), abs(z2))),
+                        h_try * e3 / (atol + rtol * max(abs(y3), abs(z3))),
+                    )
                 )
                 accept = err <= 1.0
 
             if accept:
                 t += h_try
-                y, residual = clean((z1, z2, z3))
+                y, residual = _clean_state(z1, z2, z3)
                 k0[:] = f(y)
                 n_evals += 1
                 n_acc += 1
@@ -233,7 +254,7 @@ def integrate_field(
                 residuals.append(residual)
                 hsteps.append(h_try)
                 note_eval(t, y)
-                if math.sqrt(k0.dot(k0)) < stop_norm:
+                if math.sqrt(k0.dot(k0)) < EQUILIBRIUM_TOL:
                     status = "equilibrium"
                     break
                 if fixed_step is None:
@@ -267,6 +288,156 @@ def integrate_field(
     return traj
 
 
+def _store(out, columns):
+    # write three columns into the (n, 3) array out
+    out[:, 0], out[:, 1], out[:, 2] = columns
+
+
+def _widen(a):
+    # a with its second axis twice as long, the new half unset
+    return np.concatenate((a, np.empty_like(a)), axis=1)
+
+
+def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
+    """integrate_field's adaptive step on every row of the (n, 3) array x0.
+
+    f is a column field (fields.column_field). Each operation is the one the
+    float loop does, taken elementwise over the live rows, so row i ends
+    exactly as integrate_field(point_field(spec), x0[i], ...) would.
+    """
+    n = len(x0)
+    # K[r] holds row r's seven stage derivatives; K[r, 0] is the field there
+    K = np.empty((n, 7, 3))
+    _store(K[:, 0], f(x0.T))
+
+    status = np.full(n, "t_max", dtype=object)
+    n_acc = np.zeros(n, dtype=int)
+    n_rej = np.zeros(n, dtype=int)
+    # row r's j-th accepted state is y_hist[r, j], reached at t_hist[r, j] by
+    # a step of h_hist[r, j] with sum residual res_hist[r, j]; rows fill
+    # these at their own pace, and they double in length when full
+    t_hist, h_hist, res_hist = np.zeros((3, n, 64))
+    y_hist = np.empty((n, 64, 3))
+    y_hist[:, 0] = x0
+
+    k0 = K[:, 0]
+    stopped = np.sqrt(np.vecdot(k0, k0)) < EQUILIBRIUM_TOL
+    status[stopped] = "equilibrium"
+    s = atol + rtol * np.abs(x0)
+    d0 = np.sqrt(_mean_square(*(x0 / s).T))
+    d1 = np.sqrt(_mean_square(*(k0 / s).T))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(d1 > 1e-12, 0.01 * d0 / d1, 1e-6)
+    h = np.minimum(np.maximum(h, 1e-10), t_max)
+
+    # the live rows: their indices into x0 and their own loop state
+    live = ~stopped
+    rows, y, K, h = np.flatnonzero(live), x0[live], K[live], h[live]
+    t = np.zeros(len(rows))
+    err_prev = np.ones(len(rows))
+    acc = np.zeros(len(rows), dtype=int)
+    steps = 0
+
+    while len(rows):
+        done = h < 1e-14 * np.maximum(1.0, t)
+        if done.any():
+            # these rows stop before their next attempt; the others make
+            # theirs on the next pass
+            status[rows[done]] = "step_underflow"
+        elif steps >= max_steps:
+            raise IntegrationError(
+                "row %d: step budget exhausted" % rows[0], t=t[0], state=y[0].copy()
+            )
+        else:
+            # land exactly on t_max
+            h_try = np.minimum(h, t_max - t)
+            hc = h_try[:, None]
+            for i in range(1, 7):
+                _store(K[:, i], f((y + hc * (_A[i] @ K[:, :i])).T))
+            z = y + hc * (_B5 @ K)
+            if not np.isfinite(z).all():
+                r = int(np.argmin(np.isfinite(z).all(axis=1)))
+                raise IntegrationError(
+                    "row %d: non-finite state produced at t = %.6g"
+                    % (rows[r], t[r] + h_try[r]),
+                    t=t[r],
+                    state=y[r].copy(),
+                )
+            e = hc * (_ERR @ K) / (atol + rtol * np.maximum(np.abs(y), np.abs(z)))
+            err = np.sqrt(_mean_square(*e.T))
+            steps += 1
+
+            # every operation below is a no-op on an empty selection
+            ir = np.flatnonzero(~(err <= 1.0))
+            fac = 0.9 * cpow(err[ir], -1.0 / 5.0)
+            h[ir] = h_try[ir] * np.minimum(1.0, np.maximum(0.2, fac))
+
+            ia = np.flatnonzero(err <= 1.0)
+            t[ia] += h_try[ia]
+            cleaned, residual = _clean_state(*z[ia].T)
+            ya = np.empty((len(ia), 3))
+            _store(ya, cleaned)
+            ka = np.empty((len(ia), 3))
+            _store(ka, f(cleaned))
+            y[ia] = ya
+            K[ia, 0] = ka
+            acc[ia] += 1
+            if acc.max() == t_hist.shape[1]:
+                hists = (t_hist, h_hist, res_hist, y_hist)
+                t_hist, h_hist, res_hist, y_hist = map(_widen, hists)
+            ri, j = rows[ia], acc[ia]
+            t_hist[ri, j], h_hist[ri, j], res_hist[ri, j] = t[ia], h_try[ia], residual
+            y_hist[ri, j] = ya
+            at_rest = ia[np.sqrt(np.vecdot(ka, ka)) < EQUILIBRIUM_TOL]
+            status[rows[at_rest]] = "equilibrium"
+            ea = np.maximum(err[ia], 1e-10)
+            fac = 0.9 * cpow(ea, -0.7 / 5.0) * cpow(err_prev[ia], 0.4 / 5.0)
+            h[ia] = h_try[ia] * np.minimum(5.0, np.maximum(0.2, fac))
+            err_prev[ia] = ea
+            done = t >= t_max
+            done[at_rest] = True
+
+        if done.any():
+            gone = rows[done]
+            n_acc[gone] = acc[done]
+            n_rej[gone] = steps - acc[done]
+            keep = ~done
+            rows, y, K, h = rows[keep], y[keep], K[keep], h[keep]
+            t, err_prev, acc = t[keep], err_prev[keep], acc[keep]
+
+    return [
+        Trajectory(
+            times=t_hist[r, :m],
+            states=y_hist[r, :m],
+            f_values=cone_form(y_hist[r, :m]),
+            sum_residuals=res_hist[r, :m],
+            step_sizes=h_hist[r, :m],
+            status=status[r],
+            n_accepted=int(n_acc[r]),
+            n_rejected=int(n_rej[r]),
+            n_field_evals=int(1 + 6 * (n_acc[r] + n_rej[r]) + n_acc[r]),
+        )
+        for r, m in enumerate(n_acc + 1)
+    ]
+
+
+def _onto_simplex(x0):
+    """x0, one start (3,) or a stack (N, 3), checked and cleaned onto the simplex.
+
+    Rejects non-finite coordinates and points off the closed simplex, naming
+    the row of a stack; clips tiny negatives and renormalizes to unit sum.
+    """
+    require_finite(x0, "x0")
+    off = (np.min(x0, axis=-1) < -1e-12) | (np.abs(x0.sum(axis=-1) - 1.0) > 1e-8)
+    if off.any():
+        if x0.ndim == 1:
+            raise ValueError("x0 = %r is not on the closed simplex" % (x0,))
+        r = int(np.argmax(off))
+        raise ValueError("x0[%d] = %r is not on the closed simplex" % (r, x0[r]))
+    x0 = np.clip(x0, 0.0, None)
+    return x0 / x0.sum(axis=-1, keepdims=True)
+
+
 def integrate(
     spec: FlagSpec,
     x0,
@@ -280,20 +451,42 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (3,):
         raise ValueError("x0 must be a 3-vector")
-    require_finite(x0, "x0")
-    if np.min(x0) < -1e-12 or abs(x0.sum() - 1.0) > 1e-8:
-        raise ValueError("x0 = %r is not on the closed simplex" % (x0,))
-    x0 = np.clip(x0, 0.0, None)
-    x0 = x0 / x0.sum()
     return integrate_field(
         point_field(spec),
-        x0,
+        _onto_simplex(x0),
         t_max,
         rtol=rtol,
         atol=atol,
         t_eval=t_eval,
         max_steps=max_steps,
     )
+
+
+def integrate_many(
+    spec: FlagSpec,
+    starts,
+    t_max: float = 50.0,
+    rtol: float = 1e-9,
+    atol: float = 1e-12,
+) -> list[Trajectory]:
+    """Integrate the projected flow from every row of the (N, 3) array starts.
+
+    Returns one Trajectory per row, equal bit for bit to
+    integrate(spec, starts[i], t_max, rtol, atol): the same states, step
+    sizes, status and counters. The rows run in lockstep, each with its own
+    step control; a single row runs on integrate's float loop instead, which
+    is faster for one start.
+    """
+    x0 = np.asarray(starts, dtype=float)
+    if x0.ndim != 2 or x0.shape[1] != 3:
+        raise ValueError("starts must be an (N, 3) array, got shape %r" % (x0.shape,))
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+    x0 = _onto_simplex(x0)
+    if len(x0) <= 1:
+        f = point_field(spec)
+        return [integrate_field(f, x, t_max, rtol=rtol, atol=atol) for x in x0]
+    return _lockstep(column_field(spec), x0, t_max, rtol, atol)
 
 
 # --- equilibria --------------------------------------------------------------

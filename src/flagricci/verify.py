@@ -362,10 +362,8 @@ def check_disk_invariance(fast=False) -> str:
     n_int, n_bnd, t_max = (15, 5, 20.0) if fast else (150, 50, 50.0)
     starts = list(realize.sample_disk(rng, n_int))
     starts += [realize.circle_point(t) for t in rng.uniform(0, 2 * np.pi, n_bnd)]
-    worst = -np.inf
-    for x0 in starts:
-        traj = flow.integrate(spec, x0, t_max=t_max)
-        worst = max(worst, float(traj.f_values.max()))
+    trajs = flow.integrate_many(spec, np.array(starts), t_max=t_max)
+    worst = max(float(traj.f_values.max()) for traj in trajs)
     assert worst <= 1e-8, "F reached %.3e > 1e-8" % worst
     return "%d starts (%d on the circle): max F along flows %.2e" % (
         n_int + n_bnd,
@@ -424,8 +422,7 @@ def check_no_recurrence(fast=False) -> str:
     starts = realize.sample_disk(rng, n, radius_cap=0.999)
     bad_cls = 0
     worst_excursion = 0.0
-    for x0 in starts:
-        traj = flow.integrate(spec, x0, t_max=t_max)
+    for traj in flow.integrate_many(spec, starts, t_max=t_max):
         if flow.classify_limit(traj, eqs) is None:
             bad_cls += 1
             continue

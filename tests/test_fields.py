@@ -13,6 +13,7 @@ from flagricci.fields import (
     cone_flux_closed_form,
     cone_form,
     cone_form_grad,
+    column_field,
     point_field,
     projected_field,
     reduced_field,
@@ -196,3 +197,7 @@ def test_point_field_matches_projected_field_bitwise(spec):
     for x in pts:
         got = np.array(f(x.tolist()))
         assert got.tobytes() == projected_field(spec, x).tobytes(), x
+    # the batch integrator's column field equals it row for row; a batch
+    # that squared as d * d would miss on a few of these rows
+    cols = np.column_stack(column_field(spec)(np.array(pts).T))
+    assert cols.tobytes() == np.array([f(x.tolist()) for x in pts]).tobytes()

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from flagricci.fields import cone_form, projected_field
+from flagricci.fields import column_field, cone_form, projected_field
 from flagricci.flags import make_flag
 from flagricci.flow import (
     IntegrationError,
+    _lockstep,
     classify_limit,
     find_equilibria,
     integrate,
     integrate_field,
+    integrate_many,
     jacobian,
 )
+from flagricci.realize import circle_point, sample_disk
 
 A111 = make_flag("A", (1, 1, 1))
 A211 = make_flag("A", (2, 1, 1))
@@ -75,6 +78,18 @@ def test_rejects_bad_starts():
         integrate(A111, np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         integrate_field(lambda y: y, np.array([0.5, 0.5]), 1.0)
+    good = np.array([0.2, 0.3, 0.5])
+    for shape_bad in (good, np.ones((2, 2)) / 2, np.ones((1, 2, 3)) / 3):
+        with pytest.raises(ValueError, match=r"\(N, 3\) array"):
+            integrate_many(A111, shape_bad)
+    batch = np.tile(good, (5, 1))
+    batch[3, 1] = np.nan
+    with pytest.raises(ValueError, match=r"x0\[3, 1\] = nan is not finite"):
+        integrate_many(A111, batch)
+    batch[3, 1] = 0.3
+    batch[2] = [0.5, 0.6, 0.2]
+    with pytest.raises(ValueError, match=r"x0\[2\] = .* is not on the closed simplex"):
+        integrate_many(A111, batch)
 
 
 def test_integration_error_on_nan():
@@ -162,8 +177,6 @@ def test_classify_limit_none_when_far():
 
 def test_flow_keeps_disk_invariant():
     rng = np.random.default_rng(71)
-    from flagricci.realize import sample_disk
-
     for x0 in sample_disk(rng, 20):
         traj = integrate(A111, x0, t_max=30.0)
         assert np.max(cone_form(traj.states)) <= 1e-10
@@ -200,3 +213,38 @@ def test_numpy_field_gives_the_same_trajectory():
         assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
     assert fast.eval_states.tobytes() == slow.eval_states.tobytes()
     assert fast.n_field_evals == slow.n_field_evals
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [A111, make_flag("A", (3, 2, 1)), make_flag("D", 8), make_flag("E")],
+    ids=lambda spec: spec.label,
+)
+def test_integrate_many_rows_equal_single_runs(spec):
+    # disk interior, circle, a face start and a vertex, which stops at t = 0;
+    # at t_max 30 every family has rows ending on t_max and on equilibrium
+    rng = np.random.default_rng(7)
+    starts = list(sample_disk(rng, 4)) + [circle_point(a) for a in (0.4, 2.5)]
+    starts += [[0.3, 0.7, 0.0], [0.0, 0.0, 1.0]]
+    batch = integrate_many(spec, np.array(starts), t_max=30.0)
+    singles = [integrate(spec, x0, t_max=30.0) for x0 in starts]
+    assert {traj.status for traj in singles} == {"t_max", "equilibrium"}
+    assert singles[-1].status == "equilibrium" and singles[-1].n_accepted == 0
+    assert len(batch) == len(starts)
+    for row, single in zip(batch, singles):
+        for name in ("status", "n_accepted", "n_rejected", "n_field_evals"):
+            assert getattr(row, name) == getattr(single, name), name
+        assert np.max(np.abs(row.states - single.states)) <= 1e-15
+        assert np.max(np.abs(row.times - single.times)) <= 1e-15 * 30.0
+        for name in ("f_values", "sum_residuals", "step_sizes"):
+            assert np.max(np.abs(getattr(row, name) - getattr(single, name))) <= 1e-15
+    # a one-row batch runs on the float loop and gives the same bytes
+    (one,) = integrate_many(spec, np.array(starts[:1]), t_max=30.0)
+    assert one.states.tobytes() == singles[0].states.tobytes()
+
+
+def test_lockstep_step_budget_names_the_row():
+    # row 0 is a vertex and stops at t = 0; row 1 is the first live row
+    starts = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [0.3, 0.3, 0.4]])
+    with pytest.raises(IntegrationError, match=r"row 1: step budget exhausted"):
+        _lockstep(column_field(A111), starts, 30.0, 1e-9, 1e-12, max_steps=3)

@@ -5,6 +5,11 @@ moved to Python floats. collapse_A111.csv was written again when the
 collapse profile became the exact orbit distance: only its hausdorff column
 moved, by at most 3.4e-15 relative. To regenerate one, run the command of its case with
 `--out tests/golden/<name>`; any change in these bytes must be deliberate.
+
+verify_fast.txt is the stdout of `flagricci verify --fast`, written before
+the disk-invariance and no-recurrence checks moved to integrate_many. Its
+digits depend on the platform's libm and numpy's SIMD paths; it was written
+on x86-64 Linux (glibc, AVX-512).
 """
 
 from pathlib import Path
@@ -52,3 +57,8 @@ def test_cli_output_matches_golden(name, tmp_path, capsys):
     assert main(CASES[name] + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_verify_fast_stdout_matches_golden(capsys):
+    assert main(["verify", "--fast"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "verify_fast.txt").read_bytes()
