@@ -30,7 +30,7 @@ from .fields import (
     reduced_field,
     ricci_field,
 )
-from .flags import FlagSpec, TRootTable, make_flag, parse_flag, t_root_table
+from .flags import FlagSpec, make_flag, parse_flag
 from .flow import (
     Equilibrium,
     IntegrationError,
@@ -80,7 +80,6 @@ __all__ = [
     "LieModel",
     "NonRealizableError",
     "OrbitCloud",
-    "TRootTable",
     "Trajectory",
     "TorusElement",
     "build_model",
@@ -122,5 +121,4 @@ __all__ = [
     "sample_orbit",
     "sampling_resolution",
     "sym_sqrt",
-    "t_root_table",
 ]

@@ -84,8 +84,8 @@ def sampling_resolution(cloud: OrbitCloud) -> float:
 
 
 def kernel_summands(x, tol: float = 1e-8) -> tuple[int, ...]:
-    """1-based indices of coefficients at or below tol."""
-    x = np.asarray(x, dtype=float)
+    """1-based indices of coefficients at or below tol; non-finite x is rejected."""
+    x = require_finite(x)
     return tuple(int(i) + 1 for i in range(3) if x[i] <= tol)
 
 

@@ -7,13 +7,11 @@ for the homogeneous flow, and the projected field X keeps the flow on the
 plane x1 + x2 + x3 = 1.
 
 The cubic is written once, in coefficient form (_cubic), and evaluated on
-arrays (ricci_field), on Python floats (point_field, the single-start
-integrator's field) and on column arrays (column_field, the batch
-integrator's field). On a 1-D point numpy takes its 0-d path, where `d ** 2`
-is C pow; on a batch numpy squares as d * d. The two differ in the last bit
-for about one point in two thousand, so a row of a 2-D batch need not equal
-the same point passed alone. The float path follows the 1-D point exactly,
-and column_field follows it too by squaring through cpow.
+arrays (ricci_field) and, through point_field, on Python floats or column
+arrays (the integrators' field). Every operation in it is an elementwise
+add, subtract or multiply, each correctly rounded, so a point gives the same
+bits on every path: alone as a 1-D array, as a row of a batch, as three
+floats or as a row of three columns.
 """
 
 from __future__ import annotations
@@ -26,9 +24,10 @@ from .flags import FlagSpec
 def require_finite(x, name: str = "x") -> np.ndarray:
     """x as a float array; raises ValueError naming its first non-finite coordinate."""
     x = np.asarray(x, dtype=float)
-    bad = ~np.isfinite(x)
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+    finite = np.isfinite(x)
+    # count_nonzero is about half the cost of finite.all() on a 3-vector
+    if np.count_nonzero(finite) < x.size:
+        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise ValueError(
             "%s[%s] = %r is not finite" % (name, ", ".join(map(str, idx)), float(x[idx]))
         )
@@ -56,42 +55,15 @@ def _cubic_coefficients(spec: FlagSpec):
     return (p, n, m), (2 * (m + n), 2 * (m + p), 2 * (n + p))
 
 
-def cpow(x, p) -> np.ndarray:
-    """x ** p on every element of the 1-D float array x, through C pow.
-
-    A Python float's ** and a 0-d array's are C pow. numpy's array power is
-    not: it squares as x * x, and where the CPU has AVX-512 its vectorized
-    power, even with an array exponent, differs from C pow in the last bit
-    for a few percent of elements. An array path that must equal the float
-    path bit for bit takes its powers here, at the cost of one Python
-    operation per element.
-    """
-    return np.array([v ** p for v in x.tolist()])
-
-
-class _CPowTwo:
-    """The exponent 2 for which `x ** CPOW_TWO` is cpow(x, 2) on a float array."""
-
-    # makes ndarray.__pow__ defer to __rpow__
-    __array_ufunc__ = None
-
-    def __rpow__(self, x):
-        return cpow(x, 2)
-
-
-CPOW_TWO = _CPowTwo()
-
-
-def _cubic(a, b, x1, x2, x3, two=2):
-    # The one written form of the cubic, for arrays, Python floats and
-    # columns. The order of every operation fixes the result bits: the
-    # squares are `** two`, which with two = 2 is C pow on a 0-d array and
-    # on a float; columns pass two = CPOW_TWO to get the same C pow. b_i x_j
-    # x_k multiplies left to right.
+def _cubic(a, b, x1, x2, x3):
+    # The one written form of the cubic, for arrays, numpy scalars, Python
+    # floats and columns. The order of every operation fixes the result
+    # bits: the squares are d * d, and b_i x_j x_k multiplies left to right.
+    d23, d31, d12 = x2 - x3, x3 - x1, x1 - x2
     return (
-        -x1 * (a[0] * (x1 * x1 - (x2 - x3) ** two) + b[0] * x2 * x3),
-        -x2 * (a[1] * (x2 * x2 - (x3 - x1) ** two) + b[1] * x1 * x3),
-        -x3 * (a[2] * (x3 * x3 - (x1 - x2) ** two) + b[2] * x1 * x2),
+        -x1 * (a[0] * (x1 * x1 - d23 * d23) + b[0] * x2 * x3),
+        -x2 * (a[1] * (x2 * x2 - d31 * d31) + b[1] * x1 * x3),
+        -x3 * (a[2] * (x3 * x3 - d12 * d12) + b[2] * x1 * x2),
     )
 
 
@@ -115,41 +87,27 @@ def projected_field(spec: FlagSpec, x) -> np.ndarray:
     return r - total * x
 
 
-def _componentwise_field(spec: FlagSpec, two):
+def point_field(spec: FlagSpec):
+    """Projected field X on three floats or three columns, as a function.
+
+    The returned f takes a sequence (x1, x2, x3) of three Python floats, or
+    of three 1-D float arrays of one length, and returns X in the same form.
+    Each point's X equals projected_field(spec, x) there bit for bit: the
+    same cubic in the same order of operations, and the sum of R taken left
+    to right, as numpy sums three elements. On one point it skips numpy's
+    per-call overhead, which dominates there.
+    """
     a, b = _cubic_coefficients(spec)
     a = tuple(float(c) for c in a)
     b = tuple(float(c) for c in b)
 
     def f(x):
         x1, x2, x3 = x
-        r1, r2, r3 = _cubic(a, b, x1, x2, x3, two)
+        r1, r2, r3 = _cubic(a, b, x1, x2, x3)
         total = r1 + r2 + r3
         return (r1 - total * x1, r2 - total * x2, r3 - total * x3)
 
     return f
-
-
-def point_field(spec: FlagSpec):
-    """Projected field X on one point of Python floats, as a function.
-
-    The returned f takes a length-3 sequence of floats and returns a tuple of
-    three floats equal, bit for bit, to projected_field(spec, x) on the 1-D
-    array x: the same cubic in the same order of operations, and the sum of
-    R taken left to right, as numpy sums three elements. It skips numpy's
-    per-call overhead, which dominates on a single point.
-    """
-    return _componentwise_field(spec, 2)
-
-
-def column_field(spec: FlagSpec):
-    """Projected field X on a batch of points given as three columns.
-
-    The returned f takes (x1, x2, x3), three 1-D float arrays of one length,
-    and returns the three columns of X. Row i equals point_field(spec) at
-    (x1[i], x2[i], x3[i]) bit for bit: every operation is elementwise and
-    the squares go through cpow.
-    """
-    return _componentwise_field(spec, CPOW_TWO)
 
 
 def reduced_field(spec: FlagSpec, uv) -> np.ndarray:

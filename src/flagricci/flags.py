@@ -1,4 +1,4 @@
-"""Flag-manifold families with three isotropy summands and their T-root data."""
+"""Flag-manifold families with three isotropy summands."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ class FlagSpec:
     family: str
     params: tuple[int, ...]
     dims: tuple[int, int, int]
-    rank: int = 2
 
     @property
     def label(self) -> str:
@@ -29,14 +28,6 @@ class FlagSpec:
         if self.family == "D":
             return "D:%d" % self.params
         return "E"
-
-
-@dataclass(frozen=True)
-class TRootTable:
-    """Restricted-root classes and the relation [a3] = c1*[a1] + c2*[a2]."""
-
-    representatives: tuple[str, str, str] = ("alpha1", "alpha2", "alpha3")
-    relation_coeffs: tuple[int, int] = (1, 1)
 
 
 def make_flag(family: str, params=()) -> FlagSpec:
@@ -77,10 +68,3 @@ def parse_flag(text: str) -> FlagSpec:
             raise ValueError("bad parameters in flag string %r" % text) from None
         return make_flag(family.strip(), params)
     return make_flag(text)
-
-
-def t_root_table(spec: FlagSpec) -> TRootTable:
-    """T-root data shared by all three-summand families handled here."""
-    if spec.rank != 2:
-        raise ValueError("expected a rank-2 restricted-root system")
-    return TRootTable()

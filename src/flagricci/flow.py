@@ -24,11 +24,12 @@ Many starts run in lockstep on an (N, 3) state (_lockstep, behind
 integrate_many). Each row keeps its own step size, controller memory,
 verdict, clean step, stop rule, t_max landing and step budget, and retires
 when it stops. The contractions are the same BLAS calls, one per row, the
-field is fields.column_field and every power goes through fields.cpow, so
-each row equals its single-start run bit for bit. On one start numpy's
-per-call overhead costs more than the arithmetic, so integrate_many hands a
-one-row batch to the float loop (about 6.6 ms for t_max 50 on A(1,1,1),
-on one core of a 2-vCPU x86-64 machine).
+field is the same fields.point_field, called on columns, and the step-size
+controller's powers go through C pow (_cpow), so each row equals its
+single-start run bit for bit. On one start numpy's per-call overhead costs
+more than the arithmetic, so integrate_many hands a one-row batch to the
+float loop (about 6.6 ms for t_max 50 on A(1,1,1), on one core of a 2-vCPU
+x86-64 machine).
 """
 
 from __future__ import annotations
@@ -38,15 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    column_field,
-    cone_form,
-    cpow,
-    point_field,
-    reduced_field,
-    require_finite,
-    ricci_field,
-)
+from .fields import cone_form, point_field, reduced_field, require_finite, ricci_field
 from .flags import FlagSpec
 
 CLAMP_TOL = 1e-14
@@ -298,12 +291,24 @@ def _widen(a):
     return np.concatenate((a, np.empty_like(a)), axis=1)
 
 
+def _cpow(x, p) -> np.ndarray:
+    """x ** p on every element of the 1-D float array x, through C pow.
+
+    A Python float's ** is C pow. numpy's array power is not: where the CPU
+    has AVX-512 its vectorized power differs from C pow in the last bit for
+    a few percent of elements. The lockstep controller must equal the float
+    loop's bit for bit, so it takes its powers here, at the cost of one
+    Python operation per element.
+    """
+    return np.array([v ** p for v in x.tolist()])
+
+
 def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
     """integrate_field's adaptive step on every row of the (n, 3) array x0.
 
-    f is a column field (fields.column_field). Each operation is the one the
-    float loop does, taken elementwise over the live rows, so row i ends
-    exactly as integrate_field(point_field(spec), x0[i], ...) would.
+    f is fields.point_field(spec), called on columns. Each operation is the
+    one the float loop does, taken elementwise over the live rows, so row i
+    ends exactly as integrate_field(f, x0[i], ...) would.
     """
     n = len(x0)
     # K[r] holds row r's seven stage derivatives; K[r, 0] is the field there
@@ -369,7 +374,7 @@ def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
 
             # every operation below is a no-op on an empty selection
             ir = np.flatnonzero(~(err <= 1.0))
-            fac = 0.9 * cpow(err[ir], -1.0 / 5.0)
+            fac = 0.9 * _cpow(err[ir], -1.0 / 5.0)
             h[ir] = h_try[ir] * np.minimum(1.0, np.maximum(0.2, fac))
 
             ia = np.flatnonzero(err <= 1.0)
@@ -391,7 +396,7 @@ def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
             at_rest = ia[np.sqrt(np.vecdot(ka, ka)) < EQUILIBRIUM_TOL]
             status[rows[at_rest]] = "equilibrium"
             ea = np.maximum(err[ia], 1e-10)
-            fac = 0.9 * cpow(ea, -0.7 / 5.0) * cpow(err_prev[ia], 0.4 / 5.0)
+            fac = 0.9 * _cpow(ea, -0.7 / 5.0) * _cpow(err_prev[ia], 0.4 / 5.0)
             h[ia] = h_try[ia] * np.minimum(5.0, np.maximum(0.2, fac))
             err_prev[ia] = ea
             done = t >= t_max
@@ -483,10 +488,10 @@ def integrate_many(
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     x0 = _onto_simplex(x0)
+    f = point_field(spec)
     if len(x0) <= 1:
-        f = point_field(spec)
         return [integrate_field(f, x, t_max, rtol=rtol, atol=atol) for x in x0]
-    return _lockstep(column_field(spec), x0, t_max, rtol, atol)
+    return _lockstep(f, x0, t_max, rtol, atol)
 
 
 # --- equilibria --------------------------------------------------------------

@@ -116,11 +116,6 @@ class LieModel:
     def block_phases(self, elem: TorusElement) -> np.ndarray:
         return elem.phases[self.block_starts]
 
-    def alpha_values(self, elem: TorusElement) -> np.ndarray:
-        """(alpha1, alpha2, alpha3) evaluated on a torus element."""
-        a, b, c = self.block_phases(elem)
-        return np.array([b - a, a - c, b - c])
-
     def inner(self, x, y) -> float:
         """Negative Killing form -2N Re tr(XY)."""
         return float(-2.0 * self.n_ambient * np.real(np.trace(x @ y)))

@@ -4,14 +4,15 @@ A frame is a 2 x k real matrix whose columns are commuting torus directions
 expressed in the basis dual to the two independent restricted roots. The
 metric it induces has coefficients
 
-    x1 = |l1|^2,  x2 = |l2|^2,  x3 = |c1 l1 + c2 l2|^2
+    x1 = |l1|^2,  x2 = |l2|^2,  x3 = |l1 + l2|^2
 
-where l1, l2 are the frame rows and (c1, c2) are the root-relation
-coefficients (here always (1, 1)). With k = 2, frames are parametrized by
-their Gram matrix: x = M vec(Y) for Y = frame frame^T with the fixed linear
-map M below, and the admissible coefficient vectors are exactly the first
-orthant part of {F <= 0} (see fields.cone_form). realizing_frame inverts the
-correspondence through the symmetric square root.
+where l1, l2 are the frame rows: in every family here the third restricted
+root is the sum of the first two, [a3] = [a1] + [a2]. With k = 2, frames
+are parametrized by their Gram matrix: x = M vec(Y) for Y = frame frame^T
+with the fixed linear map M below, and the admissible coefficient vectors
+are exactly the first orthant part of {F <= 0} (see fields.cone_form).
+realizing_frame inverts the correspondence through the symmetric square
+root.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import math
 import numpy as np
 
 from .fields import cone_form, require_finite
-from .flags import TRootTable
 
 # x = COEFF_MATRIX @ (Y[0,0], Y[1,1], Y[0,1]); determinant of the square map
 # (x1, x2, x3) <- (Y00, Y11, Y01) is 2.
@@ -41,14 +41,13 @@ def gram(frame) -> np.ndarray:
     return frame @ frame.T
 
 
-def frame_metric(table: TRootTable, frame) -> np.ndarray:
+def frame_metric(frame) -> np.ndarray:
     """Metric coefficients (x1, x2, x3) induced by a 2 x k frame."""
     frame = np.atleast_2d(np.asarray(frame, dtype=float))
     if frame.shape[0] != 2:
         raise ValueError("frame must have two rows, got shape %r" % (frame.shape,))
-    c1, c2 = table.relation_coeffs
     l1, l2 = frame[0], frame[1]
-    l3 = c1 * l1 + c2 * l2
+    l3 = l1 + l2
     return np.array([l1 @ l1, l2 @ l2, l3 @ l3])
 
 
@@ -131,7 +130,7 @@ def realizing_frame(x, tol: float = 1e-10) -> np.ndarray:
     """Canonical symmetric 2x2 frame realizing coefficients x.
 
     Defined on the first-orthant part of {F <= 0}; raises ValueError outside
-    and on non-finite input. Satisfies frame_metric(table, realizing_frame(x))
+    and on non-finite input. Satisfies frame_metric(realizing_frame(x))
     = x and is the unique PSD square root of coeffs_to_psd(x).
     """
     x = require_finite(x)
@@ -147,8 +146,11 @@ def realizing_frame(x, tol: float = 1e-10) -> np.ndarray:
 
 
 def disk_membership(x, tol: float = 1e-9):
-    """Classify x against the realizability disk: interior, boundary, outside."""
-    f = float(cone_form(x))
+    """Classify x against the realizability disk: interior, boundary, outside.
+
+    Non-finite input is rejected.
+    """
+    f = float(cone_form(require_finite(x)))
     if f < -tol:
         return "interior"
     if f <= tol:

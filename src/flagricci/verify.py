@@ -143,12 +143,11 @@ def check_projected_field(fast=False) -> str:
 def check_factorization(fast=False) -> str:
     rng = _rng(107)
     n = 100 if fast else 500
-    tab = flags.TRootTable()
     worst = 0.0
     for k in (1, 2, 3, 5):
         frames = rng.standard_normal((n, 2, k))
         for fr in frames:
-            lhs = realize.frame_metric(tab, fr)
+            lhs = realize.frame_metric(fr)
             rhs = realize.psd_to_coeffs(realize.gram(fr))
             worst = max(worst, float(np.abs(lhs - rhs).max() / max(1.0, np.abs(rhs).max())))
     assert worst <= 1e-12, "factorization rel err %.3e" % worst
@@ -158,13 +157,12 @@ def check_factorization(fast=False) -> str:
 def check_metric_homogeneity(fast=False) -> str:
     rng = _rng(108)
     n = 50 if fast else 200
-    tab = flags.TRootTable()
     worst = 0.0
     for _ in range(n):
         fr = rng.standard_normal((2, 3))
         c = float(rng.uniform(0.1, 4.0))
-        lhs = realize.frame_metric(tab, c * fr)
-        rhs = c * c * realize.frame_metric(tab, fr)
+        lhs = realize.frame_metric(c * fr)
+        rhs = c * c * realize.frame_metric(fr)
         worst = max(worst, float(np.abs(lhs - rhs).max() / max(1.0, rhs.max())))
     assert worst <= 1e-12
     return "frame scaling by c scales coefficients by c^2, max rel %.2e" % worst
@@ -173,13 +171,12 @@ def check_metric_homogeneity(fast=False) -> str:
 def check_section_property(fast=False) -> str:
     rng = _rng(109)
     n = 100 if fast else 500
-    tab = flags.TRootTable()
     worst = 0.0
     for _ in range(n):
         a = rng.standard_normal((2, 2))
         x = realize.psd_to_coeffs(a @ a.T)
         fr = realize.realizing_frame(x)
-        back = realize.frame_metric(tab, fr)
+        back = realize.frame_metric(fr)
         worst = max(worst, float(np.abs(back - x).max() / max(1.0, np.abs(x).max())))
     assert worst <= 1e-9, "section property rel err %.3e" % worst
     return "metric(realizing_frame(x)) = x on %d cone points, max rel %.2e" % (n, worst)
@@ -249,7 +246,6 @@ def check_sqrt_roundtrip(fast=False) -> str:
 def check_oracle_equivalence(fast=False) -> str:
     rng = _rng(112)
     n = 30 if fast else 100
-    tab = flags.TRootTable()
     worst = 0.0
     for blocks in [(1, 1, 1), (2, 1, 1)]:
         model = orbits.build_model(*blocks)
@@ -258,7 +254,7 @@ def check_oracle_equivalence(fast=False) -> str:
             h1 = model.torus_element(c[:, 0])
             h2 = model.torus_element(c[:, 1])
             lhs = orbits.induced_metric(model, h1, h2)
-            rhs = realize.frame_metric(tab, c)
+            rhs = realize.frame_metric(c)
             worst = max(worst, float(np.abs(lhs - rhs).max() / max(1.0, rhs.max())))
     assert worst <= 1e-8, "induced metric vs frame metric rel %.3e" % worst
     return "induced = frame metric on su(3), su(4) x %d pairs, max rel %.2e" % (n, worst)

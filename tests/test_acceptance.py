@@ -12,7 +12,7 @@ import numpy as np
 
 from flagricci.collapse import collapse_run, collapse_verdict, hausdorff
 from flagricci.fields import cone_flux, cone_flux_closed_form, cone_form, ricci_field
-from flagricci.flags import make_flag, t_root_table
+from flagricci.flags import make_flag
 from flagricci.flow import find_equilibria, integrate
 from flagricci.orbits import build_model, induced_metric, sample_orbit
 from flagricci.realize import (
@@ -26,7 +26,6 @@ from flagricci.realize import (
 )
 
 A111 = make_flag("A", (1, 1, 1))
-TABLE = t_root_table(A111)
 
 
 class criterion:
@@ -124,7 +123,7 @@ def test_criterion_05_realizing_frame_examples_and_section():
         rng = np.random.default_rng(1005)
         pts = sample_cone(rng, 500)
         for x in pts:
-            back = frame_metric(TABLE, realizing_frame(x))
+            back = frame_metric(realizing_frame(x))
             rel = np.max(np.abs(back - x)) / max(1.0, np.max(np.abs(x)))
             assert rel <= 1e-9, "section residual %.3e at %r" % (rel, x.tolist())
 
@@ -140,7 +139,7 @@ def test_criterion_06_oracle_equivalence():
                 h2 = model.torus_element(c[1])
                 frame = np.stack([c[0], c[1]], axis=1)
                 got = induced_metric(model, h1, h2, tol=1e-8)
-                want = frame_metric(TABLE, frame)
+                want = frame_metric(frame)
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(got - want)) / scale <= 1e-8
 

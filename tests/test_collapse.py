@@ -16,7 +16,7 @@ from flagricci.collapse import (
 from flagricci.fields import cone_flux
 from flagricci.flags import make_flag
 from flagricci.orbits import TorusElement, build_model, sample_orbit
-from flagricci.realize import realizing_frame
+from flagricci.realize import disk_membership, realizing_frame
 
 A111 = make_flag("A", (1, 1, 1))
 MODEL3 = build_model(1, 1, 1)
@@ -175,8 +175,16 @@ def test_block_rule_matches_bracket_scan(blocks):
         realizing_frame,
         lambda x: cone_flux(A111, x),
         lambda x: collapse_verdict(MODEL3, x),
+        disk_membership,
+        kernel_summands,
     ],
-    ids=["realizing_frame", "cone_flux", "collapse_verdict"],
+    ids=[
+        "realizing_frame",
+        "cone_flux",
+        "collapse_verdict",
+        "disk_membership",
+        "kernel_summands",
+    ],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_rejects_non_finite_points(call, bad):
@@ -254,7 +262,7 @@ def test_limit_cloud_rank_drops():
     x0 = np.array([0.42, 0.40, 0.18])
     run = collapse_run(A111, MODEL3, x0, times=[0.0], count=200, seed=13)
     from flagricci.orbits import sample_orbit as so
-    from flagricci.realize import realizing_frame
+    from flagricci.realize import disk_membership, realizing_frame
 
     def cloud_rank(x):
         frame = realizing_frame(np.clip(np.asarray(x), 0.0, None))

@@ -13,7 +13,6 @@ from flagricci.fields import (
     cone_flux_closed_form,
     cone_form,
     cone_form_grad,
-    column_field,
     point_field,
     projected_field,
     reduced_field,
@@ -187,17 +186,22 @@ def test_cubic_homogeneity():
     ids=lambda s: s.label,
 )
 def test_point_field_matches_projected_field_bitwise(spec):
-    # the integrator's float field must equal numpy's 1-D point path in
-    # every bit, signed zeros included
+    # the integrators' field must equal numpy's 1-D point path in every bit,
+    # signed zeros included, on floats and on columns; and a row of a 2-D
+    # batch must equal the same point passed alone
     rng = np.random.default_rng(17)
     pts = list(rng.dirichlet(np.ones(3), size=2000))
     pts += list(rng.uniform(0.0, 3.0, size=(500, 3)))
     pts += [np.array([0.3, 0.7, 0.0]), np.array([0.0, 0.0, 1.0]), np.ones(3) / 3.0]
     f = point_field(spec)
+    alone = []
     for x in pts:
-        got = np.array(f(x.tolist()))
-        assert got.tobytes() == projected_field(spec, x).tobytes(), x
-    # the batch integrator's column field equals it row for row; a batch
-    # that squared as d * d would miss on a few of these rows
-    cols = np.column_stack(column_field(spec)(np.array(pts).T))
-    assert cols.tobytes() == np.array([f(x.tolist()) for x in pts]).tobytes()
+        alone.append(projected_field(spec, x))
+        assert np.array(f(x.tolist())).tobytes() == alone[-1].tobytes(), x
+    alone = np.array(alone)
+    batch = np.array(pts)
+    assert np.column_stack(f(batch.T)).tobytes() == alone.tobytes()
+    assert projected_field(spec, batch).tobytes() == alone.tobytes()
+    uv = batch[:, :2]
+    uv_alone = np.array([reduced_field(spec, p) for p in uv])
+    assert reduced_field(spec, uv).tobytes() == uv_alone.tobytes()

@@ -1,6 +1,6 @@
 import pytest
 
-from flagricci.flags import make_flag, parse_flag, t_root_table
+from flagricci.flags import make_flag, parse_flag
 
 
 def test_family_a_dims():
@@ -8,7 +8,6 @@ def test_family_a_dims():
     assert spec.family == "A"
     assert spec.params == (2, 1, 1)
     assert spec.dims == (4, 4, 2)
-    assert spec.rank == 2
     assert spec.label == "A:2,1,1"
 
 
@@ -58,10 +57,3 @@ def test_parse_rejects_garbage():
     for text in ("A", "A:1,1", "D:", "D:x", "E:1", "F:2", "A:1,1,1,1", ""):
         with pytest.raises(ValueError):
             parse_flag(text)
-
-
-def test_root_table_composite_relation():
-    table = t_root_table(make_flag("A", (1, 1, 1)))
-    assert table.representatives == ("alpha1", "alpha2", "alpha3")
-    # third restricted root is the sum of the first two
-    assert table.relation_coeffs == (1, 1)

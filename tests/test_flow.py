@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flagricci.fields import column_field, cone_form, projected_field
+from flagricci.fields import cone_form, point_field, projected_field
 from flagricci.flags import make_flag
 from flagricci.flow import (
     IntegrationError,
@@ -247,4 +247,4 @@ def test_lockstep_step_budget_names_the_row():
     # row 0 is a vertex and stops at t = 0; row 1 is the first live row
     starts = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [0.3, 0.3, 0.4]])
     with pytest.raises(IntegrationError, match=r"row 1: step budget exhausted"):
-        _lockstep(column_field(A111), starts, 30.0, 1e-9, 1e-12, max_steps=3)
+        _lockstep(point_field(A111), starts, 30.0, 1e-9, 1e-12, max_steps=3)

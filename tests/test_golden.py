@@ -3,8 +3,12 @@
 The golden files were written by the CLI before the integrator's step loop
 moved to Python floats. collapse_A111.csv was written again when the
 collapse profile became the exact orbit distance: only its hausdorff column
-moved, by at most 3.4e-15 relative. To regenerate one, run the command of its case with
-`--out tests/golden/<name>`; any change in these bytes must be deliberate.
+moved, by at most 3.4e-15 relative. flow_D8_tight.csv, flow_E.csv and
+portrait_D8.csv were written again when the cubic's squares became d * d in
+place of C pow(d, 2): t moved by at most 8.5e-9, x by 7.5e-12 and F by
+1.5e-11, and the portrait's end_u and end_v by 3.4e-16. To regenerate one,
+run the command of its case with `--out tests/golden/<name>`; any change in
+these bytes must be deliberate.
 
 verify_fast.txt is the stdout of `flagricci verify --fast`, written before
 the disk-invariance and no-recurrence checks moved to integrate_many. Its

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from flagricci.flags import make_flag, t_root_table
 from flagricci.orbits import (
     build_model,
     haar_unitaries,
@@ -11,8 +10,6 @@ from flagricci.orbits import (
     sample_orbit,
 )
 from flagricci.realize import frame_metric, realizing_frame, sample_disk
-
-TABLE = t_root_table(make_flag("A", (1, 1, 1)))
 
 
 def test_model_dimensions_su3():
@@ -46,8 +43,10 @@ def test_omega_duality():
     for blocks in ((1, 1, 1), (2, 1, 1), (3, 2, 1)):
         model = build_model(*blocks)
         w1, w2 = model.omega
-        assert np.allclose(model.alpha_values(w1), [1.0, 0.0, 1.0], rtol=0, atol=1e-13)
-        assert np.allclose(model.alpha_values(w2), [0.0, 1.0, 1.0], rtol=0, atol=1e-13)
+        for w, want in ((w1, [1.0, 0.0, 1.0]), (w2, [0.0, 1.0, 1.0])):
+            # (alpha1, alpha2, alpha3) = (b - a, a - c, b - c) on block phases
+            a, b, c = model.block_phases(w)
+            assert np.allclose([b - a, a - c, b - c], want, rtol=0, atol=1e-13)
         for w in (w1, w2):
             assert abs(np.trace(w.matrix)) < 1e-13
 
@@ -69,7 +68,7 @@ def test_induced_metric_matches_frame_metric():
             h1 = model.torus_element(frame[:, 0])
             h2 = model.torus_element(frame[:, 1])
             got = induced_metric(model, h1, h2)
-            want = frame_metric(TABLE, frame)
+            want = frame_metric(frame)
             assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
 

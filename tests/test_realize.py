@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from flagricci.fields import cone_form
-from flagricci.flags import make_flag, t_root_table
 from flagricci.realize import (
     COEFF_MATRIX,
     circle_point,
@@ -20,8 +19,6 @@ from flagricci.realize import (
     sym_sqrt,
 )
 
-TABLE = t_root_table(make_flag("A", (1, 1, 1)))
-
 
 def random_psd(rng, scale=1.0):
     a = rng.normal(size=(2, 2)) * scale
@@ -37,14 +34,14 @@ def test_frame_metric_on_explicit_frames():
     # rows are the two torus directions; coefficients are the squared
     # lengths of row1, row2, row1 + row2
     frame = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert np.array_equal(frame_metric(TABLE, frame), [1.0, 1.0, 2.0])
+    assert np.array_equal(frame_metric(frame), [1.0, 1.0, 2.0])
     frame = np.array([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-    assert np.array_equal(frame_metric(TABLE, frame), [4.0, 2.0, 10.0])
+    assert np.array_equal(frame_metric(frame), [4.0, 2.0, 10.0])
 
 
 def test_frame_metric_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        frame_metric(TABLE, np.ones((3, 2)))
+        frame_metric(np.ones((3, 2)))
 
 
 def test_gram_and_coeff_round_trip():
@@ -92,7 +89,7 @@ def test_realizing_frame_is_a_section():
     pts = sample_cone(rng, 200)
     for x in pts:
         frame = realizing_frame(x)
-        back = frame_metric(TABLE, frame)
+        back = frame_metric(frame)
         assert np.max(np.abs(back - x)) <= 1e-9 * max(1.0, np.max(np.abs(x)))
 
 
@@ -157,7 +154,7 @@ def test_compress_columns_matches_rank():
     assert np.array_equal(out[:, 1], np.zeros(2))
     assert np.allclose(rot @ rot.T, np.eye(2), rtol=0, atol=1e-14)
     assert np.allclose(frame @ rot, out, rtol=0, atol=1e-12)
-    assert frame_metric(TABLE, out) == pytest.approx([0.5, 0.0, 0.5], abs=1e-12)
+    assert frame_metric(out) == pytest.approx([0.5, 0.0, 0.5], abs=1e-12)
 
 
 def test_compress_columns_fixed_example():
