@@ -85,7 +85,11 @@ def sampling_resolution(cloud: OrbitCloud) -> float:
 
 def kernel_summands(x, tol: float = 1e-8) -> tuple[int, ...]:
     """1-based indices of coefficients at or below tol; non-finite x is rejected."""
-    x = require_finite(x)
+    return _kernel(require_finite(x), tol)
+
+
+def _kernel(x, tol):
+    # kernel_summands of a float array already checked to be finite
     return tuple(int(i) + 1 for i in range(3) if x[i] <= tol)
 
 
@@ -155,7 +159,7 @@ def collapse_verdict(model: LieModel, x_limit, tol: float = 1e-8) -> CollapseVer
     bracket witness. Non-finite points are rejected.
     """
     x_limit = require_finite(x_limit, "x_limit")
-    kernel = kernel_summands(x_limit, tol)
+    kernel = _kernel(x_limit, tol)
     if not kernel:
         return CollapseVerdict(x_limit, kernel, "no_collapse", None)
     ok, witness = is_subalgebra(model, kernel)

@@ -1,35 +1,22 @@
 """Flow engine: adaptive integration on the simplex and equilibrium analysis.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with a PI step-size
-controller. After every accepted step the state is cleaned for the simplex
-geometry (_clean_state): coordinates with magnitude below CLAMP_TOL are set
-to exactly zero and the state is renormalized to unit sum. Together with the
-factored form of the field (each component proportional to its own
-coordinate) this keeps coordinate faces invariant exactly. Integration stops
-early once the field norm falls below EQUILIBRIUM_TOL.
+controller. Every accepted state is cleaned (_clean_state): coordinates
+below CLAMP_TOL in magnitude become exactly zero and the state is
+renormalized to unit sum, which with the factored field keeps coordinate
+faces invariant exactly. A run stops early once the field norm
+sqrt(k1*k1 + k2*k2 + k3*k3) falls below EQUILIBRIUM_TOL.
 
-Two loops run this step, and both give the same bits. One start runs on
-Python floats (integrate_field, behind integrate): the state, the stage
-inputs, the error norm, the controller, the clean step, the stop rule and
-the t_eval landing are plain float arithmetic, and the Trajectory arrays
-are built once, when the loop ends. numpy keeps only the operations whose
-rounding a Python expression would not reproduce: the eight contractions of
-each step (_A[i] @ K[:i] for the six stages, _B5 @ K and _ERR @ K) on one
-contiguous (7, 3) stage array, and the dot product under the stop rule's
-norm, both evaluated by BLAS. Every other operation is the one numpy does
-elementwise on a 3-vector, so the result is bit-identical to the same loop
-on numpy arrays; tests/golden holds the CLI's reference bytes.
-
-Many starts run in lockstep on an (N, 3) state (_lockstep, behind
-integrate_many). Each row keeps its own step size, controller memory,
-verdict, clean step, stop rule, t_max landing and step budget, and retires
-when it stops. The contractions are the same BLAS calls, one per row, the
-field is the same fields.point_field, called on columns, and the step-size
-controller's powers go through C pow (_cpow), so each row equals its
-single-start run bit for bit. On one start numpy's per-call overhead costs
-more than the arithmetic, so integrate_many hands a one-row batch to the
-float loop (about 6.6 ms for t_max 50 on A(1,1,1), on one core of a 2-vCPU
-x86-64 machine).
+One attempt is written once, in _step: the stage inputs, the new state and
+the error estimate are left-to-right float sums over the tableau's nonzero
+coefficients, with no numpy contraction or BLAS call, so the result bits do
+not depend on the BLAS kernel. integrate runs one start on Python floats
+(integrate_field); integrate_many runs many in lockstep (_lockstep) on
+(3, n) blocks of the live rows, each row with its own step size, controller
+memory, verdict, clean step, stop rule and t_max landing. _block_step takes
+_step's sums on all rows at once and the controller's powers go through C
+pow (_cpow), so each row equals its single-start run bit for bit. A one-row
+batch runs on the float loop, which is faster for one start.
 """
 
 from __future__ import annotations
@@ -45,22 +32,76 @@ from .flags import FlagSpec
 CLAMP_TOL = 1e-14
 EQUILIBRIUM_TOL = 1e-12
 
-# Dormand-Prince 5(4) coefficients; the field is autonomous, so the nodes c_i
-# are not needed
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# Dormand-Prince 5(4), nonzero entries only: the rows of k2 ... k6, the
+# fifth-order weights of k1, k3 ... k6 and the fourth-order ones of k1,
+# k3 ... k7. The field is autonomous, so the nodes are not needed.
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
-_ERR = _B5 - _B4
+_B5 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_B4 = (5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_ERR = tuple(b5 - b4 for b5, b4 in zip(_B5 + (0.0,), _B4))
+
+
+def _step(f, y, k1, h):
+    """One Dormand-Prince 5(4) attempt of size h from y, where k1 = f(y).
+
+    y and k1 are three floats, or three columns (h then holds each row's
+    step). Returns the fifth-order state z and the error h (b5 - b4) . k;
+    the last stage is taken at z, so an attempt costs six field values.
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), a6 = _A
+    a61, a62, a63, a64, a65 = a6
+    b1, b3, b4, b5, b6 = _B5
+    e1, e3, e4, e5, e6, e7 = _ERR
+    y1, y2, y3 = y
+    p1, p2, p3 = k1
+    q1, q2, q3 = f((y1 + h * (a21 * p1), y2 + h * (a21 * p2), y3 + h * (a21 * p3)))
+    r1, r2, r3 = f((y1 + h * (a31 * p1 + a32 * q1),
+                    y2 + h * (a31 * p2 + a32 * q2),
+                    y3 + h * (a31 * p3 + a32 * q3)))
+    s1, s2, s3 = f((y1 + h * (a41 * p1 + a42 * q1 + a43 * r1),
+                    y2 + h * (a41 * p2 + a42 * q2 + a43 * r2),
+                    y3 + h * (a41 * p3 + a42 * q3 + a43 * r3)))
+    v1, v2, v3 = f((y1 + h * (a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1),
+                    y2 + h * (a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2),
+                    y3 + h * (a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3)))
+    w1, w2, w3 = f((y1 + h * (a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * v1),
+                    y2 + h * (a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * v2),
+                    y3 + h * (a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * v3)))
+    z = (y1 + h * (b1 * p1 + b3 * r1 + b4 * s1 + b5 * v1 + b6 * w1),
+         y2 + h * (b1 * p2 + b3 * r2 + b4 * s2 + b5 * v2 + b6 * w2),
+         y3 + h * (b1 * p3 + b3 * r3 + b4 * s3 + b5 * v3 + b6 * w3))
+    g1, g2, g3 = f(z)
+    return z, (h * (e1 * p1 + e3 * r1 + e4 * s1 + e5 * v1 + e6 * w1 + e7 * g1),
+               h * (e1 * p2 + e3 * r2 + e4 * s2 + e5 * v2 + e6 * w2 + e7 * g2),
+               h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * v3 + e6 * w3 + e7 * g3))
+
+
+def _lsum(coefs, ks):
+    # sum(c * k), left to right
+    s = coefs[0] * ks[0]
+    for c, k in zip(coefs[1:], ks[1:]):
+        s = s + c * k
+    return s
+
+
+def _block_step(f, y, k1, h):
+    """_step on (3, n) blocks y and k1 of n rows, h (n,) their step sizes.
+
+    The same sums in the same order, each term in one numpy call over every
+    coordinate of every row: a third of the calls _step makes on columns.
+    """
+    k = [k1]
+    for row in _A:
+        k.append(np.array(f(y + h * _lsum(row, k))))
+    z = y + h * _lsum(_B5, k[:1] + k[2:])
+    k.append(np.array(f(z)))
+    return z, h * _lsum(_ERR, k[:1] + k[2:])
 
 
 class IntegrationError(RuntimeError):
@@ -116,9 +157,8 @@ def _clean_state(y1, y2, y3):
     return (y1 / total, y2 / total, y3 / total), abs(total - 1.0)
 
 
-def _mean_square(q1, q2, q3):
-    # np.mean(q ** 2) on a 3-vector, operation for operation
-    return (q1 * q1 + q2 * q2 + q3 * q3) / 3
+def _sum_squares(q1, q2, q3):
+    return q1 * q1 + q2 * q2 + q3 * q3
 
 
 def integrate_field(
@@ -138,8 +178,8 @@ def integrate_field(
     such as lambda y: projected_field(spec, y) is still accepted and gives
     the same bits, only slower. Every accepted state goes through
     _clean_state, and the run stops once |f| < EQUILIBRIUM_TOL. fixed_step
-    disables adaptivity (used by the order tests). t_eval times are landed
-    on exactly by shortening steps.
+    disables adaptivity (for the order check); t_eval times are landed on
+    exactly by shortening steps.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -163,27 +203,18 @@ def integrate_field(
         while pending and pending[0] <= tcur + 1e-13:
             eval_states[pending.pop(0)] = ycur
 
-    # K holds the seven stage derivatives; K[0] is the field at the state
-    K = np.empty((7, 3))
-    k0 = K[0]
-    stages = [(i, _A[i], K[:i]) for i in range(1, 7)]
-    k0[:] = f(y)
+    k1 = f(y)
     n_evals = 1
-    if not np.all(np.isfinite(k0)):
+    if not all(map(math.isfinite, k1)):
         raise IntegrationError(
             "field not finite at the initial state", t=0.0, state=np.array(y)
         )
 
-    times = [0.0]
-    states = [y]
-    residuals = [0.0]
-    hsteps = [0.0]
+    times, states, residuals, hsteps = [0.0], [y], [0.0], [0.0]
     note_eval(0.0, y)
 
     status = "t_max"
-    # the dot product np.linalg.norm takes; BLAS rounds it differently from
-    # a Python sum of squares
-    if math.sqrt(k0.dot(k0)) < EQUILIBRIUM_TOL:
+    if math.sqrt(_sum_squares(*k1)) < EQUILIBRIUM_TOL:
         status = "equilibrium"
 
     n_acc = n_rej = 0
@@ -192,8 +223,8 @@ def integrate_field(
             h = min(fixed_step, t_max)
         else:
             s = [atol + rtol * abs(v) for v in y]
-            d0 = math.sqrt(_mean_square(*(v / sv for v, sv in zip(y, s))))
-            d1 = math.sqrt(_mean_square(*(v / sv for v, sv in zip(k0.tolist(), s))))
+            d0 = math.sqrt(_sum_squares(*(v / sv for v, sv in zip(y, s))) / 3)
+            d1 = math.sqrt(_sum_squares(*(v / sv for v, sv in zip(k1, s))) / 3)
             h = 0.01 * d0 / d1 if d1 > 1e-12 else 1e-6
             h = min(max(h, 1e-10), t_max)
         err_prev = 1.0
@@ -209,37 +240,26 @@ def integrate_field(
             if pending:
                 h_try = min(h_try, pending[0] - t)
 
-            y1, y2, y3 = y
-            for i, a, k in stages:
-                v1, v2, v3 = (a @ k).tolist()
-                K[i] = f((y1 + h_try * v1, y2 + h_try * v2, y3 + h_try * v3))
+            z, (e1, e2, e3) = _step(f, y, k1, h_try)
             n_evals += 6
-            v1, v2, v3 = (_B5 @ K).tolist()
-            z1, z2, z3 = y1 + h_try * v1, y2 + h_try * v2, y3 + h_try * v3
-            if not (math.isfinite(z1) and math.isfinite(z2) and math.isfinite(z3)):
-                raise IntegrationError(
-                    "non-finite state produced at t = %.6g" % (t + h_try),
-                    t=t,
-                    state=np.array(y),
-                )
+            if not all(map(math.isfinite, z)):
+                msg = "non-finite state produced at t = %.6g" % (t + h_try)
+                raise IntegrationError(msg, t=t, state=np.array(y))
 
             if fixed_step is not None:
                 accept, err = True, 0.0
             else:
-                e1, e2, e3 = (_ERR @ K).tolist()
-                err = math.sqrt(
-                    _mean_square(
-                        h_try * e1 / (atol + rtol * max(abs(y1), abs(z1))),
-                        h_try * e2 / (atol + rtol * max(abs(y2), abs(z2))),
-                        h_try * e3 / (atol + rtol * max(abs(y3), abs(z3))),
-                    )
-                )
+                (y1, y2, y3), (z1, z2, z3) = y, z
+                q1 = e1 / (atol + rtol * max(abs(y1), abs(z1)))
+                q2 = e2 / (atol + rtol * max(abs(y2), abs(z2)))
+                q3 = e3 / (atol + rtol * max(abs(y3), abs(z3)))
+                err = math.sqrt(_sum_squares(q1, q2, q3) / 3)
                 accept = err <= 1.0
 
             if accept:
                 t += h_try
-                y, residual = _clean_state(z1, z2, z3)
-                k0[:] = f(y)
+                y, residual = _clean_state(*z)
+                k1 = f(y)
                 n_evals += 1
                 n_acc += 1
                 times.append(t)
@@ -247,7 +267,7 @@ def integrate_field(
                 residuals.append(residual)
                 hsteps.append(h_try)
                 note_eval(t, y)
-                if math.sqrt(k0.dot(k0)) < EQUILIBRIUM_TOL:
+                if math.sqrt(_sum_squares(*k1)) < EQUILIBRIUM_TOL:
                     status = "equilibrium"
                     break
                 if fixed_step is None:
@@ -281,11 +301,6 @@ def integrate_field(
     return traj
 
 
-def _store(out, columns):
-    # write three columns into the (n, 3) array out
-    out[:, 0], out[:, 1], out[:, 2] = columns
-
-
 def _widen(a):
     # a with its second axis twice as long, the new half unset
     return np.concatenate((a, np.empty_like(a)), axis=1)
@@ -294,11 +309,8 @@ def _widen(a):
 def _cpow(x, p) -> np.ndarray:
     """x ** p on every element of the 1-D float array x, through C pow.
 
-    A Python float's ** is C pow. numpy's array power is not: where the CPU
-    has AVX-512 its vectorized power differs from C pow in the last bit for
-    a few percent of elements. The lockstep controller must equal the float
-    loop's bit for bit, so it takes its powers here, at the cost of one
-    Python operation per element.
+    A Python float's ** is C pow; numpy's array power can differ from it in
+    the last bit (SVML where the CPU has AVX-512).
     """
     return np.array([v ** p for v in x.tolist()])
 
@@ -306,18 +318,16 @@ def _cpow(x, p) -> np.ndarray:
 def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
     """integrate_field's adaptive step on every row of the (n, 3) array x0.
 
-    f is fields.point_field(spec), called on columns. Each operation is the
-    one the float loop does, taken elementwise over the live rows, so row i
-    ends exactly as integrate_field(f, x0[i], ...) would.
+    f is fields.point_field(spec). The live rows' states and fields are
+    (3, n) blocks, and each operation is the float loop's, taken elementwise,
+    so row i ends exactly as integrate_field(f, x0[i], ...) would.
     """
     n = len(x0)
-    # K[r] holds row r's seven stage derivatives; K[r, 0] is the field there
-    K = np.empty((n, 7, 3))
-    _store(K[:, 0], f(x0.T))
+    y = x0.T.copy()
+    k1 = np.array(f(y))
 
     status = np.full(n, "t_max", dtype=object)
-    n_acc = np.zeros(n, dtype=int)
-    n_rej = np.zeros(n, dtype=int)
+    n_acc, n_rej = np.zeros((2, n), dtype=int)
     # row r's j-th accepted state is y_hist[r, j], reached at t_hist[r, j] by
     # a step of h_hist[r, j] with sum residual res_hist[r, j]; rows fill
     # these at their own pace, and they double in length when full
@@ -325,21 +335,19 @@ def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
     y_hist = np.empty((n, 64, 3))
     y_hist[:, 0] = x0
 
-    k0 = K[:, 0]
-    stopped = np.sqrt(np.vecdot(k0, k0)) < EQUILIBRIUM_TOL
+    stopped = np.sqrt(_sum_squares(*k1)) < EQUILIBRIUM_TOL
     status[stopped] = "equilibrium"
-    s = atol + rtol * np.abs(x0)
-    d0 = np.sqrt(_mean_square(*(x0 / s).T))
-    d1 = np.sqrt(_mean_square(*(k0 / s).T))
+    s = atol + rtol * np.abs(y)
+    d0 = np.sqrt(_sum_squares(*(y / s)) / 3)
+    d1 = np.sqrt(_sum_squares(*(k1 / s)) / 3)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(d1 > 1e-12, 0.01 * d0 / d1, 1e-6)
     h = np.minimum(np.maximum(h, 1e-10), t_max)
 
     # the live rows: their indices into x0 and their own loop state
     live = ~stopped
-    rows, y, K, h = np.flatnonzero(live), x0[live], K[live], h[live]
-    t = np.zeros(len(rows))
-    err_prev = np.ones(len(rows))
+    rows, y, k1, h = np.flatnonzero(live), y[:, live], k1[:, live], h[live]
+    t, err_prev = np.zeros(len(rows)), np.ones(len(rows))
     acc = np.zeros(len(rows), dtype=int)
     steps = 0
 
@@ -350,26 +358,20 @@ def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
             # theirs on the next pass
             status[rows[done]] = "step_underflow"
         elif steps >= max_steps:
-            raise IntegrationError(
-                "row %d: step budget exhausted" % rows[0], t=t[0], state=y[0].copy()
-            )
+            msg = "row %d: step budget exhausted" % rows[0]
+            raise IntegrationError(msg, t=t[0], state=y[:, 0].copy())
         else:
             # land exactly on t_max
             h_try = np.minimum(h, t_max - t)
-            hc = h_try[:, None]
-            for i in range(1, 7):
-                _store(K[:, i], f((y + hc * (_A[i] @ K[:, :i])).T))
-            z = y + hc * (_B5 @ K)
-            if not np.isfinite(z).all():
-                r = int(np.argmin(np.isfinite(z).all(axis=1)))
-                raise IntegrationError(
-                    "row %d: non-finite state produced at t = %.6g"
-                    % (rows[r], t[r] + h_try[r]),
-                    t=t[r],
-                    state=y[r].copy(),
-                )
-            e = hc * (_ERR @ K) / (atol + rtol * np.maximum(np.abs(y), np.abs(z)))
-            err = np.sqrt(_mean_square(*e.T))
+            z, e = _block_step(f, y, k1, h_try)
+            finite = np.isfinite(z).all(axis=0)
+            if not finite.all():
+                r = int(np.argmin(finite))
+                msg = "row %d: non-finite state produced at t = %.6g"
+                msg %= (rows[r], t[r] + h_try[r])
+                raise IntegrationError(msg, t=t[r], state=y[:, r].copy())
+            q = e / (atol + rtol * np.maximum(np.abs(y), np.abs(z)))
+            err = np.sqrt(_sum_squares(*q) / 3)
             steps += 1
 
             # every operation below is a no-op on an empty selection
@@ -379,21 +381,19 @@ def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
 
             ia = np.flatnonzero(err <= 1.0)
             t[ia] += h_try[ia]
-            cleaned, residual = _clean_state(*z[ia].T)
-            ya = np.empty((len(ia), 3))
-            _store(ya, cleaned)
-            ka = np.empty((len(ia), 3))
-            _store(ka, f(cleaned))
-            y[ia] = ya
-            K[ia, 0] = ka
+            ya, residual = _clean_state(*z[:, ia])
+            ya = np.array(ya)
+            ka = np.array(f(ya))
+            y[:, ia] = ya
+            k1[:, ia] = ka
             acc[ia] += 1
             if acc.max() == t_hist.shape[1]:
                 hists = (t_hist, h_hist, res_hist, y_hist)
                 t_hist, h_hist, res_hist, y_hist = map(_widen, hists)
             ri, j = rows[ia], acc[ia]
             t_hist[ri, j], h_hist[ri, j], res_hist[ri, j] = t[ia], h_try[ia], residual
-            y_hist[ri, j] = ya
-            at_rest = ia[np.sqrt(np.vecdot(ka, ka)) < EQUILIBRIUM_TOL]
+            y_hist[ri, j] = ya.T
+            at_rest = ia[np.sqrt(_sum_squares(*ka)) < EQUILIBRIUM_TOL]
             status[rows[at_rest]] = "equilibrium"
             ea = np.maximum(err[ia], 1e-10)
             fac = 0.9 * _cpow(ea, -0.7 / 5.0) * _cpow(err_prev[ia], 0.4 / 5.0)
@@ -407,7 +407,7 @@ def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
             n_acc[gone] = acc[done]
             n_rej[gone] = steps - acc[done]
             keep = ~done
-            rows, y, K, h = rows[keep], y[keep], K[keep], h[keep]
+            rows, y, k1, h = rows[keep], y[:, keep], k1[:, keep], h[keep]
             t, err_prev, acc = t[keep], err_prev[keep], acc[keep]
 
     return [

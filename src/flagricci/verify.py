@@ -374,7 +374,7 @@ def check_integrator_order(fast=False) -> str:
     # fifth-order rate of the embedded pair.
     spec = flags.make_flag("A", (1, 1, 1))
     x0 = np.array([0.55, 0.35, 0.10])
-    f = lambda y: fields.projected_field(spec, y)
+    f = fields.point_field(spec)
     ref = flow.integrate_field(f, x0, 4.0, rtol=1e-13, atol=1e-15).final_state
     errs = []
     for h in (0.4, 0.2, 0.1):

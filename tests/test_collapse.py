@@ -192,6 +192,12 @@ def test_rejects_non_finite_points(call, bad):
         call(np.array([bad, 0.5, 0.5]))
 
 
+def test_collapse_verdict_names_its_argument():
+    # one finiteness check, made by collapse_verdict, names x_limit
+    with pytest.raises(ValueError, match=r"^x_limit\[0\] = nan is not finite$"):
+        collapse_verdict(MODEL3, np.array([np.nan, 0.5, 0.5]))
+
+
 def test_collapse_verdict_midpoints():
     for x, dead in (([0.5, 0.5, 0.0], 3), ([0.5, 0.0, 0.5], 2), ([0.0, 0.5, 0.5], 1)):
         v = collapse_verdict(MODEL3, np.array(x))

@@ -5,7 +5,9 @@ from flagricci.fields import cone_form, point_field, projected_field
 from flagricci.flags import make_flag
 from flagricci.flow import (
     IntegrationError,
+    _block_step,
     _lockstep,
+    _step,
     classify_limit,
     find_equilibria,
     integrate,
@@ -248,3 +250,84 @@ def test_lockstep_step_budget_names_the_row():
     starts = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [0.3, 0.3, 0.4]])
     with pytest.raises(IntegrationError, match=r"row 1: step budget exhausted"):
         _lockstep(point_field(A111), starts, 30.0, 1e-9, 1e-12, max_steps=3)
+
+
+STEP_FAMILIES = [
+    A111,
+    make_flag("A", (3, 2, 1)),
+    make_flag("D", 5),
+    make_flag("D", 8),
+    make_flag("E"),
+]
+
+# the Dormand-Prince 5(4) tableau as published, zeros included: the stage
+# rows, then the fifth- and fourth-order weights of k1 ... k7
+DP_STAGES = [
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+]
+DP_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+DP_B4 = [
+    5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40
+]
+
+
+def _dopri_by_hand(f, y, h):
+    # one attempt in pure Python, one coordinate at a time: every sum runs
+    # left to right over the nonzero coefficients
+    def weighted(coefs, ks, i):
+        terms = [c * k[i] for c, k in zip(coefs, ks) if c != 0.0]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+
+    ks = [list(f(y))]
+    for row in DP_STAGES:
+        ks.append(list(f([y[i] + h * weighted(row, ks, i) for i in range(3)])))
+    z = [y[i] + h * weighted(DP_B5, ks, i) for i in range(3)]
+    ks.append(list(f(z)))
+    err = [b5 - b4 for b5, b4 in zip(DP_B5, DP_B4)]
+    return z, [h * weighted(err, ks, i) for i in range(3)]
+
+
+def _renormalized(z):
+    total = z[0] + z[1] + z[2]
+    return [z[0] / total, z[1] / total, z[2] / total]
+
+
+@pytest.mark.parametrize("spec", STEP_FAMILIES, ids=lambda spec: spec.label)
+def test_step_is_the_tableau_by_hand(spec):
+    rng = np.random.default_rng(5)
+    f = point_field(spec)
+    for x0, h in zip(rng.dirichlet(np.ones(3), 6), rng.uniform(0.02, 0.2, 6).tolist()):
+        y = tuple(x0.tolist())
+        z, err = _dopri_by_hand(f, y, h)
+        assert [list(v) for v in _step(f, y, f(y), h)] == [z, err]
+        # the first accepted state of a run, at a fixed step and adaptive
+        fixed = integrate_field(f, x0, h, fixed_step=h)
+        assert fixed.states[1].tolist() == _renormalized(z)
+        traj = integrate(spec, x0, t_max=5.0)
+        start = traj.states[0].tolist()
+        z, _ = _dopri_by_hand(f, start, float(traj.step_sizes[1]))
+        assert traj.states[1].tolist() == _renormalized(z)
+
+
+@pytest.mark.parametrize("spec", STEP_FAMILIES, ids=lambda spec: spec.label)
+def test_step_is_bit_equal_on_floats_columns_and_blocks(spec):
+    rng = np.random.default_rng(13)
+    f = point_field(spec)
+    y = rng.dirichlet(np.ones(3), 40)
+    h = rng.uniform(1e-4, 0.5, 40)
+    cols = tuple(y.T)
+    z_cols, e_cols = _step(f, cols, f(cols), h)
+    z_block, e_block = _block_step(f, y.T, np.array(f(cols)), h)
+    for i in range(len(y)):
+        yi = tuple(y[i].tolist())
+        want = np.array(_step(f, yi, f(yi), float(h[i])))
+        got = np.array([[c[i] for c in z_cols], [c[i] for c in e_cols]])
+        assert got.tobytes() == want.tobytes()
+        assert np.array([z_block[:, i], e_block[:, i]]).tobytes() == want.tobytes()

@@ -1,14 +1,19 @@
 """CLI output files, byte for byte, against the golden copies in tests/golden/.
 
-The golden files were written by the CLI before the integrator's step loop
-moved to Python floats. collapse_A111.csv was written again when the
-collapse profile became the exact orbit distance: only its hausdorff column
-moved, by at most 3.4e-15 relative. flow_D8_tight.csv, flow_E.csv and
-portrait_D8.csv were written again when the cubic's squares became d * d in
-place of C pow(d, 2): t moved by at most 8.5e-9, x by 7.5e-12 and F by
-1.5e-11, and the portrait's end_u and end_v by 3.4e-16. To regenerate one,
-run the command of its case with `--out tests/golden/<name>`; any change in
-these bytes must be deliberate.
+All five CSV files were last written when the Dormand-Prince step became
+left-to-right float sums in place of BLAS contractions, so the integrator's
+bytes no longer depend on which BLAS kernel the CPU selects. Against the
+files before it, flow_A211.csv moved in 83 of 85 rows (t by at most 6.1e-7,
+x by 5.1e-11), flow_E.csv in 195 of 197 rows (t 1.1e-7, x 1.5e-10) and
+flow_D8_tight.csv in 703 of 704 rows (t 7.8e-5, x 1.75e-6: the adaptive
+step sequence shifts, and its distance to a DOP853 reference stays
+1.68e-12). portrait_D8.csv moved in 17 of 36 rows (end_u and end_v by at
+most 6.7e-16) and collapse_A111.csv in 4 of 5 rows (x by 1.1e-16, hausdorff
+by 1.1e-15). To regenerate one, run the command of its case with
+`--out tests/golden/<name>`; any change in these bytes must be deliberate.
+A mismatch reports how many rows changed and the largest change per column,
+and test_golden_flow_is_accurate holds the flow files to an independent
+solution, so a regeneration cannot hide a loss of accuracy.
 
 verify_fast.txt is the stdout of `flagricci verify --fast`, written before
 the disk-invariance and no-recurrence checks moved to integrate_many. Its
@@ -16,11 +21,15 @@ digits depend on the platform's libm and numpy's SIMD paths; it was written
 on x86-64 Linux (glibc, AVX-512).
 """
 
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from flagricci.cli import main
+from flagricci.cli import main, parse_flag
+from flagricci.fields import projected_field
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,12 +64,86 @@ CASES = {
 }
 
 
+def csv_changes(new: bytes, old: bytes) -> str:
+    """How the CSV text new differs from old: rows changed, largest change per column.
+
+    A column whose changed cells are not all numbers reports how many
+    changed; a number against nan counts as an infinite change.
+    """
+    new_rows = [line.split(",") for line in new.decode().splitlines()]
+    old_rows = [line.split(",") for line in old.decode().splitlines()]
+    if new_rows[:1] != old_rows[:1] or len(new_rows) != len(old_rows):
+        return "header or row count changed: %d rows %r, golden %d rows %r" % (
+            len(new_rows),
+            new_rows[:1],
+            len(old_rows),
+            old_rows[:1],
+        )
+    pairs = list(zip(new_rows[1:], old_rows[1:]))
+    columns = []
+    for j, name in enumerate(old_rows[0]):
+        cells = [(a[j], b[j]) for a, b in pairs if a[j] != b[j]]
+        if not cells:
+            continue
+        try:
+            changes = [abs(float(a) - float(b)) for a, b in cells]
+        except ValueError:
+            columns.append("%s: %d cells" % (name, len(cells)))
+            continue
+        worst = max(math.inf if math.isnan(d) else d for d in changes)
+        columns.append("%s %.3g" % (name, worst))
+    changed = sum(a != b for a, b in pairs)
+    return "%d of %d rows changed; largest absolute change per column: %s" % (
+        changed,
+        len(pairs),
+        ", ".join(columns) or "none",
+    )
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path, capsys):
     out = tmp_path / name
     assert main(CASES[name] + ["--out", str(out)]) == 0
     capsys.readouterr()
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    got, want = out.read_bytes(), (GOLDEN / name).read_bytes()
+    assert got == want, csv_changes(got, want)
+
+
+def test_csv_changes_names_rows_and_columns():
+    old = b"t,x,label\n0,0.5,a\n1,0.25,b\n2,nan,c\n"
+    new = b"t,x,label\n0,0.5,a\n1,0.2501,B\n2,0.1,c\n"
+    assert csv_changes(new, old) == (
+        "2 of 3 rows changed; largest absolute change per column: x inf, label: 1 cells"
+    )
+    assert csv_changes(old, old).startswith("0 of 3 rows changed")
+    assert csv_changes(old + b"3,1,d\n", old).startswith("header or row count changed")
+
+
+# flow_E.csv runs at the default rtol 1e-9 and lies 2.15e-11 from the
+# reference (as it did before its last rewrite), flow_D8_tight.csv at rtol
+# 1e-12 and 1.68e-12 from it
+FLOW_ACCURACY = {"flow_D8_tight.csv": 1e-11, "flow_E.csv": 5e-11}
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_ACCURACY))
+def test_golden_flow_is_accurate(name):
+    # the states of the file against DOP853 at rtol 1e-13 at the file's own
+    # t column, from the file's first row
+    table = np.loadtxt(GOLDEN / name, delimiter=",", skiprows=1)
+    argv = CASES[name]
+    spec = parse_flag(argv[argv.index("--flag") + 1])
+    t, x = table[:, 0], table[:, 1:4]
+    ref = solve_ivp(
+        lambda _, y: projected_field(spec, y),
+        (0.0, t[-1]),
+        x[0],
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-15,
+        t_eval=t,
+    )
+    assert ref.success
+    assert np.max(np.abs(ref.y.T - x)) <= FLOW_ACCURACY[name]
 
 
 def test_verify_fast_stdout_matches_golden(capsys):
