@@ -6,13 +6,18 @@ k + (killed summands) closes under the bracket; otherwise the limit is not a
 homogeneous space for the same group and the verdict is non_realizable, with
 a concrete bracket witness. collapse_run follows a flow trajectory into such
 a limit and measures the exact distance from the adjoint orbit at each
-sample time to the limit orbit. hausdorff, the distance between sampled
-clouds, is the reference that verify and the tests hold it against.
+sample time to the limit orbit, the cheapest transport plan between the
+two frames' block values. Only the limit orbit is sampled, for the
+resolution: a Gram product ranks each point's neighbours and cdist measures
+the nearest. hausdorff, the distance between sampled clouds, is the
+reference that verify and the tests hold orbit_distance against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -34,12 +39,54 @@ def hausdorff(a: OrbitCloud, b: OrbitCloud) -> float:
     """Hausdorff distance between two clouds in the same ambient algebra.
 
     Exact max-min over both directions, in the metric induced by the
-    negative Killing form.
+    negative Killing form. Clouds with a non-finite coordinate are rejected.
     """
     if a.n_ambient != b.n_ambient or a.points.shape[1:] != b.points.shape[1:]:
         raise ValueError("clouds live in different ambient spaces")
-    d = cdist(a.flat_points, b.flat_points)
+    d = cdist(
+        require_finite(a.flat_points, "a.flat_points"),
+        require_finite(b.flat_points, "b.flat_points"),
+    )
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def _diagonal(frame: Frame, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of z = phases(h1) + i phases(h2) in order of first
+    appearance, and how often each occurs, both padded with zeros to 3."""
+    h1 = require_finite(frame[0].phases, name + "[0].phases")
+    h2 = require_finite(frame[1].phases, name + "[1].phases")
+    counts: dict[complex, int] = {}
+    for v in (h1 + 1j * h2).tolist():
+        counts[v] = counts.get(v, 0) + 1
+    if len(counts) > 3:
+        raise ValueError(
+            "frame %s takes %d distinct diagonal values; a torus frame is "
+            "constant on its 3 blocks" % (name, len(counts))
+        )
+    pad = 3 - len(counts)
+    return np.array(list(counts) + [0j] * pad), np.array(list(counts.values()) + [0] * pad)
+
+
+@cache
+def _basic_plans() -> np.ndarray:
+    """(81, 9, 5) integer maps from the sums (r0, r1, r2, c0, c1) to the
+    vertices of the polytope of 3 x 3 plans, one per five entries with
+    independent sums (a spanning tree of the bipartite graph on 3 + 3
+    values). The sums are totally unimodular: every vertex is integral."""
+    sums = np.zeros((5, 9))
+    for k in range(9):
+        i, j = divmod(k, 3)
+        sums[i, k] = 1.0
+        if j < 2:
+            sums[3 + j, k] = 1.0
+    supports = np.array(list(combinations(range(9), 5)))
+    bases = sums[:, supports].transpose(1, 0, 2)
+    trees = np.abs(np.linalg.det(bases)) > 0.5
+    plans = np.zeros((int(trees.sum()), 9, 5))
+    plans[np.arange(len(plans))[:, None], supports[trees]] = np.linalg.inv(bases[trees])
+    plans = np.rint(plans).astype(np.int8)
+    plans.flags.writeable = False
+    return plans
 
 
 def orbit_distance(a: Frame, b: Frame) -> float:
@@ -52,34 +99,61 @@ def orbit_distance(a: Frame, b: Frame) -> float:
     Hausdorff distance of the orbits, in the metric of the negative Killing
     form (sqrt(2N) times Frobenius). Any two sampled clouds of the frames lie
     at least this far apart.
-    """
-    # imported here: scipy.optimize adds ~11 MiB to every process that
-    # imports flagricci, and most never measure an orbit distance
-    from scipy.optimize import linear_sum_assignment
 
-    z = a[0].phases + 1j * a[1].phases
-    w = b[0].phases + 1j * b[1].phases
-    if z.shape != w.shape:
+    A torus frame is constant on blocks, so z takes at most 3 distinct
+    values, with the block sizes as multiplicities. A best matching is then
+    the cheapest 3 x 3 transport plan between the values of z and w, with
+    those multiplicities as its sums and |z_i - w_j|^2 as unit costs, and
+    the cheapest plan is a vertex (_basic_plans). Its cost is summed in the
+    order of z's values, so with unit blocks it has the bits of the matched
+    costs summed in row order. Non-finite phases, and more than 3 distinct
+    values, are rejected.
+    """
+    n = len(a[0].phases)
+    if len(b[0].phases) != n:
         raise ValueError("frames live in different ambient spaces")
-    cost = np.abs(z[:, None] - w[None, :]) ** 2
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(2 * len(z) * cost[rows, cols].sum()))
+    z, zn = _diagonal(a, "a")
+    w, wn = _diagonal(b, "b")
+    cost = (np.abs(z[:, None] - w[None, :]) ** 2).ravel()
+    plans = _basic_plans() @ np.concatenate([zn, wn[:2]])
+    plans = plans[(plans >= 0).all(axis=1)]
+    best = plans[np.argmin(plans @ cost)]
+    return float(np.sqrt(2 * n * np.repeat(cost, best).sum()))
 
 
 def sampling_resolution(cloud: OrbitCloud) -> float:
     """Median nearest-neighbor distance within a cloud.
 
-    Distances are taken _ROWS rows at a time, never as a count x count
-    matrix. A point is at distance exactly 0 from itself, so the second
-    smallest entry of its row is its nearest other point.
+    Rows are taken _ROWS at a time, never as a count x count matrix. One
+    BLAS product per block ranks every other point by squared distance;
+    cdist measures the block against each column within a rounding slack
+    of some row's best, and a row's nearest distance is its smallest entry
+    there other than itself. That includes the nearest point, so the result
+    has the bits of a full cdist scan. Non-finite clouds are rejected.
     """
-    pts = cloud.flat_points
+    pts = require_finite(cloud.flat_points, "cloud.flat_points")
     if len(pts) < 2:
         return np.inf
+    sq = np.einsum("ij,ij->i", pts, pts)
+    # The Gram form's rounding error in a squared distance is below
+    # (len(a) + 2) * 2^-53 * (|a|^2 + |b|^2), under 2e-12 of that scale up to
+    # su(50), and cdist's is smaller: a column more than this slack above a
+    # row's best is truly further than the row's nearest point.
+    slack = 1e-9 * (sq + sq.max())
     nearest = np.empty(len(pts))
     for s in range(0, len(pts), _ROWS):
-        d = cdist(pts[s : s + _ROWS], pts)
-        nearest[s : s + _ROWS] = np.partition(d, 1, axis=1)[:, 1]
+        blk = pts[s : s + _ROWS]
+        rows = np.arange(len(blk))
+        # |a - b|^2 less the row's own |a|^2, which does not change its ranking
+        d2 = blk @ pts.T
+        d2 *= -2.0
+        d2 += sq
+        d2[rows, s + rows] = np.inf
+        keep = d2 <= (d2.min(axis=1) + slack[s : s + _ROWS])[:, None]
+        cols = np.flatnonzero(keep.any(axis=0))
+        d = cdist(blk, pts[cols])
+        d[cols[None, :] == (s + rows)[:, None]] = np.inf
+        nearest[s : s + _ROWS] = d.min(axis=1)
     return float(np.median(nearest))
 
 

@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -279,3 +281,35 @@ def test_atomic_write_mode_follows_umask(tmp_path, umask):
     assert target.read_text() == "t\n"
     assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
     assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_collapse_and_verify_do_not_import_scipy_optimize(tmp_path):
+    # orbit_distance needs no assignment solver; scipy.optimize would add
+    # about 11 MiB to every run. A fresh interpreter, since the tests
+    # themselves import scipy.optimize.
+    import flagricci
+
+    script = "\n".join(
+        [
+            "import sys",
+            "from flagricci.cli import main",
+            "argv = ['collapse', '--flag', 'A:1,1,1', '--point', '0.42,0.40,0.18',",
+            "        '--times', '0,1,2,4,8', '--count', '200', '--out', 'run.csv']",
+            "assert main(argv) == 0",
+            "assert main(['verify', '--fast']) == 0",
+            "if 'scipy.optimize' in sys.modules:",
+            "    sys.exit('scipy.optimize was imported')",
+        ]
+    )
+    src = os.path.dirname(os.path.dirname(flagricci.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "run.csv").exists()

@@ -1,7 +1,10 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from flagricci.collapse import (
     NonRealizableError,
@@ -74,10 +77,130 @@ def test_orbit_distance_requires_matching_ambient():
         orbit_distance(MODEL3.omega, model4.omega)
 
 
+# the edge midpoints, where the flow collapses, and the interior equilibrium
+LIMITS = [(0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5), (0.25, 0.25, 0.5)]
+
+
+def limit_frame(model, x):
+    tau = realizing_frame(np.array(x))
+    return model.torus_element(tau[:, 0]), model.torus_element(tau[:, 1])
+
+
+def _assignment_distance(a, b):
+    """orbit_distance from scipy's assignment solver on the full N x N costs."""
+    z = a[0].phases + 1j * a[1].phases
+    w = b[0].phases + 1j * b[1].phases
+    cost = np.abs(z[:, None] - w[None, :]) ** 2
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(2 * len(z) * cost[rows, cols].sum()))
+
+
+@pytest.mark.parametrize("blocks", [(1, 1, 1), (2, 1, 1), (3, 2, 1), (2, 2, 2), (5, 3, 2)])
+def test_orbit_distance_matches_the_assignment_solver(blocks):
+    # random frames, their diagonals permuted, and the limit frames, whose
+    # diagonals repeat values across blocks; with unit blocks the transport
+    # sums the assignment's costs in the same order, so the bits agree
+    model = build_model(*blocks)
+    rng = np.random.default_rng(list(blocks))
+    limits = [limit_frame(model, x) for x in LIMITS]
+    for k in range(300):
+        c = rng.standard_normal((4, 2))
+        a = model.torus_element(c[0]), model.torus_element(c[1])
+        b = model.torus_element(c[2]), model.torus_element(c[3])
+        perm = rng.permutation(model.n_ambient)
+        pb = tuple(TorusElement(h.phases[perm], h.omega_coords) for h in b)
+        for x, y in ((a, b), (a, pb), (pb, a), (a, limits[k % 4])):
+            got, want = orbit_distance(x, y), _assignment_distance(x, y)
+            if blocks == (1, 1, 1):
+                assert got == want, (x, y)
+            else:
+                assert abs(got - want) <= 1e-15 * want, (x, y, got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_orbit_distance_rejects_non_finite_phases(bad):
+    h1, h2 = MODEL3.omega
+    broken = TorusElement(np.array([bad, 0.0, 0.0]), h2.omega_coords)
+    with pytest.raises(ValueError, match=r"^b\[1\]\.phases\[0\] = %r is not finite$" % bad):
+        orbit_distance((h1, h2), (h1, broken))
+    with pytest.raises(ValueError, match=r"^a\[0\]\.phases\[0\] = %r is not finite$" % bad):
+        orbit_distance((broken, h2), (h1, h2))
+
+
+def test_orbit_distance_rejects_a_frame_off_the_blocks():
+    model = build_model(2, 1, 1)
+    h1, h2 = model.omega
+    spread = TorusElement(np.array([0.3, 0.1, -0.1, -0.3]), h1.omega_coords)
+    with pytest.raises(ValueError, match="^frame a takes 4 distinct diagonal values"):
+        orbit_distance((spread, h2), model.omega)
+
+
+def _scan_resolution(cloud):
+    """Median nearest-neighbour distance from a cdist scan of 64-row blocks
+    against the whole cloud: the oracle for sampling_resolution."""
+    pts = cloud.flat_points
+    nearest = np.empty(len(pts))
+    for s in range(0, len(pts), 64):
+        d = cdist(pts[s : s + 64], pts)
+        # a point's own entry is exactly 0, the smallest of its row
+        nearest[s : s + 64] = np.partition(d, 1, axis=1)[:, 1]
+    return float(np.median(nearest))
+
+
+RESOLUTION_BLOCKS = [(1, 1, 1), (2, 1, 1), (3, 2, 1), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("blocks", RESOLUTION_BLOCKS)
+def test_sampling_resolution_matches_the_block_scan(blocks):
+    # counts on both sides of one 64-row block; one 2000-point cloud per
+    # model, at a different limit for each
+    model = build_model(*blocks)
+    big = RESOLUTION_BLOCKS.index(blocks)
+    for k, x in enumerate(LIMITS):
+        frame = limit_frame(model, x)
+        for count in [2, 63, 64, 65, 500] + [2000] * (k == big):
+            cloud = sample_orbit(model, *frame, count, count + k)
+            assert sampling_resolution(cloud) == _scan_resolution(cloud), (x, count)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampling_resolution_keeps_the_bits_of_near_ties(seed):
+    # each point p gets the neighbours p + v and p - v, at one exact distance
+    # that cdist and the Gram form round differently; only the rounding
+    # slack of the candidate rule keeps cdist's nearest among the candidates
+    model = build_model(2, 2, 2)
+    base = sample_orbit(model, *model.omega, 100, seed)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(base.points.shape) + 1j * rng.standard_normal(base.points.shape)
+    v *= 1e-3 / np.linalg.norm(v.reshape(100, -1), axis=1)[:, None, None, None]
+    points = np.concatenate([base.points, base.points + v, base.points - v])
+    cloud = replace(base, points=points, count=300)
+    assert sampling_resolution(cloud) == _scan_resolution(cloud)
+
+
+def test_sampling_resolution_of_a_doubled_cloud_is_zero():
+    cloud = small_cloud(1.0, 0.3, count=63)
+    twice = replace(cloud, points=np.concatenate([cloud.points, cloud.points]), count=126)
+    assert sampling_resolution(twice) == _scan_resolution(twice) == 0.0
+
+
 def test_sampling_resolution_shrinks_with_count():
     coarse = small_cloud(1.0, 1.0, count=50, seed=7)
     fine = small_cloud(1.0, 1.0, count=800, seed=7)
     assert sampling_resolution(fine) < sampling_resolution(coarse)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cloud_distances_reject_non_finite_points(bad):
+    cloud = small_cloud(1.0, 1.0, count=50)
+    cloud.points[3, 0, 1, 1] = bad
+    other = small_cloud(1.0, 1.0, count=50, seed=1)
+    with pytest.raises(ValueError, match=r"^cloud\.flat_points\[3, 4\] = %r" % bad):
+        sampling_resolution(cloud)
+    with pytest.raises(ValueError, match=r"^a\.flat_points\[3, 4\] = %r" % bad):
+        hausdorff(cloud, other)
+    with pytest.raises(ValueError, match=r"^b\.flat_points\[3, 4\] = %r" % bad):
+        hausdorff(other, cloud)
 
 
 def test_kernel_summands():
