@@ -39,7 +39,6 @@ from .flow import (
     find_equilibria,
     integrate,
     integrate_many,
-    integrate_field,
     jacobian,
 )
 from .orbits import (
@@ -52,10 +51,8 @@ from .orbits import (
     sample_orbit,
 )
 from .realize import (
-    COEFF_MATRIX,
     circle_point,
     coeffs_to_psd,
-    compress_columns,
     disk_membership,
     frame_metric,
     gram,
@@ -71,7 +68,6 @@ from .realize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "COEFF_MATRIX",
     "CollapseRun",
     "CollapseVerdict",
     "Equilibrium",
@@ -88,7 +84,6 @@ __all__ = [
     "coeffs_to_psd",
     "collapse_run",
     "collapse_verdict",
-    "compress_columns",
     "cone_flux",
     "cone_flux_closed_form",
     "cone_form",
@@ -102,7 +97,6 @@ __all__ = [
     "induced_metric",
     "integrate",
     "integrate_many",
-    "integrate_field",
     "is_psd",
     "is_subalgebra",
     "jacobian",

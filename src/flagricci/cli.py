@@ -41,15 +41,19 @@ def fmt_vec(v) -> str:
     return "(" + ", ".join(fmt(x) for x in np.asarray(v).ravel()) + ")"
 
 
-def parse_point(text: str, dim: int = 3) -> np.ndarray:
-    """Comma-separated coordinates; fractions like 1/2 are parsed exactly."""
+def parse_point(text: str, dim: int | None = 3) -> np.ndarray:
+    """Comma-separated numbers, dim of them (any count for dim=None).
+
+    Fractions like 1/2 are parsed exactly; a malformed number, a zero
+    denominator or a wrong count raises ValueError.
+    """
     parts = [tok.strip() for tok in text.split(",")]
-    if len(parts) != dim:
+    if dim is not None and len(parts) != dim:
         raise ValueError("expected %d comma-separated values, got %r" % (dim, text))
     try:
         return np.array([float(Fraction(tok)) for tok in parts])
     except (ValueError, ZeroDivisionError):
-        raise ValueError("bad coordinate in %r" % text) from None
+        raise ValueError("bad number in %r" % text) from None
 
 
 def atomic_write(path: str, content: str) -> None:
@@ -69,6 +73,15 @@ def atomic_write(path: str, content: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _emit(out, text: str, note: str | None = None) -> None:
+    """Write text atomically to the file out and print a "wrote" line, or to stdout."""
+    if out:
+        atomic_write(out, text)
+        print("wrote %s (%s)" % (out, note) if note else "wrote %s" % out)
+    else:
+        sys.stdout.write(text)
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -138,14 +151,8 @@ def cmd_flow(args) -> int:
     spec = parse_flag(args.flag)
     x0 = parse_point(args.point)
     traj = integrate(spec, x0, t_max=args.t_max, rtol=args.rtol, atol=args.atol)
-    csv = _trajectory_csv(traj)
-    if args.out:
-        atomic_write(args.out, csv)
-        print(
-            "wrote %s (%d states, status %s)" % (args.out, len(traj.times), traj.status)
-        )
-    else:
-        sys.stdout.write(csv)
+    note = "%d states, status %s" % (len(traj.times), traj.status)
+    _emit(args.out, _trajectory_csv(traj), note)
     return 0
 
 
@@ -192,12 +199,7 @@ def cmd_portrait(args) -> int:
                     ]
                 )
             )
-    content = "\n".join(rows) + "\n"
-    if args.out:
-        atomic_write(args.out, content)
-        print("wrote %s (%d rows)" % (args.out, n * n))
-    else:
-        sys.stdout.write(content)
+    _emit(args.out, "\n".join(rows) + "\n", "%d rows" % (n * n))
     return 0
 
 
@@ -205,11 +207,7 @@ def cmd_equilibria(args) -> int:
     spec = parse_flag(args.flag)
     eqs = find_equilibria(spec, grid_n=args.grid, newton_tol=args.newton_tol)
     payload = json.dumps([e.as_dict() for e in eqs], indent=2)
-    if args.out:
-        atomic_write(args.out, payload + "\n")
-        print("wrote %s (%d equilibria)" % (args.out, len(eqs)))
-    else:
-        print(payload)
+    _emit(args.out, payload + "\n", "%d equilibria" % len(eqs))
     return 0
 
 
@@ -233,12 +231,7 @@ def cmd_realize(args) -> int:
         "H1_omega_coords": [float(v) for v in frame[:, 0]],
         "H2_omega_coords": [float(v) for v in frame[:, 1]],
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        atomic_write(args.out, text + "\n")
-        print("wrote %s" % args.out)
-    else:
-        print(text)
+    _emit(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -255,12 +248,8 @@ def cmd_orbit(args) -> int:
         h1 = model.torus_element(parse_point(args.h1, dim=2))
         h2 = model.torus_element(parse_point(args.h2, dim=2))
     cloud = sample_orbit(model, h1, h2, args.count, args.seed)
-    text = cloud.to_json()
-    if args.out:
-        atomic_write(args.out, text)
-        print("wrote %s (%d points in su(%d)^2)" % (args.out, cloud.count, cloud.n_ambient))
-    else:
-        sys.stdout.write(text)
+    note = "%d points in su(%d)^2" % (cloud.count, cloud.n_ambient)
+    _emit(args.out, cloud.to_json(), note)
     return 0
 
 
@@ -268,7 +257,7 @@ def cmd_collapse(args) -> int:
     spec = parse_flag(args.flag)
     model = build_model(*_flag_blocks(spec))
     x0 = parse_point(args.point)
-    times = [float(Fraction(tok.strip())) for tok in args.times.split(",")]
+    times = parse_point(args.times, dim=None)
     try:
         run = collapse_run(
             spec,
@@ -291,15 +280,8 @@ def cmd_collapse(args) -> int:
                 [fmt(run.times[i]), fmt(s[0]), fmt(s[1]), fmt(s[2]), fmt(run.distances[i])]
             )
         )
-    content = "\n".join(rows) + "\n"
-    if args.out:
-        atomic_write(args.out, content)
-        print(
-            "wrote %s (limit %s, resolution %s)"
-            % (args.out, fmt_vec(run.x_limit), fmt(run.resolution))
-        )
-    else:
-        sys.stdout.write(content)
+    note = "limit %s, resolution %s" % (fmt_vec(run.x_limit), fmt(run.resolution))
+    _emit(args.out, "\n".join(rows) + "\n", note)
     return 0
 
 

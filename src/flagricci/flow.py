@@ -11,12 +11,14 @@ One attempt is written once, in _step: the stage inputs, the new state and
 the error estimate are left-to-right float sums over the tableau's nonzero
 coefficients, with no numpy contraction or BLAS call, so the result bits do
 not depend on the BLAS kernel. integrate runs one start on Python floats
-(integrate_field); integrate_many runs many in lockstep (_lockstep) on
+(_float_loop); integrate_many runs many in lockstep (_lockstep) on
 (3, n) blocks of the live rows, each row with its own step size, controller
 memory, verdict, clean step, stop rule and t_max landing. _block_step takes
 _step's sums on all rows at once and the controller's powers go through C
 pow (_cpow), so each row equals its single-start run bit for bit. A one-row
-batch runs on the float loop, which is faster for one start.
+batch runs on the float loop, which is faster for one start. Both entries
+check the start (_onto_simplex) and the run settings (_check_run) before
+either loop runs, and both loops evaluate fields.point_field(spec).
 """
 
 from __future__ import annotations
@@ -161,35 +163,18 @@ def _sum_squares(q1, q2, q3):
     return q1 * q1 + q2 * q2 + q3 * q3
 
 
-def integrate_field(
-    f,
-    x0,
-    t_max: float,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-    t_eval=None,
-    max_steps: int = 500_000,
-    fixed_step: float | None = None,
+def _float_loop(
+    f, x0, t_max: float, rtol: float, atol: float, t_eval=None, max_steps: int = 500_000
 ) -> Trajectory:
-    """Integrate dx/dt = f(x) on the simplex from the 3-vector x0 to t_max.
+    """integrate's adaptive loop on Python floats, from x0 to t_max.
 
-    f takes the state as a length-3 sequence of floats and returns a length-3
-    sequence. fields.point_field(spec) is the fast form; a numpy callable
-    such as lambda y: projected_field(spec, y) is still accepted and gives
-    the same bits, only slower. Every accepted state goes through
-    _clean_state, and the run stops once |f| < EQUILIBRIUM_TOL. fixed_step
-    disables adaptivity (for the order check); t_eval times are landed on
-    exactly by shortening steps.
+    f is fields.point_field(spec); x0 is a start already checked and cleaned
+    by _onto_simplex, and the run settings are checked by _check_run. Every
+    accepted state goes through _clean_state, and the run stops once
+    |f| < EQUILIBRIUM_TOL. t_eval times are landed on exactly by shortening
+    steps.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if fixed_step is not None and fixed_step <= 0:
-        raise ValueError("fixed_step must be positive")
-
-    y = np.asarray(x0, dtype=float)
-    if y.shape != (3,):
-        raise ValueError("x0 must be a 3-vector")
-    y = tuple(y.tolist())
+    y = tuple(x0.tolist())
     t = 0.0
 
     pending = []
@@ -219,14 +204,11 @@ def integrate_field(
 
     n_acc = n_rej = 0
     if status != "equilibrium":
-        if fixed_step is not None:
-            h = min(fixed_step, t_max)
-        else:
-            s = [atol + rtol * abs(v) for v in y]
-            d0 = math.sqrt(_sum_squares(*(v / sv for v, sv in zip(y, s))) / 3)
-            d1 = math.sqrt(_sum_squares(*(v / sv for v, sv in zip(k1, s))) / 3)
-            h = 0.01 * d0 / d1 if d1 > 1e-12 else 1e-6
-            h = min(max(h, 1e-10), t_max)
+        s = [atol + rtol * abs(v) for v in y]
+        d0 = math.sqrt(_sum_squares(*(v / sv for v, sv in zip(y, s))) / 3)
+        d1 = math.sqrt(_sum_squares(*(v / sv for v, sv in zip(k1, s))) / 3)
+        h = 0.01 * d0 / d1 if d1 > 1e-12 else 1e-6
+        h = min(max(h, 1e-10), t_max)
         err_prev = 1.0
 
         while t < t_max:
@@ -246,17 +228,13 @@ def integrate_field(
                 msg = "non-finite state produced at t = %.6g" % (t + h_try)
                 raise IntegrationError(msg, t=t, state=np.array(y))
 
-            if fixed_step is not None:
-                accept, err = True, 0.0
-            else:
-                (y1, y2, y3), (z1, z2, z3) = y, z
-                q1 = e1 / (atol + rtol * max(abs(y1), abs(z1)))
-                q2 = e2 / (atol + rtol * max(abs(y2), abs(z2)))
-                q3 = e3 / (atol + rtol * max(abs(y3), abs(z3)))
-                err = math.sqrt(_sum_squares(q1, q2, q3) / 3)
-                accept = err <= 1.0
+            (y1, y2, y3), (z1, z2, z3) = y, z
+            q1 = e1 / (atol + rtol * max(abs(y1), abs(z1)))
+            q2 = e2 / (atol + rtol * max(abs(y2), abs(z2)))
+            q3 = e3 / (atol + rtol * max(abs(y3), abs(z3)))
+            err = math.sqrt(_sum_squares(q1, q2, q3) / 3)
 
-            if accept:
+            if err <= 1.0:
                 t += h_try
                 y, residual = _clean_state(*z)
                 k1 = f(y)
@@ -270,11 +248,10 @@ def integrate_field(
                 if math.sqrt(_sum_squares(*k1)) < EQUILIBRIUM_TOL:
                     status = "equilibrium"
                     break
-                if fixed_step is None:
-                    err = max(err, 1e-10)
-                    fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
-                    h = h_try * min(5.0, max(0.2, fac))
-                    err_prev = err
+                err = max(err, 1e-10)
+                fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
+                h = h_try * min(5.0, max(0.2, fac))
+                err_prev = err
             else:
                 n_rej += 1
                 h = h_try * min(1.0, max(0.2, 0.9 * err ** (-1.0 / 5.0)))
@@ -316,11 +293,11 @@ def _cpow(x, p) -> np.ndarray:
 
 
 def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
-    """integrate_field's adaptive step on every row of the (n, 3) array x0.
+    """_float_loop's adaptive step on every row of the (n, 3) array x0.
 
     f is fields.point_field(spec). The live rows' states and fields are
     (3, n) blocks, and each operation is the float loop's, taken elementwise,
-    so row i ends exactly as integrate_field(f, x0[i], ...) would.
+    so row i ends exactly as _float_loop(f, x0[i], ...) would.
     """
     n = len(x0)
     y = x0.T.copy()
@@ -443,6 +420,22 @@ def _onto_simplex(x0):
     return x0 / x0.sum(axis=-1, keepdims=True)
 
 
+def _check_run(t_max, rtol, atol):
+    """Reject run settings the step control cannot use.
+
+    t_max must be positive (NaN is not); rtol and atol must be finite,
+    nonnegative and not both zero, since the error is measured against
+    atol + rtol |y|.
+    """
+    if not t_max > 0:
+        raise ValueError("t_max must be positive, got %r" % (t_max,))
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not 0 <= tol < math.inf:
+            raise ValueError("%s must be finite and nonnegative, got %r" % (name, tol))
+    if rtol == 0 and atol == 0:
+        raise ValueError("rtol and atol must not both be zero")
+
+
 def integrate(
     spec: FlagSpec,
     x0,
@@ -452,19 +445,17 @@ def integrate(
     t_eval=None,
     max_steps: int = 500_000,
 ) -> Trajectory:
-    """Integrate the projected flow on the closed simplex from x0."""
+    """Integrate the projected flow on the closed simplex from x0.
+
+    Raises ValueError for a start off the closed simplex and for run
+    settings that _check_run rejects.
+    """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (3,):
         raise ValueError("x0 must be a 3-vector")
-    return integrate_field(
-        point_field(spec),
-        _onto_simplex(x0),
-        t_max,
-        rtol=rtol,
-        atol=atol,
-        t_eval=t_eval,
-        max_steps=max_steps,
-    )
+    _check_run(t_max, rtol, atol)
+    f = point_field(spec)
+    return _float_loop(f, _onto_simplex(x0), t_max, rtol, atol, t_eval, max_steps)
 
 
 def integrate_many(
@@ -485,12 +476,11 @@ def integrate_many(
     x0 = np.asarray(starts, dtype=float)
     if x0.ndim != 2 or x0.shape[1] != 3:
         raise ValueError("starts must be an (N, 3) array, got shape %r" % (x0.shape,))
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    _check_run(t_max, rtol, atol)
     x0 = _onto_simplex(x0)
     f = point_field(spec)
     if len(x0) <= 1:
-        return [integrate_field(f, x, t_max, rtol=rtol, atol=atol) for x in x0]
+        return [_float_loop(f, x, t_max, rtol, atol) for x in x0]
     return _lockstep(f, x0, t_max, rtol, atol)
 
 

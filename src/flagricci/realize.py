@@ -8,9 +8,10 @@ metric it induces has coefficients
 
 where l1, l2 are the frame rows: in every family here the third restricted
 root is the sum of the first two, [a3] = [a1] + [a2]. With k = 2, frames
-are parametrized by their Gram matrix: x = M vec(Y) for Y = frame frame^T
-with the fixed linear map M below, and the admissible coefficient vectors
-are exactly the first orthant part of {F <= 0} (see fields.cone_form).
+are parametrized by their Gram matrix: x = (Y00, Y11, Y00 + Y11 + 2 Y01)
+for Y = frame frame^T, the linear map psd_to_coeffs, and the admissible
+coefficient vectors are exactly the first orthant part of {F <= 0} (see
+fields.cone_form).
 realizing_frame inverts the correspondence through the symmetric square
 root.
 """
@@ -22,10 +23,6 @@ import math
 import numpy as np
 
 from .fields import cone_form, require_finite
-
-# x = COEFF_MATRIX @ (Y[0,0], Y[1,1], Y[0,1]); determinant of the square map
-# (x1, x2, x3) <- (Y00, Y11, Y01) is 2.
-COEFF_MATRIX = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 2.0]])
 
 SIMPLEX_CENTROID = np.array([1.0, 1.0, 1.0]) / 3.0
 
@@ -175,36 +172,6 @@ def rank1_decompose(y, tol: float = 1e-10):
             vi = v[:, i]
             terms.append((float(w[i]), np.outer(vi, vi)))
     return terms
-
-
-def compress_columns(x, k: int, tol: float = 1e-10):
-    """Rotate the columns of a square matrix so only the first k are nonzero.
-
-    Returns (y, u) with u orthogonal, y = x @ u, gram(y) = gram(x), and the
-    last r-k columns of y exactly zero. Requires numerical rank(x) <= k at
-    threshold tol * largest singular value. Column signs are fixed so the
-    largest-magnitude entry of each kept column is positive.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError("expected a square matrix, got shape %r" % (x.shape,))
-    r = x.shape[0]
-    if not 0 < k <= r:
-        raise ValueError("k must be in 1..%d" % r)
-    _, s, vt = np.linalg.svd(x)
-    cutoff = tol * max(s[0], 1.0)
-    rank = int(np.sum(s > cutoff))
-    if rank > k:
-        raise ValueError("matrix has numerical rank %d > k = %d" % (rank, k))
-    u = vt.T.copy()
-    y = x @ u
-    y[:, rank:] = 0.0
-    for j in range(rank):
-        lead = np.argmax(np.abs(y[:, j]))
-        if y[lead, j] < 0:
-            y[:, j] = -y[:, j]
-            u[:, j] = -u[:, j]
-    return y, u
 
 
 # --- samplers over the realizable region -----------------------------------

@@ -375,17 +375,21 @@ def check_integrator_order(fast=False) -> str:
     spec = flags.make_flag("A", (1, 1, 1))
     x0 = np.array([0.55, 0.35, 0.10])
     f = fields.point_field(spec)
-    ref = flow.integrate_field(f, x0, 4.0, rtol=1e-13, atol=1e-15).final_state
+    ref = flow.integrate(spec, x0, 4.0, rtol=1e-13, atol=1e-15).final_state
     errs = []
     for h in (0.4, 0.2, 0.1):
-        end = flow.integrate_field(f, x0, 4.0, fixed_step=h).final_state
-        errs.append(float(np.linalg.norm(end - ref)))
+        # fixed steps of h to t = 4, each accepted state cleaned as in a run
+        y = tuple(x0.tolist())
+        for _ in range(round(4.0 / h)):
+            z, _err = flow._step(f, y, f(y), h)
+            y = flow._clean_state(*z)[0]
+        errs.append(float(np.linalg.norm(np.array(y) - ref)))
     assert errs[-1] > 1e-12, "test errors dipped into roundoff: %r" % errs
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert all(4.2 <= r <= 5.8 for r in rates), "order rates %r" % rates
     tol_errs = []
     for rt in (1e-6, 5e-7, 2.5e-7):
-        end = flow.integrate_field(f, x0, 4.0, rtol=rt, atol=1e-14).final_state
+        end = flow.integrate(spec, x0, 4.0, rtol=rt, atol=1e-14).final_state
         tol_errs.append(float(np.linalg.norm(end - ref)))
     assert tol_errs[2] < tol_errs[0], "halving tolerance did not reduce error"
     return "fixed-step rates %s (5th order), tolerance errors %s decreasing" % (

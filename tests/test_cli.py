@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -260,6 +261,56 @@ def test_bad_flag_errors(capsys):
     rc, _, err = run(capsys, "field", "--flag", "Q:1", "--point", "1/3,1/3,1/3")
     assert rc == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [["--rtol", "0", "--atol", "0"], ["--t-max", "nan"], ["--rtol", "nan"]],
+    ids=["zero-tolerances", "nan-t-max", "nan-rtol"],
+)
+def test_flow_rejects_bad_run_settings(capsys, settings):
+    argv = ["flow", "--flag", "A:1,1,1", "--point", "0.2,0.3,0.5", "--t-max", "1"]
+    rc, out, err = run(capsys, *argv, *settings)
+    assert rc == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+def test_collapse_rejects_bad_times(capsys):
+    argv = ["collapse", "--flag", "A:1,1,1", "--point", "0.42,0.40,0.18"]
+    for times in ("0,1/0", "0,x", "0,nan"):
+        rc, out, err = run(capsys, *argv, "--times", times, "--count", "30")
+        assert rc == 2
+        assert err == "error: bad number in %r\n" % times
+        assert out == ""
+
+
+# each command with --out writes its stdout bytes to the file and prints
+# "wrote FILE" with the note that matches the pattern
+OUT_CASES = [
+    (["flow", "--flag", "A:1,1,1", "--point", "0.2,0.3,0.5", "--t-max", "1"],
+     r" \(\d+ states, status t_max\)"),
+    (["portrait", "--flag", "A:1,1,1", "--grid", "2", "--eq-grid", "10"],
+     r" \(4 rows\)"),
+    (["equilibria", "--flag", "A:1,1,1", "--grid", "10"], r" \(\d+ equilibria\)"),
+    (["realize", "--point", "1/2,1/2,0"], ""),
+    (["orbit", "--flag", "A:1,1,1", "--point", "0.3,0.3,0.4", "--count", "3"],
+     r" \(3 points in su\(3\)\^2\)"),
+    (["collapse", "--flag", "A:1,1,1", "--point", "0.42,0.40,0.18",
+      "--times", "0,1", "--count", "30"],
+     r" \(limit \(.*\), resolution .*\)"),
+]
+
+
+@pytest.mark.parametrize("argv, note", OUT_CASES, ids=[c[0][0] for c in OUT_CASES])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv, note):
+    rc, stdout, _ = run(capsys, *argv)
+    assert rc == 0
+    path = tmp_path / "out"
+    rc, wrote, _ = run(capsys, *argv, "--out", str(path))
+    assert rc == 0
+    assert path.read_text() == stdout
+    assert re.fullmatch("wrote %s%s\n" % (re.escape(str(path)), note), wrote)
 
 
 def test_verify_fast_passes(capsys):

@@ -1,14 +1,16 @@
 """Curvature field tests.
 
 The rational reference values were computed once with exact arithmetic and
-are frozen here as literals, so the suite never depends on a symbolic
-package at run time.
+are frozen here as literals. Only the symbolic flux identity needs sympy at
+run time, and it is skipped where sympy is missing.
 """
 
 import numpy as np
 import pytest
 
 from flagricci.fields import (
+    _cubic,
+    _cubic_coefficients,
     cone_flux,
     cone_flux_closed_form,
     cone_form,
@@ -18,7 +20,7 @@ from flagricci.fields import (
     reduced_field,
     ricci_field,
 )
-from flagricci.flags import make_flag
+from flagricci.flags import FlagSpec, make_flag
 
 
 A111 = make_flag("A", (1, 1, 1))
@@ -205,3 +207,25 @@ def test_point_field_matches_projected_field_bitwise(spec):
     uv = batch[:, :2]
     uv_alone = np.array([reduced_field(spec, p) for p in uv])
     assert reduced_field(spec, uv).tobytes() == uv_alone.tobytes()
+
+
+@pytest.mark.parametrize("family", ["A", "D"])
+def test_flux_identity_holds_symbolically(family):
+    # R . grad F + 2 L (4 x1 x2 x3 + (x1 + x2 + x3) F) is the zero
+    # polynomial for every parameter value, so on the cone {F = 0} the flux
+    # is -8 x1 x2 x3 L, the closed form that criteria 01 and 02 sample
+    sp = pytest.importorskip("sympy")
+    x1, x2, x3 = sp.symbols("x1 x2 x3")
+    if family == "A":
+        m, n, p = sp.symbols("m n p")
+        params, lin = (m, n, p), p * x1 + n * x2 + m * x3
+    else:
+        ell = sp.Symbol("ell")
+        params, lin = (ell,), (ell - 2) * (x1 + x2) + 2 * x3
+    # the field's own coefficient table and cubic, on symbols
+    a, b = _cubic_coefficients(FlagSpec(family, params, (0, 0, 0)))
+    r = _cubic(a, b, x1, x2, x3)
+    f = x1**2 + x2**2 + x3**2 - 2 * (x1 * x2 + x1 * x3 + x2 * x3)
+    grad = [sp.diff(f, v) for v in (x1, x2, x3)]
+    flux = sum(ri * gi for ri, gi in zip(r, grad))
+    assert sp.expand(flux + 2 * lin * (4 * x1 * x2 * x3 + (x1 + x2 + x3) * f)) == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,12 @@ from flagricci.flags import make_flag
 from flagricci.flow import (
     IntegrationError,
     _block_step,
+    _float_loop,
     _lockstep,
     _step,
     classify_limit,
     find_equilibria,
     integrate,
-    integrate_field,
     integrate_many,
     jacobian,
 )
@@ -78,8 +80,6 @@ def test_rejects_bad_starts():
         integrate(A111, np.array([-0.2, 0.6, 0.6]))
     with pytest.raises(ValueError):
         integrate(A111, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        integrate_field(lambda y: y, np.array([0.5, 0.5]), 1.0)
     good = np.array([0.2, 0.3, 0.5])
     for shape_bad in (good, np.ones((2, 2)) / 2, np.ones((1, 2, 3)) / 3):
         with pytest.raises(ValueError, match=r"\(N, 3\) array"):
@@ -94,12 +94,48 @@ def test_rejects_bad_starts():
         integrate_many(A111, batch)
 
 
+BAD_SETTINGS = [
+    (dict(t_max=0.0), "t_max must be positive"),
+    (dict(t_max=-1.0), "t_max must be positive"),
+    (dict(t_max=math.nan), "t_max must be positive"),
+    (dict(rtol=-1e-9), "rtol must be finite and nonnegative"),
+    (dict(rtol=math.nan), "rtol must be finite and nonnegative"),
+    (dict(rtol=math.inf), "rtol must be finite and nonnegative"),
+    (dict(atol=-1e-12), "atol must be finite and nonnegative"),
+    (dict(atol=math.nan), "atol must be finite and nonnegative"),
+    (dict(rtol=0.0, atol=0.0), "rtol and atol must not both be zero"),
+]
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["integrate", "one-row", "batch"])
+@pytest.mark.parametrize(
+    "settings, message",
+    BAD_SETTINGS,
+    ids=[",".join("%s=%s" % kv for kv in c[0].items()) for c in BAD_SETTINGS],
+)
+def test_rejects_bad_run_settings(rows, settings, message):
+    x0 = np.array([0.2, 0.3, 0.5])
+    with pytest.raises(ValueError, match=message):
+        if rows is None:
+            integrate(A111, x0, **settings)
+        else:
+            integrate_many(A111, np.tile(x0, (rows, 1)), **settings)
+
+
+def test_one_zero_tolerance_is_accepted():
+    x0 = np.array([0.2, 0.3, 0.5])
+    for rtol, atol in ((0.0, 1e-12), (1e-9, 0.0)):
+        assert integrate(A111, x0, t_max=1.0, rtol=rtol, atol=atol).n_accepted > 0
+        (row,) = integrate_many(A111, x0[None], t_max=1.0, rtol=rtol, atol=atol)
+        assert row.n_accepted > 0
+
+
 def test_integration_error_on_nan():
     def bad(y):
-        return np.full(3, np.nan)
+        return (math.nan, math.nan, math.nan)
 
     with pytest.raises(IntegrationError):
-        integrate_field(bad, np.array([0.2, 0.3, 0.5]), 1.0)
+        _float_loop(bad, np.array([0.2, 0.3, 0.5]), 1.0, 1e-9, 1e-12)
 
 
 def test_trajectory_metadata():
@@ -197,26 +233,6 @@ def test_field_eval_count_adaptive():
     assert traj.n_field_evals == 1 + 6 * (acc + rej) + acc
 
 
-def test_field_eval_count_fixed_step():
-    f = lambda y: projected_field(A111, y)
-    traj = integrate_field(f, np.array([0.55, 0.35, 0.10]), 4.0, fixed_step=0.2)
-    assert traj.n_rejected == 0
-    assert traj.n_field_evals == 1 + 7 * traj.n_accepted
-
-
-def test_numpy_field_gives_the_same_trajectory():
-    # a numpy callable follows the same contract as the float field
-    x0 = np.array([0.2, 0.3, 0.5])
-    fast = integrate(A211, x0, t_max=20.0, t_eval=[1.0, 5.0])
-    slow = integrate_field(
-        lambda y: projected_field(A211, y), x0, 20.0, t_eval=[1.0, 5.0]
-    )
-    for name in ("times", "states", "f_values", "sum_residuals", "step_sizes"):
-        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
-    assert fast.eval_states.tobytes() == slow.eval_states.tobytes()
-    assert fast.n_field_evals == slow.n_field_evals
-
-
 @pytest.mark.parametrize(
     "spec",
     [A111, make_flag("A", (3, 2, 1)), make_flag("D", 8), make_flag("E")],
@@ -307,9 +323,7 @@ def test_step_is_the_tableau_by_hand(spec):
         y = tuple(x0.tolist())
         z, err = _dopri_by_hand(f, y, h)
         assert [list(v) for v in _step(f, y, f(y), h)] == [z, err]
-        # the first accepted state of a run, at a fixed step and adaptive
-        fixed = integrate_field(f, x0, h, fixed_step=h)
-        assert fixed.states[1].tolist() == _renormalized(z)
+        # the first accepted state of an adaptive run
         traj = integrate(spec, x0, t_max=5.0)
         start = traj.states[0].tolist()
         z, _ = _dopri_by_hand(f, start, float(traj.step_sizes[1]))

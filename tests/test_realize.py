@@ -3,13 +3,10 @@ import pytest
 
 from flagricci.fields import cone_form
 from flagricci.realize import (
-    COEFF_MATRIX,
     circle_point,
     coeffs_to_psd,
-    compress_columns,
     disk_membership,
     frame_metric,
-    gram,
     is_psd,
     psd_to_coeffs,
     rank1_decompose,
@@ -23,11 +20,6 @@ from flagricci.realize import (
 def random_psd(rng, scale=1.0):
     a = rng.normal(size=(2, 2)) * scale
     return a @ a.T
-
-
-def test_coeff_matrix_is_the_documented_map():
-    assert np.array_equal(COEFF_MATRIX, [[1, 0, 0], [0, 1, 0], [1, 1, 2]])
-    assert abs(np.linalg.det(COEFF_MATRIX) - 2.0) < 1e-15
 
 
 def test_frame_metric_on_explicit_frames():
@@ -144,41 +136,6 @@ def test_mu_linearity_through_decomposition():
         parts = rank1_decompose(y)
         lin = sum(w * psd_to_coeffs(p) for w, p in parts)
         assert np.allclose(lin, psd_to_coeffs(y), rtol=0, atol=1e-12)
-
-
-def test_compress_columns_matches_rank():
-    # a rank-one frame compresses to a single nonzero column
-    frame = realizing_frame(np.array([0.5, 0.0, 0.5]))
-    out, rot = compress_columns(frame, 1)
-    assert out.shape == (2, 2)
-    assert np.array_equal(out[:, 1], np.zeros(2))
-    assert np.allclose(rot @ rot.T, np.eye(2), rtol=0, atol=1e-14)
-    assert np.allclose(frame @ rot, out, rtol=0, atol=1e-12)
-    assert frame_metric(out) == pytest.approx([0.5, 0.0, 0.5], abs=1e-12)
-
-
-def test_compress_columns_fixed_example():
-    # rotating the boundary frame into a single column
-    frame = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    out, _ = compress_columns(frame, 1)
-    want = np.array([[np.sqrt(2.0) / 2.0, 0.0], [-np.sqrt(2.0) / 2.0, 0.0]])
-    assert np.max(np.abs(out - want)) < 1e-12
-
-
-def test_compress_columns_full_rank_is_orthogonal_change():
-    frame = realizing_frame(np.array([0.3, 0.3, 0.4]))
-    out, rot = compress_columns(frame, 2)
-    # same Gram matrix, therefore the same metric coefficients
-    assert np.allclose(gram(out), gram(frame), rtol=0, atol=1e-13)
-    assert np.allclose(rot @ rot.T, np.eye(2), rtol=0, atol=1e-14)
-
-
-def test_compress_columns_rejects_rank_violation():
-    frame = realizing_frame(np.array([0.3, 0.3, 0.4]))  # full rank
-    with pytest.raises(ValueError):
-        compress_columns(frame, 1)
-    with pytest.raises(ValueError):
-        compress_columns(np.ones((3, 2)), 1)
 
 
 def test_disk_membership_labels():
