@@ -7,18 +7,21 @@ renormalized to unit sum, which with the factored field keeps coordinate
 faces invariant exactly. A run stops early once the field norm
 sqrt(k1*k1 + k2*k2 + k3*k3) falls below EQUILIBRIUM_TOL.
 
-One attempt is written once, in _step: the stage inputs, the new state and
-the error estimate are left-to-right float sums over the tableau's nonzero
-coefficients, with no numpy contraction or BLAS call, so the result bits do
-not depend on the BLAS kernel. integrate runs one start on Python floats
-(_float_loop); integrate_many runs many in lockstep (_lockstep) on
-(3, n) blocks of the live rows, each row with its own step size, controller
-memory, verdict, clean step, stop rule and t_max landing. _block_step takes
-_step's sums on all rows at once and the controller's powers go through C
-pow (_cpow), so each row equals its single-start run bit for bit. A one-row
+One attempt is written once, in _step, for three floats, three columns or
+a (3, n) block: the stage inputs, the new state and the error estimate are
+left-to-right float sums over the tableau's nonzero coefficients, with no
+numpy contraction or BLAS call, so the result bits do not depend on the
+BLAS kernel. integrate runs one start on Python floats (_float_loop);
+integrate_many runs many in lockstep (_lockstep) on the (3, n) block of the
+live rows, each row with its own step size, controller memory, verdict,
+clean step, stop rule and t_max landing. The lockstep calls the same _step
+on the block and takes the controller's powers through C pow (_cpow), so
+each row equals its single-start run bit for bit; it logs each pass's
+accepted rows and sorts the log into per-row arrays at the end. A one-row
 batch runs on the float loop, which is faster for one start. Both entries
 check the start (_onto_simplex) and the run settings (_check_run) before
-either loop runs, and both loops evaluate fields.point_field(spec).
+either loop runs, both loops evaluate fields.point_field(spec), and both
+stop with IntegrationError after MAX_STEPS attempts.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .flags import FlagSpec
 
 CLAMP_TOL = 1e-14
 EQUILIBRIUM_TOL = 1e-12
+MAX_STEPS = 500_000  # attempted steps per start before a run gives up
 
 # Dormand-Prince 5(4), nonzero entries only: the rows of k2 ... k6, the
 # fifth-order weights of k1, k3 ... k6 and the fourth-order ones of k1,
@@ -52,9 +56,10 @@ _ERR = tuple(b5 - b4 for b5, b4 in zip(_B5 + (0.0,), _B4))
 def _step(f, y, k1, h):
     """One Dormand-Prince 5(4) attempt of size h from y, where k1 = f(y).
 
-    y and k1 are three floats, or three columns (h then holds each row's
-    step). Returns the fifth-order state z and the error h (b5 - b4) . k;
-    the last stage is taken at z, so an attempt costs six field values.
+    y and k1 are three floats, or three columns or a (3, n) block (h then
+    holds each row's step). Returns the fifth-order state z and the error
+    h (b5 - b4) . k; the last stage is taken at z, so an attempt costs six
+    field values.
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), a6 = _A
     a61, a62, a63, a64, a65 = a6
@@ -82,28 +87,6 @@ def _step(f, y, k1, h):
     return z, (h * (e1 * p1 + e3 * r1 + e4 * s1 + e5 * v1 + e6 * w1 + e7 * g1),
                h * (e1 * p2 + e3 * r2 + e4 * s2 + e5 * v2 + e6 * w2 + e7 * g2),
                h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * v3 + e6 * w3 + e7 * g3))
-
-
-def _lsum(coefs, ks):
-    # sum(c * k), left to right
-    s = coefs[0] * ks[0]
-    for c, k in zip(coefs[1:], ks[1:]):
-        s = s + c * k
-    return s
-
-
-def _block_step(f, y, k1, h):
-    """_step on (3, n) blocks y and k1 of n rows, h (n,) their step sizes.
-
-    The same sums in the same order, each term in one numpy call over every
-    coordinate of every row: a third of the calls _step makes on columns.
-    """
-    k = [k1]
-    for row in _A:
-        k.append(np.array(f(y + h * _lsum(row, k))))
-    z = y + h * _lsum(_B5, k[:1] + k[2:])
-    k.append(np.array(f(z)))
-    return z, h * _lsum(_ERR, k[:1] + k[2:])
 
 
 class IntegrationError(RuntimeError):
@@ -163,9 +146,7 @@ def _sum_squares(q1, q2, q3):
     return q1 * q1 + q2 * q2 + q3 * q3
 
 
-def _float_loop(
-    f, x0, t_max: float, rtol: float, atol: float, t_eval=None, max_steps: int = 500_000
-) -> Trajectory:
+def _float_loop(f, x0, t_max: float, rtol: float, atol: float, t_eval=None) -> Trajectory:
     """integrate's adaptive loop on Python floats, from x0 to t_max.
 
     f is fields.point_field(spec); x0 is a start already checked and cleaned
@@ -180,8 +161,8 @@ def _float_loop(
     pending = []
     if t_eval is not None:
         pending = sorted(float(te) for te in t_eval)
-        if pending and pending[0] < 0:
-            raise ValueError("t_eval times must be nonnegative")
+        if not all(0 <= te < math.inf for te in pending):
+            raise ValueError("t_eval times must be finite and nonnegative")
     eval_states: dict[float, tuple] = {}
 
     def note_eval(tcur, ycur):
@@ -215,7 +196,7 @@ def _float_loop(
             if h < 1e-14 * max(1.0, abs(t)):
                 status = "step_underflow"
                 break
-            if n_acc + n_rej >= max_steps:
+            if n_acc + n_rej >= MAX_STEPS:
                 raise IntegrationError("step budget exhausted", t=t, state=np.array(y))
             # land exactly on t_max and on any pending t_eval time
             h_try = min(h, t_max - t)
@@ -278,11 +259,6 @@ def _float_loop(
     return traj
 
 
-def _widen(a):
-    # a with its second axis twice as long, the new half unset
-    return np.concatenate((a, np.empty_like(a)), axis=1)
-
-
 def _cpow(x, p) -> np.ndarray:
     """x ** p on every element of the 1-D float array x, through C pow.
 
@@ -292,7 +268,7 @@ def _cpow(x, p) -> np.ndarray:
     return np.array([v ** p for v in x.tolist()])
 
 
-def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
+def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
     """_float_loop's adaptive step on every row of the (n, 3) array x0.
 
     f is fields.point_field(spec). The live rows' states and fields are
@@ -304,13 +280,10 @@ def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
     k1 = np.array(f(y))
 
     status = np.full(n, "t_max", dtype=object)
-    n_acc, n_rej = np.zeros((2, n), dtype=int)
-    # row r's j-th accepted state is y_hist[r, j], reached at t_hist[r, j] by
-    # a step of h_hist[r, j] with sum residual res_hist[r, j]; rows fill
-    # these at their own pace, and they double in length when full
-    t_hist, h_hist, res_hist = np.zeros((3, n, 64))
-    y_hist = np.empty((n, 64, 3))
-    y_hist[:, 0] = x0
+    n_rej = np.zeros(n, dtype=int)
+    # each pass logs its accepted rows: (row, t, step size, sum residual,
+    # state) per row; every row's first record is its start
+    log = [(np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n), x0)]
 
     stopped = np.sqrt(_sum_squares(*k1)) < EQUILIBRIUM_TOL
     status[stopped] = "equilibrium"
@@ -325,7 +298,6 @@ def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
     live = ~stopped
     rows, y, k1, h = np.flatnonzero(live), y[:, live], k1[:, live], h[live]
     t, err_prev = np.zeros(len(rows)), np.ones(len(rows))
-    acc = np.zeros(len(rows), dtype=int)
     steps = 0
 
     while len(rows):
@@ -334,13 +306,13 @@ def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
             # these rows stop before their next attempt; the others make
             # theirs on the next pass
             status[rows[done]] = "step_underflow"
-        elif steps >= max_steps:
+        elif steps >= MAX_STEPS:
             msg = "row %d: step budget exhausted" % rows[0]
             raise IntegrationError(msg, t=t[0], state=y[:, 0].copy())
         else:
             # land exactly on t_max
             h_try = np.minimum(h, t_max - t)
-            z, e = _block_step(f, y, k1, h_try)
+            z, e = map(np.array, _step(f, y, k1, h_try))
             finite = np.isfinite(z).all(axis=0)
             if not finite.all():
                 r = int(np.argmin(finite))
@@ -353,6 +325,7 @@ def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
 
             # every operation below is a no-op on an empty selection
             ir = np.flatnonzero(~(err <= 1.0))
+            n_rej[rows[ir]] += 1
             fac = 0.9 * _cpow(err[ir], -1.0 / 5.0)
             h[ir] = h_try[ir] * np.minimum(1.0, np.maximum(0.2, fac))
 
@@ -363,13 +336,7 @@ def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
             ka = np.array(f(ya))
             y[:, ia] = ya
             k1[:, ia] = ka
-            acc[ia] += 1
-            if acc.max() == t_hist.shape[1]:
-                hists = (t_hist, h_hist, res_hist, y_hist)
-                t_hist, h_hist, res_hist, y_hist = map(_widen, hists)
-            ri, j = rows[ia], acc[ia]
-            t_hist[ri, j], h_hist[ri, j], res_hist[ri, j] = t[ia], h_try[ia], residual
-            y_hist[ri, j] = ya.T
+            log.append((rows[ia], t[ia], h_try[ia], residual, ya.T))
             at_rest = ia[np.sqrt(_sum_squares(*ka)) < EQUILIBRIUM_TOL]
             status[rows[at_rest]] = "equilibrium"
             ea = np.maximum(err[ia], 1e-10)
@@ -380,26 +347,35 @@ def _lockstep(f, x0, t_max, rtol, atol, max_steps=500_000) -> list[Trajectory]:
             done[at_rest] = True
 
         if done.any():
-            gone = rows[done]
-            n_acc[gone] = acc[done]
-            n_rej[gone] = steps - acc[done]
             keep = ~done
             rows, y, k1, h = rows[keep], y[:, keep], k1[:, keep], h[keep]
-            t, err_prev, acc = t[keep], err_prev[keep], acc[keep]
+            t, err_prev = t[keep], err_prev[keep]
 
+    # a stable sort by row keeps each row's records in step order; each
+    # column's per-pass pieces are dropped once it is sorted, so the whole
+    # log and the whole sorted copy are never held at once
+    who, *cols = map(list, zip(*log))
+    del log
+    who = np.concatenate(who)
+    order = np.argsort(who, kind="stable")
+    counts = np.bincount(who)
+    cuts = np.cumsum(counts)[:-1]
+    for pieces in cols:
+        pieces[:] = np.split(np.concatenate(pieces)[order], cuts)
+    times, step_sizes, residuals, states = cols
     return [
         Trajectory(
-            times=t_hist[r, :m],
-            states=y_hist[r, :m],
-            f_values=cone_form(y_hist[r, :m]),
-            sum_residuals=res_hist[r, :m],
-            step_sizes=h_hist[r, :m],
+            times=times[r],
+            states=states[r],
+            f_values=cone_form(states[r]),
+            sum_residuals=residuals[r],
+            step_sizes=step_sizes[r],
             status=status[r],
-            n_accepted=int(n_acc[r]),
+            n_accepted=int(m - 1),
             n_rejected=int(n_rej[r]),
-            n_field_evals=int(1 + 6 * (n_acc[r] + n_rej[r]) + n_acc[r]),
+            n_field_evals=int(1 + 6 * (m - 1 + n_rej[r]) + m - 1),
         )
-        for r, m in enumerate(n_acc + 1)
+        for r, m in enumerate(counts)
     ]
 
 
@@ -423,17 +399,18 @@ def _onto_simplex(x0):
 def _check_run(t_max, rtol, atol):
     """Reject run settings the step control cannot use.
 
-    t_max must be positive (NaN is not); rtol and atol must be finite,
-    nonnegative and not both zero, since the error is measured against
-    atol + rtol |y|.
+    t_max must be positive (NaN is not); rtol and atol must be finite and
+    nonnegative, and atol positive, since the error is measured against
+    atol + rtol |y|, which rtol alone leaves zero on a face.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive, got %r" % (t_max,))
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not 0 <= tol < math.inf:
             raise ValueError("%s must be finite and nonnegative, got %r" % (name, tol))
-    if rtol == 0 and atol == 0:
-        raise ValueError("rtol and atol must not both be zero")
+    if atol == 0:
+        msg = "atol must be positive: the error scale atol + rtol |y| is zero on a face"
+        raise ValueError(msg)
 
 
 def integrate(
@@ -443,7 +420,6 @@ def integrate(
     rtol: float = 1e-9,
     atol: float = 1e-12,
     t_eval=None,
-    max_steps: int = 500_000,
 ) -> Trajectory:
     """Integrate the projected flow on the closed simplex from x0.
 
@@ -455,7 +431,7 @@ def integrate(
         raise ValueError("x0 must be a 3-vector")
     _check_run(t_max, rtol, atol)
     f = point_field(spec)
-    return _float_loop(f, _onto_simplex(x0), t_max, rtol, atol, t_eval, max_steps)
+    return _float_loop(f, _onto_simplex(x0), t_max, rtol, atol, t_eval)
 
 
 def integrate_many(

@@ -276,6 +276,16 @@ def test_flow_rejects_bad_run_settings(capsys, settings):
     assert out == ""
 
 
+def test_flow_rejects_zero_atol_on_a_face(capsys):
+    # rtol alone gives a zero error scale on the face x3 = 0
+    argv = ["flow", "--flag", "A:1,1,1", "--point", "0.3,0.7,0", "--atol", "0"]
+    rc, out, err = run(capsys, *argv, "--t-max", "200")
+    assert rc == 2
+    assert err.startswith("error: atol must be positive")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_collapse_rejects_bad_times(capsys):
     argv = ["collapse", "--flag", "A:1,1,1", "--point", "0.42,0.40,0.18"]
     for times in ("0,1/0", "0,x", "0,nan"):

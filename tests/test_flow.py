@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from flagricci import flow
 from flagricci.fields import cone_form, point_field, projected_field
 from flagricci.flags import make_flag
 from flagricci.flow import (
     IntegrationError,
-    _block_step,
     _float_loop,
     _lockstep,
     _step,
@@ -58,6 +58,12 @@ def test_t_eval_lands_exactly():
     assert np.allclose(traj.eval_states[0], [0.2, 0.3, 0.5], rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_t_eval_rejects_non_finite_and_negative_times(bad):
+    with pytest.raises(ValueError, match="t_eval times must be finite and nonnegative"):
+        integrate(A111, np.array([0.2, 0.3, 0.5]), t_max=1.0, t_eval=[0.5, bad])
+
+
 def test_t_eval_after_equilibrium_returns_final_state():
     traj = integrate(A111, np.array([0.2, 0.3, 0.5]), t_max=500.0, t_eval=[0.0, 450.0])
     assert traj.status == "equilibrium"
@@ -103,7 +109,8 @@ BAD_SETTINGS = [
     (dict(rtol=math.inf), "rtol must be finite and nonnegative"),
     (dict(atol=-1e-12), "atol must be finite and nonnegative"),
     (dict(atol=math.nan), "atol must be finite and nonnegative"),
-    (dict(rtol=0.0, atol=0.0), "rtol and atol must not both be zero"),
+    (dict(rtol=0.0, atol=0.0), "atol must be positive"),
+    (dict(rtol=1e-9, atol=0.0), "atol must be positive"),
 ]
 
 
@@ -124,10 +131,9 @@ def test_rejects_bad_run_settings(rows, settings, message):
 
 def test_one_zero_tolerance_is_accepted():
     x0 = np.array([0.2, 0.3, 0.5])
-    for rtol, atol in ((0.0, 1e-12), (1e-9, 0.0)):
-        assert integrate(A111, x0, t_max=1.0, rtol=rtol, atol=atol).n_accepted > 0
-        (row,) = integrate_many(A111, x0[None], t_max=1.0, rtol=rtol, atol=atol)
-        assert row.n_accepted > 0
+    assert integrate(A111, x0, t_max=1.0, rtol=0.0, atol=1e-12).n_accepted > 0
+    (row,) = integrate_many(A111, x0[None], t_max=1.0, rtol=0.0, atol=1e-12)
+    assert row.n_accepted > 0
 
 
 def test_integration_error_on_nan():
@@ -252,20 +258,29 @@ def test_integrate_many_rows_equal_single_runs(spec):
     for row, single in zip(batch, singles):
         for name in ("status", "n_accepted", "n_rejected", "n_field_evals"):
             assert getattr(row, name) == getattr(single, name), name
-        assert np.max(np.abs(row.states - single.states)) <= 1e-15
-        assert np.max(np.abs(row.times - single.times)) <= 1e-15 * 30.0
-        for name in ("f_values", "sum_residuals", "step_sizes"):
-            assert np.max(np.abs(getattr(row, name) - getattr(single, name))) <= 1e-15
+        for name in ("times", "states", "f_values", "sum_residuals", "step_sizes"):
+            got, want = getattr(row, name), getattr(single, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
     # a one-row batch runs on the float loop and gives the same bytes
     (one,) = integrate_many(spec, np.array(starts[:1]), t_max=30.0)
     assert one.states.tobytes() == singles[0].states.tobytes()
 
 
-def test_lockstep_step_budget_names_the_row():
+def test_lockstep_step_budget_names_the_row(monkeypatch):
     # row 0 is a vertex and stops at t = 0; row 1 is the first live row
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
     starts = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [0.3, 0.3, 0.4]])
-    with pytest.raises(IntegrationError, match=r"row 1: step budget exhausted"):
-        _lockstep(point_field(A111), starts, 30.0, 1e-9, 1e-12, max_steps=3)
+    with pytest.raises(IntegrationError, match=r"row 1: step budget exhausted") as info:
+        _lockstep(point_field(A111), starts, 30.0, 1e-9, 1e-12)
+    assert info.value.t > 0
+
+
+def test_float_loop_step_budget(monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
+    with pytest.raises(IntegrationError, match=r"^step budget exhausted$") as info:
+        integrate(A111, np.array([0.2, 0.3, 0.5]), t_max=30.0)
+    assert info.value.t > 0
+    assert info.value.state.shape == (3,)
 
 
 STEP_FAMILIES = [
@@ -338,7 +353,7 @@ def test_step_is_bit_equal_on_floats_columns_and_blocks(spec):
     h = rng.uniform(1e-4, 0.5, 40)
     cols = tuple(y.T)
     z_cols, e_cols = _step(f, cols, f(cols), h)
-    z_block, e_block = _block_step(f, y.T, np.array(f(cols)), h)
+    z_block, e_block = map(np.array, _step(f, y.T, np.array(f(cols)), h))
     for i in range(len(y)):
         yi = tuple(y[i].tolist())
         want = np.array(_step(f, yi, f(yi), float(h[i])))
