@@ -11,6 +11,7 @@ fixed config and seed; no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -56,23 +57,35 @@ def parse_point(text: str, dim: int | None = 3) -> np.ndarray:
         raise ValueError("bad number in %r" % text) from None
 
 
-def atomic_write(path: str, content: str) -> None:
-    """Write content to path through a temporary file and a rename.
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text file that replaces path once the block ends without error.
 
-    The temporary file is created with mode 0o666, so the umask sets the
-    final mode, as for a file opened for writing directly.
+    Writes go to a temporary file next to path, created with mode 0o666 so
+    the umask sets the final mode, as for a file opened for writing
+    directly. On any error the temporary file is removed, and an OSError
+    names path: "cannot write PATH: reason".
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, ".tmp-%d-%s" % (os.getpid(), os.urandom(8).hex()))
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
+
+
+def atomic_write(path: str, content: str) -> None:
+    """Write content to path through _atomic_open."""
+    with _atomic_open(path) as fh:
+        fh.write(content)
 
 
 def _emit(out, text: str, note: str | None = None) -> None:
@@ -248,8 +261,13 @@ def cmd_orbit(args) -> int:
         h1 = model.torus_element(parse_point(args.h1, dim=2))
         h2 = model.torus_element(parse_point(args.h2, dim=2))
     cloud = sample_orbit(model, h1, h2, args.count, args.seed)
-    note = "%d points in su(%d)^2" % (cloud.count, cloud.n_ambient)
-    _emit(args.out, cloud.to_json(), note)
+    if not args.out:
+        cloud.write_json(sys.stdout)
+        return 0
+    # streamed: the text is never whole in memory
+    with _atomic_open(args.out) as fh:
+        cloud.write_json(fh)
+    print("wrote %s (%d points in su(%d)^2)" % (args.out, cloud.count, cloud.n_ambient))
     return 0
 
 
@@ -407,6 +425,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _require(args, *_REQUIRED[args.command])
         return args.func(args)
+    except BrokenPipeError:
+        # stdout's reader left early, as in `flagricci orbit ... | head`: stop
+        # quietly, and point stdout at devnull so the final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

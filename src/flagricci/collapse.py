@@ -301,6 +301,11 @@ def collapse_run(
     the median nearest-neighbour distance of that cloud, the scale below
     which a sampled cloud could not resolve the profile.
     """
+    if count < 2:
+        raise ValueError(
+            "count must be at least 2: a sampling resolution needs two points, got %r"
+            % (count,)
+        )
     times = np.unique(np.array([float(t) for t in times]))
     if len(times) == 0:
         raise ValueError("need at least one sample time")

@@ -15,6 +15,7 @@ basis is dual to (alpha1, alpha2).
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 
@@ -180,13 +181,17 @@ def haar_unitaries(rng, n: int, count: int) -> np.ndarray:
     det^(-1/n) phase to land in SU(n).
     """
     z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
     d = np.einsum("...ii->...i", r)
     ph = d / np.where(np.abs(d) > 0, np.abs(d), 1.0)
-    q = q * ph[:, None, :]
-    det = np.linalg.det(q)
-    q = q * np.exp(-np.log(det) / n)[:, None, None]
+    q *= ph[:, None, :]
+    q *= np.exp(-np.log(np.linalg.det(q)) / n)[:, None, None]
     return q
+
+
+# rows per block that OrbitCloud.write_json flattens and writes at once
+_JSON_ROWS = 64
 
 
 def _rng_for(seed: int):
@@ -221,16 +226,28 @@ class OrbitCloud:
         points = [[float(v) for v in row] for row in self.flat_points]
         return dict(self._header(), points=points)
 
-    def to_json(self) -> str:
-        """json.dumps(self.as_dict()) and a newline, built one point at a time.
+    def write_json(self, fh) -> None:
+        """Write json.dumps(self.as_dict()) and a newline to the text file fh.
 
-        The text is the same, but only one point's coordinates are Python
-        floats at any time: as_dict holds all count x 4N^2 of them, some
-        13 MiB for 2000 points in su(6)^2, and dumping it takes as much again.
+        The bytes are the same, but the points go out _JSON_ROWS at a time:
+        only one block of rows is ever held as real coordinates, Python
+        floats and text. as_dict holds all count x 4N^2 coordinates as
+        floats, some 13 MiB for 2000 points in su(6)^2, and dumping it
+        takes as much again.
         """
-        head = json.dumps(self._header())
-        points = ", ".join(json.dumps(row.tolist()) for row in self.flat_points)
-        return '%s, "points": [%s]}\n' % (head[:-1], points)
+        fh.write('%s, "points": [' % json.dumps(self._header())[:-1])
+        for s in range(0, self.count, _JSON_ROWS):
+            block = self.points[s : s + _JSON_ROWS]
+            rows = _flatten_real(block, self.n_ambient).reshape(len(block), -1)
+            # the block's rows without the enclosing brackets
+            fh.write((", " if s else "") + json.dumps(rows.tolist())[1:-1])
+        fh.write("]}\n")
+
+    def to_json(self) -> str:
+        """The text write_json writes, as a string."""
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
 
     def _header(self) -> dict:
         return {
@@ -246,14 +263,22 @@ class OrbitCloud:
 def sample_orbit(
     model: LieModel, h1: TorusElement, h2: TorusElement, count: int, seed: int
 ) -> OrbitCloud:
-    """Sample the adjoint orbit of the frame (h1, h2) at Haar-random points."""
+    """Sample the adjoint orbit of the frame (h1, h2) at Haar-random points.
+
+    seed is the Philox key of the Haar samples, an integer in [0, 2**128).
+    """
     if count < 1:
         raise ValueError("count must be positive")
-    us = haar_unitaries(_rng_for(seed), model.n_ambient, count)
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+        raise ValueError("seed must be an integer in [0, 2**128), got %r" % (seed,))
+    n = model.n_ambient
+    us = haar_unitaries(_rng_for(seed), n, count)
     uh = np.conjugate(np.swapaxes(us, -1, -2))
-    a1 = us @ h1.matrix @ uh
-    a2 = us @ h2.matrix @ uh
-    points = np.stack([a1, a2], axis=1)
+    # u h u^* for each frame element, written straight into its slot; scaling
+    # u's columns by the diagonal of h has the bits of the product u @ h
+    points = np.empty((count, 2, n, n), dtype=complex)
+    for k, h in enumerate((h1, h2)):
+        np.matmul(us * np.diagonal(h.matrix), uh, out=points[:, k])
     return OrbitCloud(
         model.n_ambient, model.blocks, h1, h2, int(seed), int(count), points
     )

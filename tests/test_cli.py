@@ -4,11 +4,14 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from flagricci.cli import atomic_write, fmt, load_config, main, parse_point
+from flagricci.orbits import build_model, sample_orbit
+from flagricci.realize import realizing_frame
 
 
 def run(capsys, *argv):
@@ -342,6 +345,118 @@ def test_atomic_write_mode_follows_umask(tmp_path, umask):
     assert target.read_text() == "t\n"
     assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
     assert os.listdir(tmp_path) == ["out.csv"]
+    # orbit --out streams into the same kind of temporary file
+    cloud = tmp_path / "cloud.json"
+    argv = ["orbit", "--flag", "A:1,1,1", "--h1", "1,0", "--h2", "0,1", "--count", "3"]
+    old = os.umask(umask)
+    try:
+        assert main(argv + ["--out", str(cloud)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(cloud.stat().st_mode) == 0o666 & ~umask
+    assert sorted(os.listdir(tmp_path)) == ["cloud.json", "out.csv"]
+
+
+def _orbit_argv(blocks, count):
+    return ["orbit", "--flag", "A:%d,%d,%d" % blocks, "--point", "0.3,0.3,0.4",
+            "--count", str(count), "--seed", "3"]
+
+
+@pytest.mark.parametrize("blocks", [(1, 1, 1), (2, 2, 2)])
+def test_orbit_streams_the_bytes_of_as_dict(tmp_path, capsys, blocks):
+    # counts on both sides of the 64-row blocks that write_json flattens at once
+    model = build_model(*blocks)
+    frame = realizing_frame(np.array([0.3, 0.3, 0.4]))
+    h1, h2 = (model.torus_element(frame[:, k]) for k in range(2))
+    for count in (1, 63, 64, 65, 129):
+        want = json.dumps(sample_orbit(model, h1, h2, count, 3).as_dict()) + "\n"
+        rc, out, _ = run(capsys, *_orbit_argv(blocks, count))
+        assert rc == 0
+        assert out == want
+        path = tmp_path / ("cloud-%d.json" % count)
+        rc, _, _ = run(capsys, *_orbit_argv(blocks, count), "--out", str(path))
+        assert rc == 0
+        assert path.read_bytes() == want.encode()
+
+
+def test_orbit_peak_memory_is_one_cloud_not_its_text(tmp_path, capsys):
+    # 2000 points in su(6)^2 are 2.3 MB of complex coordinates and 5.7 MB of
+    # JSON; building the text whole traced 14.6 MB
+    argv = _orbit_argv((2, 2, 2), 2000) + ["--out", str(tmp_path / "cloud.json")]
+    assert main(_orbit_argv((2, 2, 2), 5)) == 0  # imports and caches warm
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "cloud.json").stat().st_size > 5_000_000
+    assert peak < 9_000_000
+
+
+def _cli_subprocess(args, **kwargs):
+    import flagricci
+
+    src = os.path.dirname(os.path.dirname(flagricci.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen(
+        [sys.executable, "-m", "flagricci.cli", *args], env=env, **kwargs
+    )
+
+
+def test_orbit_into_a_closed_pipe_exits_quietly():
+    # as `flagricci orbit ... | head -c 50`: the reader leaves after 50 of
+    # some 5.7 MB
+    args = ["orbit", "--flag", "A:2,2,2", "--point", "0.3,0.3,0.4", "--count", "2000"]
+    proc = _cli_subprocess(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0
+    assert head.startswith(b'{"N": 6, "blocks": [2, 2, 2], "H1": [')
+    assert err == b""
+
+
+OUT_ERROR_CASES = [
+    ["flow", "--flag", "A:1,1,1", "--point", "0.2,0.3,0.5", "--t-max", "1"],
+    ["orbit", "--flag", "A:1,1,1", "--point", "0.3,0.3,0.4", "--count", "100"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_ERROR_CASES, ids=[c[0] for c in OUT_ERROR_CASES])
+def test_out_errors_name_the_out_path(tmp_path, capsys, argv):
+    missing = str(tmp_path / "no-such-dir" / "x.out")
+    rc, out, err = run(capsys, *argv, "--out", missing)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: cannot write %s: No such file or directory\n" % missing
+    target = tmp_path / "a-directory"
+    target.mkdir()
+    rc, out, err = run(capsys, *argv, "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert err == "error: cannot write %s: Is a directory\n" % target
+    # no temporary file is left behind
+    assert os.listdir(tmp_path) == ["a-directory"]
+    assert os.listdir(target) == []
+
+
+def test_collapse_count_one_is_an_error(capsys):
+    argv = ["collapse", "--flag", "A:1,1,1", "--point", "0.42,0.40,0.18", "--times", "0,1"]
+    rc, out, err = run(capsys, *argv, "--count", "1")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: count must be at least 2: a sampling resolution needs")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_orbit_rejects_seeds_outside_philox_keys(capsys, seed):
+    rc, out, err = run(capsys, *_orbit_argv((1, 1, 1), 3)[:-1], seed)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: seed must be an integer in [0, 2**128), got %s\n" % seed
 
 
 def test_collapse_and_verify_do_not_import_scipy_optimize(tmp_path):

@@ -386,6 +386,14 @@ def test_collapse_run_rejects_point_off_disk():
         )
 
 
+@pytest.mark.parametrize("count", [1, 0, -3])
+def test_collapse_run_needs_two_points_for_a_resolution(count):
+    # one point has no nearest neighbour: its resolution would be inf and
+    # profile_ok would hold for any distances
+    with pytest.raises(ValueError, match="^count must be at least 2: a sampling resolution"):
+        collapse_run(A111, MODEL3, np.array([0.42, 0.40, 0.18]), times=[0.0, 1.0], count=count)
+
+
 def test_limit_cloud_rank_drops():
     # interior clouds span a larger linear space than the collapsed limit
     x0 = np.array([0.42, 0.40, 0.18])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flagricci.orbits import (
+    _rng_for,
     build_model,
     haar_unitaries,
     induced_metric,
@@ -108,6 +109,34 @@ def test_sample_orbit_preserves_spectra():
         assert np.allclose(np.sort(np.linalg.eigvalsh(1j * pair[1])), w2, atol=1e-12)
 
 
+@pytest.mark.parametrize("blocks", [(1, 1, 1), (2, 1, 1), (3, 2, 1), (2, 2, 2), (3, 3, 3)])
+def test_sample_orbit_points_are_the_dense_products(blocks):
+    # scaling u's columns by diag(h) and multiplying into the cloud in place
+    # keeps the bits of the two triple products u h u^*
+    model = build_model(*blocks)
+    x = np.array([0.3, 0.3, 0.4])
+    frame = realizing_frame(x)
+    h1, h2 = (model.torus_element(frame[:, k]) for k in range(2))
+    cloud = sample_orbit(model, h1, h2, 300, seed=4)
+    us = haar_unitaries(_rng_for(4), model.n_ambient, 300)
+    uh = np.conjugate(np.swapaxes(us, -1, -2))
+    dense = np.stack([us @ h1.matrix @ uh, us @ h2.matrix @ uh], axis=1)
+    assert cloud.points.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.0, 0.5, "3", None])
+def test_sample_orbit_rejects_bad_seeds(seed):
+    model = build_model(1, 1, 1)
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*128\), got "):
+        sample_orbit(model, *model.omega, 5, seed)
+
+
+def test_sample_orbit_accepts_the_seed_range_ends():
+    model = build_model(1, 1, 1)
+    for seed in (0, 2**128 - 1, np.int64(7)):
+        assert sample_orbit(model, *model.omega, 2, seed).seed == seed
+
+
 def test_sample_orbit_same_seed_same_unitaries():
     # the conjugating unitaries depend only on the seed, so clouds of two
     # different torus pairs are directly comparable point by point
@@ -143,6 +172,24 @@ def test_cloud_to_json_matches_dumps(blocks, count):
     model = build_model(*blocks)
     cloud = sample_orbit(model, *model.omega, count, seed=5)
     assert cloud.to_json() == json.dumps(cloud.as_dict()) + "\n"
+
+
+def test_write_json_writes_one_block_of_rows_at_a_time():
+    class Recorder:
+        def __init__(self):
+            self.chunks = []
+
+        def write(self, text):
+            self.chunks.append(text)
+
+    model = build_model(2, 2, 2)
+    cloud = sample_orbit(model, *model.omega, 129, seed=1)
+    fh = Recorder()
+    cloud.write_json(fh)
+    # header, three blocks of 64, 64 and 1 rows, closing brackets
+    assert len(fh.chunks) == 5
+    assert [c.count("], [") for c in fh.chunks[1:4]] == [63, 63, 0]
+    assert "".join(fh.chunks) == cloud.to_json()
 
 
 def test_flat_embedding_is_isometric():
