@@ -114,16 +114,14 @@ def load_config(path: str) -> dict[str, str]:
 
 def _flag_blocks(spec):
     if spec.family != "A":
-        raise SystemExit(
-            "error: orbit models are built for family A only (got %s)" % spec.label
-        )
+        raise ValueError("orbit models are built for family A only (got %s)" % spec.label)
     return spec.params
 
 
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
-            raise SystemExit("error: missing required option --%s" % name.replace("_", "-"))
+            raise ValueError("missing required option --%s" % name.replace("_", "-"))
 
 
 def cmd_field(args) -> int:
@@ -173,7 +171,7 @@ def cmd_portrait(args) -> int:
     spec = parse_flag(args.flag)
     n = args.grid
     if n < 1:
-        raise SystemExit("error: grid must be at least 1")
+        raise ValueError("grid must be at least 1")
     eqs = find_equilibria(spec, grid_n=max(args.eq_grid, 10))
     rows = ["u,v,Yu,Yv,in_domain,end_u,end_v,limit"]
     ticks = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.0])

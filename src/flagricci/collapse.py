@@ -177,6 +177,15 @@ def is_subalgebra(model: LieModel, summand_indices):
     m_i[0] and m_j[0], the first pair to leak when the basis is walked in
     the order k, m_i, m_j: it records the pair, the summand m_k it leaks
     into and the norm of its component there.
+
+    That norm has a closed form. Each summand's first basis element is
+    E_ab - E_ba on the first indices a, b of its two blocks, and two of
+    them share one index, so their bracket is exactly +-m_k[0], with
+    entries +-1. Its inner products with m_k's basis are sums of integers:
+    +-4N with m_k[0] and 0 with every other element. The squared
+    projection is therefore (4N)^2 / 4N = 4N in floats, without rounding,
+    and the residual is sqrt(4N) = 2 sqrt(N), bit for bit the value of the
+    bracket-and-project loop the tests keep as its oracle.
     """
     selected = sorted(set(int(i) for i in summand_indices))
     if any(i not in (1, 2, 3) for i in selected):
@@ -185,18 +194,11 @@ def is_subalgebra(model: LieModel, summand_indices):
         return True, None
     i, j = selected
     (k,) = {1, 2, 3} - {i, j}
-    xa, xb = model.summand_bases[i - 1][0], model.summand_bases[j - 1][0]
-    br = xa @ xb - xb @ xa
-    # basis elements all have <X, X> = 4N and are mutually orthogonal
-    norm2 = 4.0 * model.n_ambient
-    res2 = 0.0
-    for e in model.summand_bases[k - 1]:
-        res2 += model.inner(br, e) ** 2 / norm2
     witness = {
         "first": "m%d[0]" % i,
         "second": "m%d[0]" % j,
         "leaks_into": k,
-        "residual": float(np.sqrt(res2)),
+        "residual": float(np.sqrt(4.0 * model.n_ambient)),
     }
     return False, witness
 
@@ -230,12 +232,24 @@ def collapse_verdict(model: LieModel, x_limit, tol: float = 1e-8) -> CollapseVer
 
     Realizable verdicts attach the realizing frame at the limit when the
     point lies on the realizable disk; non_realizable ones attach the
-    bracket witness. Non-finite points are rejected.
+    bracket witness. Points that are no metric limit are rejected: a
+    non-finite coordinate, one below -tol, or all three at or below tol.
     """
     x_limit = require_finite(x_limit, "x_limit")
     kernel = _kernel(x_limit, tol)
     if not kernel:
         return CollapseVerdict(x_limit, kernel, "no_collapse", None)
+    for i in kernel:
+        if x_limit[i - 1] < -tol:
+            raise ValueError(
+                "x_limit[%d] = %r is below -tol = %r: metric coefficients are "
+                "nonnegative" % (i - 1, float(x_limit[i - 1]), tol)
+            )
+    if len(kernel) == 3:
+        raise ValueError(
+            "x_limit = %r kills all three summands: a limit metric keeps at "
+            "least one" % (x_limit.tolist(),)
+        )
     ok, witness = is_subalgebra(model, kernel)
     if not ok:
         return CollapseVerdict(x_limit, kernel, "non_realizable", witness)

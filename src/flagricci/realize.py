@@ -65,14 +65,17 @@ def coeffs_to_psd(x) -> np.ndarray:
     return np.array([[x[0], s], [s, x[1]]])
 
 
-def _eig2_sym(y):
-    """Eigen-decomposition of a symmetric 2x2 matrix, closed form.
+def _eig2_sym(a, b, c):
+    """Eigen-decomposition of the symmetric 2x2 matrix [[a, c], [c, b]].
 
-    Returns (w, v) with eigenvalues ascending and v's columns the matching
-    unit eigenvectors. Stable near equal eigenvalues: hypot avoids
-    cancellation and the eigenvector branch never divides by a small pivot.
+    Takes Python floats and returns (w, v) with eigenvalues ascending and
+    v's columns the matching unit eigenvectors. Stable near equal
+    eigenvalues: hypot avoids cancellation and the eigenvector branch never
+    divides by a small pivot. The arithmetic is on floats, not numpy
+    scalars, because each numpy scalar operation costs a call; IEEE
+    doubles round alike in both, so the bits are those of the numpy form
+    the tests keep as its oracle.
     """
-    a, b, c = y[0, 0], y[1, 1], y[0, 1]
     half_tr = 0.5 * (a + b)
     delta = 0.5 * (a - b)
     disc = math.hypot(delta, c)
@@ -83,20 +86,22 @@ def _eig2_sym(y):
         return np.array([b, a]), np.array([[0.0, 1.0], [1.0, 0.0]])
     # eigenvector for hi: (c, hi - a), better conditioned when delta <= 0
     if delta <= 0:
-        v_hi = np.array([c, hi - a])
+        p, q = c, hi - a
     else:
-        v_hi = np.array([hi - b, c])
-    v_hi /= math.hypot(v_hi[0], v_hi[1])
-    v_lo = np.array([-v_hi[1], v_hi[0]])
-    return np.array([lo, hi]), np.column_stack([v_lo, v_hi])
+        p, q = hi - b, c
+    norm = math.hypot(p, q)
+    p, q = p / norm, q / norm
+    # columns (-q, p) for lo and (p, q) for hi
+    return np.array([lo, hi]), np.array([[-q, p], [p, q]])
 
 
 def _eigh_sym(y):
     y = np.asarray(y, dtype=float)
-    y = 0.5 * (y + y.T)
     if y.shape == (2, 2):
-        return _eig2_sym(y)
-    return np.linalg.eigh(y)
+        # symmetrize entrywise as 0.5 * (y + y.T) does
+        (a, c0), (c1, b) = y.tolist()
+        return _eig2_sym(0.5 * (a + a), 0.5 * (b + b), 0.5 * (c0 + c1))
+    return np.linalg.eigh(0.5 * (y + y.T))
 
 
 def is_psd(y, tol: float = 1e-10) -> bool:

@@ -43,8 +43,10 @@ def test_field_command(capsys):
 
 
 def test_field_missing_option(capsys):
-    with pytest.raises(SystemExit):
-        main(["field", "--flag", "A:1,1,1"])
+    rc, out, err = run(capsys, "field", "--flag", "A:1,1,1")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: missing required option --point\n"
 
 
 def test_flow_csv_format(tmp_path, capsys):
@@ -219,8 +221,17 @@ def test_portrait_row_count(tmp_path, capsys):
 
 
 def test_portrait_rejects_zero_grid(capsys):
-    with pytest.raises(SystemExit):
-        main(["portrait", "--flag", "A:1,1,1", "--grid", "0"])
+    rc, out, err = run(capsys, "portrait", "--flag", "A:1,1,1", "--grid", "0")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: grid must be at least 1\n"
+
+
+def test_orbit_rejects_a_flag_without_a_model(capsys):
+    rc, out, err = run(capsys, "orbit", "--flag", "D:5")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: orbit models are built for family A only (got D:5)\n"
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):

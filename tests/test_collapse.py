@@ -321,6 +321,28 @@ def test_collapse_verdict_names_its_argument():
         collapse_verdict(MODEL3, np.array([np.nan, 0.5, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (
+            [-0.5, 0.75, 0.75],
+            r"^x_limit\[0\] = -0\.5 is below -tol = 1e-08: metric coefficients are "
+            r"nonnegative$",
+        ),
+        (
+            [0.0, 0.0, 0.0],
+            r"^x_limit = \[0\.0, 0\.0, 0\.0\] kills all three summands: a limit "
+            r"metric keeps at least one$",
+        ),
+    ],
+    ids=["negative-coordinate", "all-killed"],
+)
+def test_collapse_verdict_rejects_points_that_are_no_limit(x, message):
+    # both were once called realizable, the second with a zero frame
+    with pytest.raises(ValueError, match=message):
+        collapse_verdict(MODEL3, np.array(x))
+
+
 def test_collapse_verdict_midpoints():
     for x, dead in (([0.5, 0.5, 0.0], 3), ([0.5, 0.0, 0.5], 2), ([0.0, 0.5, 0.5], 1)):
         v = collapse_verdict(MODEL3, np.array(x))

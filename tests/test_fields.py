@@ -229,3 +229,40 @@ def test_flux_identity_holds_symbolically(family):
     grad = [sp.diff(f, v) for v in (x1, x2, x3)]
     flux = sum(ri * gi for ri, gi in zip(r, grad))
     assert sp.expand(flux + 2 * lin * (4 * x1 * x2 * x3 + (x1 + x2 + x3) * f)) == 0
+
+
+@pytest.mark.parametrize("family", ["A", "D"])
+def test_lyapunov_certificate_holds_symbolically(family):
+    # Along the projected flow X = R - (sum R) x, with s = x1 + x2 + x3,
+    # dF/dt = grad F . X = -8 x1 x2 x3 L - 2 F (L s + sum R) as polynomials.
+    # On the simplex (s = 1) the bracket is G = L s^2 + sum R, a sum of
+    # terms that are plainly nonnegative on the orthant, so F strictly
+    # decreases wherever F >= 0 in the open simplex.
+    sp = pytest.importorskip("sympy")
+    x1, x2, x3 = sp.symbols("x1 x2 x3")
+    if family == "A":
+        m, n, p = sp.symbols("m n p")
+        params, lin = (m, n, p), p * x1 + n * x2 + m * x3
+        g = (
+            2 * m * x3 * ((x1 - x2) ** 2 + x3 * (x1 + x2))
+            + 2 * n * x2 * ((x1 - x3) ** 2 + x2 * (x1 + x3))
+            + 2 * p * x1 * ((x2 - x3) ** 2 + x1 * (x2 + x3))
+        )
+    else:
+        ell = sp.Symbol("ell")
+        params, lin = (ell,), (ell - 2) * (x1 + x2) + 2 * x3
+        g = 2 * (ell - 2) * (
+            x3 * (x1 - x2) ** 2
+            + x1 * (x3 - x2) ** 2
+            + x2 * (x3 - x1) ** 2
+            + x1 * x2 * (x1 + x2 + 2 * x3)
+        ) + 4 * x3 * ((x1 - x2) ** 2 + x3 * (x1 + x2))
+    a, b = _cubic_coefficients(FlagSpec(family, params, (0, 0, 0)))
+    r = _cubic(a, b, x1, x2, x3)
+    total = sum(r)
+    s = x1 + x2 + x3
+    xs = (x1, x2, x3)
+    f = x1**2 + x2**2 + x3**2 - 2 * (x1 * x2 + x1 * x3 + x2 * x3)
+    df_dt = sum(sp.diff(f, v) * (ri - total * v) for v, ri in zip(xs, r))
+    assert sp.expand(df_dt + 8 * x1 * x2 * x3 * lin + 2 * f * (lin * s + total)) == 0
+    assert sp.expand(lin * s**2 + total - g) == 0
