@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
+import re
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .fields import (
     ricci_field,
 )
 from .flags import parse_flag
-from .flow import classify_limit, find_equilibria, integrate
+from .flow import ATOL, RTOL, T_MAX, classify_limit, find_equilibria, integrate
 from .orbits import build_model, sample_orbit
 from .realize import coeffs_to_psd, disk_membership, realizing_frame
 
@@ -42,18 +43,57 @@ def fmt_vec(v) -> str:
     return "(" + ", ".join(fmt(x) for x in np.asarray(v).ravel()) + ")"
 
 
+# a number as fractions.Fraction reads it: a sign, then an integer and a
+# denominator, or digits with a point and an exponent (a digit comes first)
+_NUMBER = re.compile(
+    r"""(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*(?:_\d+)*)
+    (?: /(?P<den>\d+(?:_\d+)*)
+      | (?:\.(?P<frac>(?:\d+(?:_\d+)*)?))? (?:[eE][-+]?\d+(?:_\d+)*)? )""",
+    re.VERBOSE,
+)
+
+
+def _parse_number(tok: str) -> float:
+    """The float float(Fraction(tok)) gives, without building the Fraction.
+
+    A quotient of integers is divided with correct rounding, as Fraction
+    converts; any other form is read by float(), which rounds correctly
+    too. So an exponent costs nothing, where Fraction builds 10**exponent.
+    An exact zero is +0.0 whatever its sign. Raises ValueError when tok is
+    no number of that form, when the denominator is zero and when the value
+    overflows a float.
+    """
+    m = _NUMBER.fullmatch(tok)
+    if m is None:
+        raise ValueError(tok)
+    try:
+        if m["den"] is not None:
+            value = int(m["sign"] + m["num"]) / int(m["den"])
+        else:
+            value = float(tok)
+            digits = (m["num"] + (m["frac"] or "")).replace("_", "")
+            if value == 0.0 and not any(map(int, digits)):
+                value = 0.0
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(tok) from None
+    if not math.isfinite(value):
+        raise ValueError(tok)
+    return value
+
+
 def parse_point(text: str, dim: int | None = 3) -> np.ndarray:
     """Comma-separated numbers, dim of them (any count for dim=None).
 
-    Fractions like 1/2 are parsed exactly; a malformed number, a zero
-    denominator or a wrong count raises ValueError.
+    Fractions like 1/2 are parsed to the nearest float; a malformed number,
+    a zero denominator, a value beyond the float range or a wrong count
+    raises ValueError.
     """
     parts = [tok.strip() for tok in text.split(",")]
     if dim is not None and len(parts) != dim:
         raise ValueError("expected %d comma-separated values, got %r" % (dim, text))
     try:
-        return np.array([float(Fraction(tok)) for tok in parts])
-    except (ValueError, ZeroDivisionError):
+        return np.array([_parse_number(tok) for tok in parts])
+    except ValueError:
         raise ValueError("bad number in %r" % text) from None
 
 
@@ -172,7 +212,7 @@ def cmd_portrait(args) -> int:
     n = args.grid
     if n < 1:
         raise ValueError("grid must be at least 1")
-    eqs = find_equilibria(spec, grid_n=max(args.eq_grid, 10))
+    eqs = find_equilibria(spec, grid_n=args.eq_grid)
     rows = ["u,v,Yu,Yv,in_domain,end_u,end_v,limit"]
     ticks = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.0])
     for u in ticks:
@@ -232,7 +272,7 @@ def cmd_realize(args) -> int:
             file=sys.stderr,
         )
         return 1
-    frame = realizing_frame(np.clip(x, 0.0, None))
+    frame = realizing_frame(x)
     payload = {
         "x": [float(v) for v in x],
         "F": float(cone_form(x)),
@@ -251,7 +291,7 @@ def cmd_orbit(args) -> int:
     model = build_model(*_flag_blocks(spec))
     if args.point is not None:
         x = parse_point(args.point)
-        frame = realizing_frame(np.clip(x, 0.0, None))
+        frame = realizing_frame(x)
         h1 = model.torus_element(frame[:, 0])
         h2 = model.torus_element(frame[:, 1])
     else:
@@ -336,18 +376,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = add("flow", cmd_flow, "integrate the projected flow, write trajectory CSV")
     p.add_argument("--flag", **common_flag)
     p.add_argument("--point", help="start point x1,x2,x3")
-    p.add_argument("--t-max", type=float, default=50.0)
-    p.add_argument("--rtol", type=float, default=1e-9)
-    p.add_argument("--atol", type=float, default=1e-12)
+    p.add_argument("--t-max", type=float, default=T_MAX)
+    p.add_argument("--rtol", type=float, default=RTOL)
+    p.add_argument("--atol", type=float, default=ATOL)
     p.add_argument("--out")
 
     p = add("portrait", cmd_portrait, "grid of reduced-field vectors and endpoints")
     p.add_argument("--flag", **common_flag)
     p.add_argument("--grid", type=int, default=20)
     p.add_argument("--eq-grid", type=int, default=20)
-    p.add_argument("--t-max", type=float, default=50.0)
-    p.add_argument("--rtol", type=float, default=1e-9)
-    p.add_argument("--atol", type=float, default=1e-12)
+    p.add_argument("--t-max", type=float, default=T_MAX)
+    p.add_argument("--rtol", type=float, default=RTOL)
+    p.add_argument("--atol", type=float, default=ATOL)
     p.add_argument("--out")
 
     p = add("equilibria", cmd_equilibria, "find equilibria, write JSON")
@@ -375,8 +415,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--times", help="comma-separated sample times")
     p.add_argument("--count", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rtol", type=float, default=1e-9)
-    p.add_argument("--atol", type=float, default=1e-12)
+    p.add_argument("--rtol", type=float, default=RTOL)
+    p.add_argument("--atol", type=float, default=ATOL)
     p.add_argument("--out")
 
     p = add("verify", cmd_verify, "run the full invariant suite")

@@ -1,16 +1,17 @@
 """Collapse verification: kernel summands, subalgebra tests, orbit distances.
 
-A degenerate coefficient vector on the simplex kills one or two summands.
-The killed directions assemble to a genuine homogeneous limit exactly when
-k + (killed summands) closes under the bracket; otherwise the limit is not a
-homogeneous space for the same group and the verdict is non_realizable, with
-a concrete bracket witness. collapse_run follows a flow trajectory into such
-a limit and measures the exact distance from the adjoint orbit at each
-sample time to the limit orbit, the cheapest transport plan between the
-two frames' block values. Only the limit orbit is sampled, for the
-resolution: a Gram product ranks each point's neighbours and cdist measures
-the nearest. hausdorff, the distance between sampled clouds, is the
-reference that verify and the tests hold orbit_distance against.
+A degenerate coefficient vector on the simplex kills one or two summands,
+those whose coefficient is at most KERNEL_TOL. The killed directions
+assemble to a genuine homogeneous limit exactly when k + (killed summands)
+closes under the bracket; otherwise the limit is not a homogeneous space for
+the same group and the verdict is non_realizable, with a concrete bracket
+witness. collapse_run follows a flow trajectory into such a limit and
+measures the exact distance from the adjoint orbit at each sample time to
+the limit orbit, the cheapest transport plan between the two frames' block
+values. Only the limit orbit is sampled, for the resolution: a Gram product
+ranks each point's neighbours and cdist measures the nearest. hausdorff,
+the distance between sampled clouds, is the reference that verify and the
+tests hold orbit_distance against.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from itertools import combinations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .fields import cone_form, require_finite
+from .fields import CONE_TOL, cone_form, require_finite
 from .flags import FlagSpec
-from .flow import Trajectory, integrate
+from .flow import ATOL, RTOL, Trajectory, integrate
 from .orbits import LieModel, OrbitCloud, TorusElement, sample_orbit
 from .realize import realizing_frame
 
@@ -33,6 +34,13 @@ Frame = tuple[TorusElement, TorusElement]
 # rows of the distance matrix that sampling_resolution holds at once: 1 MiB
 # for a 2000-point cloud
 _ROWS = 64
+# a limit coordinate at or below KERNEL_TOL kills its summand
+KERNEL_TOL = 1e-8
+# collapse_run integrates at least this long, so its limit is settled
+SETTLE_TIME = 400.0
+# rise of a profile's distance between samples that profile_ok forgives,
+# relative to the first distance
+PROFILE_ALLOWANCE = 0.1
 
 
 def hausdorff(a: OrbitCloud, b: OrbitCloud) -> float:
@@ -157,14 +165,14 @@ def sampling_resolution(cloud: OrbitCloud) -> float:
     return float(np.median(nearest))
 
 
-def kernel_summands(x, tol: float = 1e-8) -> tuple[int, ...]:
-    """1-based indices of coefficients at or below tol; non-finite x is rejected."""
-    return _kernel(require_finite(x), tol)
+def kernel_summands(x) -> tuple[int, ...]:
+    """1-based indices of coefficients at or below KERNEL_TOL; non-finite x is rejected."""
+    return _kernel(require_finite(x))
 
 
-def _kernel(x, tol):
+def _kernel(x):
     # kernel_summands of a float array already checked to be finite
-    return tuple(int(i) + 1 for i in range(3) if x[i] <= tol)
+    return tuple(int(i) + 1 for i in range(3) if x[i] <= KERNEL_TOL)
 
 
 def is_subalgebra(model: LieModel, summand_indices):
@@ -227,23 +235,24 @@ class CollapseVerdict:
         }
 
 
-def collapse_verdict(model: LieModel, x_limit, tol: float = 1e-8) -> CollapseVerdict:
+def collapse_verdict(model: LieModel, x_limit) -> CollapseVerdict:
     """Classify a limit point: no_collapse, realizable, or non_realizable.
 
     Realizable verdicts attach the realizing frame at the limit when the
     point lies on the realizable disk; non_realizable ones attach the
     bracket witness. Points that are no metric limit are rejected: a
-    non-finite coordinate, one below -tol, or all three at or below tol.
+    non-finite coordinate, one below -KERNEL_TOL, or all three at or below
+    KERNEL_TOL.
     """
     x_limit = require_finite(x_limit, "x_limit")
-    kernel = _kernel(x_limit, tol)
+    kernel = _kernel(x_limit)
     if not kernel:
         return CollapseVerdict(x_limit, kernel, "no_collapse", None)
     for i in kernel:
-        if x_limit[i - 1] < -tol:
+        if x_limit[i - 1] < -KERNEL_TOL:
             raise ValueError(
                 "x_limit[%d] = %r is below -tol = %r: metric coefficients are "
-                "nonnegative" % (i - 1, float(x_limit[i - 1]), tol)
+                "nonnegative" % (i - 1, float(x_limit[i - 1]), KERNEL_TOL)
             )
     if len(kernel) == 3:
         raise ValueError(
@@ -254,8 +263,8 @@ def collapse_verdict(model: LieModel, x_limit, tol: float = 1e-8) -> CollapseVer
     if not ok:
         return CollapseVerdict(x_limit, kernel, "non_realizable", witness)
     data = None
-    if float(cone_form(x_limit)) <= tol:
-        frame = realizing_frame(np.clip(x_limit, 0.0, None), tol=1e-8)
+    if float(cone_form(x_limit)) <= KERNEL_TOL:
+        frame = realizing_frame(x_limit, tol=KERNEL_TOL)
         data = {
             "tau": frame,
             "h1_omega_coords": frame[:, 0].copy(),
@@ -284,10 +293,11 @@ class CollapseRun:
     verdict: CollapseVerdict
     trajectory: Trajectory
 
-    def profile_ok(self, allowance: float = 0.1) -> bool:
-        """Distances non-increasing within allowance * initial, tail below 2x resolution."""
+    def profile_ok(self) -> bool:
+        """Distances non-increasing within PROFILE_ALLOWANCE times the first,
+        and the last below 2x resolution."""
         d = self.distances
-        slack = allowance * d[0]
+        slack = PROFILE_ALLOWANCE * d[0]
         monotone = bool(np.all(d[1:] <= d[:-1] + slack))
         return monotone and d[-1] <= 2.0 * self.resolution
 
@@ -299,10 +309,8 @@ def collapse_run(
     times,
     count: int = 2000,
     seed: int = 0,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-    settle_time: float = 400.0,
-    kernel_tol: float = 1e-8,
+    rtol: float = RTOL,
+    atol: float = ATOL,
 ) -> CollapseRun:
     """Integrate from x0, realize the states at the given times, and measure
     the exact distance from each state's orbit to the limit orbit.
@@ -326,17 +334,17 @@ def collapse_run(
     if times[0] < 0:
         raise ValueError("sample times must be nonnegative")
     x0 = np.asarray(x0, dtype=float)
-    if float(cone_form(x0)) > 1e-9:
+    if float(cone_form(x0)) > CONE_TOL:
         raise ValueError("x0 is outside the realizable disk (F > 0)")
 
-    t_end = max(float(times[-1]), settle_time)
+    t_end = max(float(times[-1]), SETTLE_TIME)
     traj = integrate(spec, x0, t_max=t_end, rtol=rtol, atol=atol, t_eval=times)
     # snap integration fuzz in the dead coordinates to exact zero, so the
     # limit orbit is the genuinely degenerate one
     x_limit = traj.final_state.copy()
-    x_limit[x_limit <= kernel_tol] = 0.0
+    x_limit[x_limit <= KERNEL_TOL] = 0.0
     x_limit /= x_limit.sum()
-    verdict = collapse_verdict(model, x_limit, tol=kernel_tol)
+    verdict = collapse_verdict(model, x_limit)
     if verdict.verdict != "realizable":
         if verdict.verdict == "no_collapse":
             msg = (
@@ -359,7 +367,7 @@ def collapse_run(
         raise NonRealizableError(msg, verdict)
 
     def frame_at(x) -> Frame:
-        frame = realizing_frame(np.clip(x, 0.0, None), tol=1e-8)
+        frame = realizing_frame(x, tol=KERNEL_TOL)
         return model.torus_element(frame[:, 0]), model.torus_element(frame[:, 1])
 
     limit_frame = frame_at(x_limit)

@@ -20,6 +20,9 @@ import numpy as np
 
 from .flags import FlagSpec
 
+# |F| at unit scale up to which a point counts as on the cone {F = 0}
+CONE_TOL = 1e-9
+
 
 def require_finite(x, name: str = "x") -> np.ndarray:
     """x as a float array; raises ValueError naming its first non-finite coordinate."""
@@ -138,20 +141,20 @@ def cone_form_grad(x) -> np.ndarray:
     )
 
 
-def cone_flux(spec: FlagSpec, x, tol: float = 1e-9) -> np.ndarray:
+def cone_flux(spec: FlagSpec, x) -> np.ndarray:
     """Flux R . grad F at points on the cone {F = 0}.
 
-    Rejects points with |F| > tol * max(1, |x|_inf^2); F scales quadratically,
-    so the tolerance is applied at unit scale. Non-finite points are rejected.
+    Rejects points with |F| > CONE_TOL * max(1, |x|_inf^2); F scales
+    quadratically, so the tolerance is applied at unit scale. Non-finite
+    points are rejected.
     """
     x = require_finite(x)
     f = cone_form(x)
     scale = np.maximum(1.0, np.max(np.abs(x), axis=-1) ** 2)
-    if np.any(np.abs(f) > tol * scale):
+    if np.any(np.abs(f) > CONE_TOL * scale):
         worst = float(np.max(np.abs(f) / scale))
-        raise ValueError(
-            "point not on the cone: |F| = %.3e exceeds tolerance %.1e" % (worst, tol)
-        )
+        msg = "point not on the cone: |F| = %.3e exceeds tolerance %.1e"
+        raise ValueError(msg % (worst, CONE_TOL))
     r = ricci_field(spec, x)
     return (r * cone_form_grad(x)).sum(axis=-1)
 

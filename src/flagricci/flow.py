@@ -21,7 +21,8 @@ accepted rows and sorts the log into per-row arrays at the end. A one-row
 batch runs on the float loop, which is faster for one start. Both entries
 check the start (_onto_simplex) and the run settings (_check_run) before
 either loop runs, both loops evaluate fields.point_field(spec), and both
-stop with IntegrationError after MAX_STEPS attempts.
+stop with IntegrationError after MAX_STEPS attempts. A run's settings
+default to T_MAX, RTOL and ATOL, which collapse and the CLI read too.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ from .flags import FlagSpec
 CLAMP_TOL = 1e-14
 EQUILIBRIUM_TOL = 1e-12
 MAX_STEPS = 500_000  # attempted steps per start before a run gives up
+# a run's settings unless its caller gives others: end time and tolerances
+T_MAX = 50.0
+RTOL = 1e-9
+ATOL = 1e-12
+JACOBIAN_STEP = 1e-6  # relative finite-difference step of jacobian
+LIMIT_TOL = 1e-4  # farthest a final state lies from the equilibrium it goes to
 
 # Dormand-Prince 5(4), nonzero entries only: the rows of k2 ... k6, the
 # fifth-order weights of k1, k3 ... k6 and the fourth-order ones of k1,
@@ -416,9 +423,9 @@ def _check_run(t_max, rtol, atol):
 def integrate(
     spec: FlagSpec,
     x0,
-    t_max: float = 50.0,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
+    t_max: float = T_MAX,
+    rtol: float = RTOL,
+    atol: float = ATOL,
     t_eval=None,
 ) -> Trajectory:
     """Integrate the projected flow on the closed simplex from x0.
@@ -437,9 +444,9 @@ def integrate(
 def integrate_many(
     spec: FlagSpec,
     starts,
-    t_max: float = 50.0,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
+    t_max: float = T_MAX,
+    rtol: float = RTOL,
+    atol: float = ATOL,
 ) -> list[Trajectory]:
     """Integrate the projected flow from every row of the (N, 3) array starts.
 
@@ -486,16 +493,16 @@ def _in_closed_domain(uv, slack=1e-12) -> bool:
     return u >= -slack and v >= -slack and u + v <= 1.0 + slack
 
 
-def jacobian(f, p, h: float = 1e-6) -> np.ndarray:
+def jacobian(f, p) -> np.ndarray:
     """Finite-difference Jacobian of a planar field at p.
 
-    Central differences with relative step h; one-sided when a probe would
-    leave the closed triangle {u >= 0, v >= 0, u + v <= 1}.
+    Central differences with relative step JACOBIAN_STEP; one-sided when a
+    probe would leave the closed triangle {u >= 0, v >= 0, u + v <= 1}.
     """
     p = np.asarray(p, dtype=float)
     cols = []
     for i in range(2):
-        step = h * max(1.0, abs(p[i]))
+        step = JACOBIAN_STEP * max(1.0, abs(p[i]))
         fwd = p.copy()
         fwd[i] += step
         bwd = p.copy()
@@ -586,11 +593,11 @@ def find_equilibria(
     return out
 
 
-def classify_limit(traj: Trajectory, equilibria, tol: float = 1e-4):
-    """Nearest equilibrium to the final state within tol, else None."""
+def classify_limit(traj: Trajectory, equilibria):
+    """Nearest equilibrium to the final state within LIMIT_TOL, else None."""
     end = traj.final_state
     best = None
-    best_d = tol
+    best_d = LIMIT_TOL
     for eq in equilibria:
         d = float(np.linalg.norm(end - eq.point))
         if d <= best_d:

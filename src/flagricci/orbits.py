@@ -21,6 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# largest off-block residual of induced_metric's Gram matrix, relative to its
+# largest entry (at least 1)
+METRIC_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class TorusElement:
@@ -134,15 +138,13 @@ def _flatten_real(mats, n_amb) -> np.ndarray:
     return scale * np.concatenate([flat.real, flat.imag], axis=-1)
 
 
-def induced_metric(
-    model: LieModel, h1: TorusElement, h2: TorusElement, tol: float = 1e-8
-) -> np.ndarray:
+def induced_metric(model: LieModel, h1: TorusElement, h2: TorusElement) -> np.ndarray:
     """Metric coefficients induced on the summands by the frame (h1, h2).
 
     Computes the full Gram matrix of the bracket images of the summand bases
     and checks it is block-scalar: x_i times the basis Gram on summand i,
     zero across summands. Raises ValueError when the isotypic structure is
-    violated beyond tol.
+    violated beyond METRIC_TOL.
     """
     basis = [b for bas in model.summand_bases for b in bas]
     dims = model.dims
@@ -166,7 +168,7 @@ def induced_metric(
         idx = np.arange(offs[i], offs[i + 1])
         expected[idx, idx] = coeffs[i] * norm2
     resid = np.max(np.abs(g - expected))
-    if resid > tol * max(1.0, np.max(np.abs(g))):
+    if resid > METRIC_TOL * max(1.0, np.max(np.abs(g))):
         raise ValueError(
             "induced metric is not block-scalar on the summands "
             "(residual %.3e); frame is not a torus pair for this model" % resid

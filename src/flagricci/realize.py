@@ -22,7 +22,12 @@ import math
 
 import numpy as np
 
-from .fields import cone_form, require_finite
+from .fields import CONE_TOL, cone_form, require_finite
+
+# eigenvalues within PSD_TOL * max(largest eigenvalue, 1) below zero count as zero
+PSD_TOL = 1e-10
+# smallest coordinate, relative to the sum, of a sample_cone point
+CONE_FLOOR = 1e-3
 
 SIMPLEX_CENTROID = np.array([1.0, 1.0, 1.0]) / 3.0
 
@@ -96,21 +101,22 @@ def _eig2_sym(a, b, c):
 
 
 def _eigh_sym(y):
+    """_eig2_sym of the symmetric part of the 2x2 matrix y; other shapes raise."""
     y = np.asarray(y, dtype=float)
-    if y.shape == (2, 2):
-        # symmetrize entrywise as 0.5 * (y + y.T) does
-        (a, c0), (c1, b) = y.tolist()
-        return _eig2_sym(0.5 * (a + a), 0.5 * (b + b), 0.5 * (c0 + c1))
-    return np.linalg.eigh(0.5 * (y + y.T))
+    if y.shape != (2, 2):
+        raise ValueError("expected a 2x2 matrix, got shape %r" % (y.shape,))
+    # symmetrize entrywise as 0.5 * (y + y.T) does
+    (a, c0), (c1, b) = y.tolist()
+    return _eig2_sym(0.5 * (a + a), 0.5 * (b + b), 0.5 * (c0 + c1))
 
 
-def is_psd(y, tol: float = 1e-10) -> bool:
+def is_psd(y, tol: float = PSD_TOL) -> bool:
     """PSD test: smallest eigenvalue >= -tol * max(largest eigenvalue, 1)."""
     w, _ = _eigh_sym(y)
     return w[0] >= -tol * max(w[-1], 1.0)
 
 
-def sym_sqrt(y, tol: float = 1e-10) -> np.ndarray:
+def sym_sqrt(y, tol: float = PSD_TOL) -> np.ndarray:
     """Symmetric PSD square root via eigen-decomposition.
 
     Eigenvalues in [-tol * scale, 0] are clipped to zero; anything below that
@@ -128,16 +134,18 @@ def sym_sqrt(y, tol: float = 1e-10) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def realizing_frame(x, tol: float = 1e-10) -> np.ndarray:
+def realizing_frame(x, tol: float = PSD_TOL) -> np.ndarray:
     """Canonical symmetric 2x2 frame realizing coefficients x.
 
     Defined on the first-orthant part of {F <= 0}; raises ValueError outside
-    and on non-finite input. Satisfies frame_metric(realizing_frame(x))
+    and on non-finite input. A coordinate below -tol is rejected; one in
+    [-tol, 0) is taken as zero. Satisfies frame_metric(realizing_frame(x))
     = x and is the unique PSD square root of coeffs_to_psd(x).
     """
     x = require_finite(x)
     if np.min(x) < -tol:
         raise ValueError("coefficients must be nonnegative, got %r" % (x,))
+    x = np.clip(x, 0.0, None)
     try:
         return sym_sqrt(coeffs_to_psd(x), tol=tol)
     except ValueError:
@@ -147,33 +155,34 @@ def realizing_frame(x, tol: float = 1e-10) -> np.ndarray:
         ) from None
 
 
-def disk_membership(x, tol: float = 1e-9):
+def disk_membership(x):
     """Classify x against the realizability disk: interior, boundary, outside.
 
-    Non-finite input is rejected.
+    Points with |F| <= fields.CONE_TOL are on the boundary. Non-finite input
+    is rejected.
     """
     f = float(cone_form(require_finite(x)))
-    if f < -tol:
+    if f < -CONE_TOL:
         return "interior"
-    if f <= tol:
+    if f <= CONE_TOL:
         return "boundary"
     return "outside"
 
 
-def rank1_decompose(y, tol: float = 1e-10):
+def rank1_decompose(y):
     """Spectral split of a PSD 2x2 matrix into [(weight, unit rank-1 term)].
 
     Weights are the positive eigenvalues; terms are v v^T for unit
-    eigenvectors. Eigenvalues within tol * scale of zero are dropped, below
-    -tol * scale the input is rejected.
+    eigenvectors. Eigenvalues within PSD_TOL * scale of zero are dropped,
+    below -PSD_TOL * scale the input is rejected.
     """
     w, v = _eigh_sym(y)
     scale = max(w[-1], 1.0)
-    if w[0] < -tol * scale:
+    if w[0] < -PSD_TOL * scale:
         raise ValueError("matrix is not positive semidefinite")
     terms = []
     for i in range(len(w)):
-        if w[i] > tol * scale:
+        if w[i] > PSD_TOL * scale:
             vi = v[:, i]
             terms.append((float(w[i]), np.outer(vi, vi)))
     return terms
@@ -196,11 +205,11 @@ def sample_disk(rng, count: int, radius_cap: float = 1.0) -> np.ndarray:
     return SIMPLEX_CENTROID + w
 
 
-def sample_cone(rng, count: int, floor: float = 1e-3) -> np.ndarray:
+def sample_cone(rng, count: int) -> np.ndarray:
     """Random points on the cone {F = 0} in the first orthant.
 
     Points are boundary-circle samples rescaled by a random factor in
-    [0.25, 2]. Samples with min coordinate below floor (relative to the
+    [0.25, 2]. Samples with min coordinate below CONE_FLOOR (relative to the
     coordinate sum) are rejected: near the three tangency points all terms of
     the flux identities vanish quadratically and a relative comparison would
     only measure rounding noise.
@@ -210,7 +219,7 @@ def sample_cone(rng, count: int, floor: float = 1e-3) -> np.ndarray:
     while have < count:
         theta = rng.uniform(0.0, 2.0 * math.pi, size=2 * (count - have) + 8)
         pts = np.array([circle_point(t) for t in theta])
-        keep = pts.min(axis=1) >= floor
+        keep = pts.min(axis=1) >= CONE_FLOOR
         pts = pts[keep]
         take = min(len(pts), count - have)
         out[have : have + take] = pts[:take]

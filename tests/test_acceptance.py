@@ -138,7 +138,7 @@ def test_criterion_06_oracle_equivalence():
                 h1 = model.torus_element(c[0])
                 h2 = model.torus_element(c[1])
                 frame = np.stack([c[0], c[1]], axis=1)
-                got = induced_metric(model, h1, h2, tol=1e-8)
+                got = induced_metric(model, h1, h2)
                 want = frame_metric(frame)
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(got - want)) / scale <= 1e-8

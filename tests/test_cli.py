@@ -1,10 +1,13 @@
 import json
+import math
 import os
 import re
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +31,39 @@ def test_parse_point_fractions():
         parse_point("1,2")
     with pytest.raises(ValueError):
         parse_point("a,b,c")
+
+
+@pytest.mark.parametrize(
+    "tok",
+    ["-0", "1/3", "-2/6", "0.1", "-1e-400", "1e-400", "0e999", "1_000/7", "1.", ".5",
+     "1.7976931348623157e308", "2.4703282292062328e-324", "-0." + "0" * 400 + "1"],
+)
+def test_parse_point_gives_the_nearest_float_of_the_exact_value(tok):
+    (got,) = parse_point(tok, dim=None)
+    want = float(Fraction(tok))
+    assert got.hex() == want.hex()
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field", "--flag", "A:1,1,1", "--point", "1e400,0,0"],
+        ["field", "--flag", "A:1,1,1", "--point", "1/3,-1.8e308,0"],
+        ["collapse", "--flag", "A:1,1,1", "--point", "0.42,0.40,0.18",
+         "--times", "0,1e400"],
+        ["collapse", "--flag", "A:1,1,1", "--point", "0.42,0.40,0.18",
+         "--times", "0,1e10000000"],
+    ],
+)
+def test_numbers_beyond_the_float_range_are_bad_numbers(capsys, argv):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    # a huge exponent is not expanded into an integer
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert out == ""
+    assert err == "error: bad number in %r\n" % argv[-1]
 
 
 def test_fmt_17_digits():
@@ -225,6 +261,21 @@ def test_portrait_rejects_zero_grid(capsys):
     assert rc == 2
     assert out == ""
     assert err == "error: grid must be at least 1\n"
+
+
+def test_portrait_rejects_a_small_equilibrium_grid(capsys):
+    rc, out, err = run(capsys, "portrait", "--flag", "A:1,1,1", "--eq-grid", "3")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: grid_n must be at least 10\n"
+
+
+def test_orbit_rejects_a_point_with_a_negative_coordinate(capsys):
+    argv = ["orbit", "--flag", "A:1,1,1", "--point=-0.5,0.75,0.75", "--count", "3"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: coefficients must be nonnegative, got ")
 
 
 def test_orbit_rejects_a_flag_without_a_model(capsys):

@@ -208,7 +208,7 @@ def test_kernel_summands():
     assert kernel_summands(np.array([0.0, 0.5, 0.5])) == (1,)
     assert kernel_summands(np.array([1.0, 0.0, 0.0])) == (2, 3)
     assert kernel_summands(np.ones(3) / 3.0) == ()
-    assert kernel_summands(np.array([0.5, 0.5, 1e-12]), tol=1e-8) == (3,)
+    assert kernel_summands(np.array([0.5, 0.5, 1e-12])) == (3,)
 
 
 @pytest.mark.parametrize("single", [1, 2, 3])

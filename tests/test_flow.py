@@ -5,7 +5,7 @@ import pytest
 
 from flagricci import flow
 from flagricci.fields import cone_form, point_field, projected_field
-from flagricci.flags import make_flag
+from flagricci.flags import make_flag, parse_flag
 from flagricci.flow import (
     IntegrationError,
     _float_loop,
@@ -201,6 +201,28 @@ def test_non_symmetric_flag_einstein_point():
     i = int(np.argmin(np.linalg.norm(pts - target, axis=1)))
     assert np.linalg.norm(pts[i] - target) < 1e-9
     assert eqs[i].einstein_constant == pytest.approx(-0.6, rel=1e-10)
+
+
+@pytest.mark.parametrize("flag", ["A:1,1,1", "A:3,2,1", "A:1,4,2", "D:5", "D:8", "E"])
+def test_phase_portrait_contract(flag):
+    eqs = find_equilibria(parse_flag(flag), grid_n=10)
+
+    def kinds(location):
+        got = [e for e in eqs if e.location == location]
+        return sorted(e.stability for e in got), [float(cone_form(e.point)) for e in got]
+
+    # three vertex sources with F = 1
+    stability, f = kinds("vertex")
+    assert stability == ["source"] * 3
+    assert f == [1.0] * 3
+    # three face sinks on the circle F = 0
+    stability, f = kinds("face")
+    assert stability == ["sink"] * 3
+    assert np.allclose(f, 0.0, rtol=0, atol=1e-9)
+    # in the open disk F < 0: one source and three saddles
+    stability, f = kinds("interior")
+    assert stability == ["saddle"] * 3 + ["source"]
+    assert max(f) < 0.0
 
 
 def test_classify_limit_picks_nearest_equilibrium():

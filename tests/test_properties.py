@@ -1,10 +1,14 @@
-"""Property tests: closed forms held against the loops they replaced.
+"""Property tests: closed forms held against the loops they replaced, and
+the input parsers under fuzzing.
 
 Each fast path is compared bit for bit with its reference form, kept here,
-on inputs that hypothesis draws under the profile in conftest.py.
+on inputs that hypothesis draws under the profile in conftest.py. Each
+parser either returns a value or raises ValueError, whatever its text.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,7 +17,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from flagricci.cli import load_config, parse_point  # noqa: E402
 from flagricci.collapse import is_subalgebra  # noqa: E402
+from flagricci.flags import FlagSpec, parse_flag  # noqa: E402
 from flagricci.orbits import build_model  # noqa: E402
 from flagricci.realize import _eigh_sym  # noqa: E402
 
@@ -101,3 +107,81 @@ def test_eig2_sym_has_the_bits_of_the_numpy_scalar_form(y):
     assert w.dtype == w_ref.dtype and v.dtype == v_ref.dtype
     assert w.tobytes() == w_ref.tobytes()
     assert v.tobytes() == v_ref.tobytes()
+
+
+# --- the parsers: a value or a ValueError, never another exception ----------
+
+_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=4)
+
+# numbers in every form parse_point reads, exponents beyond the float range
+# among them, and stray text
+_NUMBER_TOKENS = st.one_of(
+    st.sampled_from(["1e400", "1e-400", "-1e400", "-0", "1/0", "1/3", "nan", "inf", ""]),
+    st.builds(
+        "{}{}.{}e{}{}".format,
+        st.sampled_from(["", "-", "+"]),
+        _DIGITS,
+        _DIGITS,
+        st.sampled_from(["", "-", "+"]),
+        _DIGITS,
+    ),
+    st.builds("{}/{}".format, _DIGITS, _DIGITS),
+    _TEXT,
+)
+
+
+@settings(max_examples=100)
+@given(
+    tokens=st.lists(_NUMBER_TOKENS, min_size=1, max_size=4),
+    dim=st.sampled_from([None, 3]),
+)
+def test_parse_point_returns_finite_numbers_or_raises_value_error(tokens, dim):
+    text = ",".join(tokens)
+    try:
+        x = parse_point(text, dim)
+    except ValueError:
+        return
+    assert x.dtype == float and np.isfinite(x).all()
+    assert len(x) == len(tokens)
+
+
+@settings(max_examples=100)
+@given(
+    text=st.one_of(
+        st.builds(
+            "{}:{}".format,
+            st.sampled_from(["A", "D", "E", "a", " A ", "Q", ""]),
+            st.lists(st.one_of(_DIGITS, st.sampled_from(["-1", "0", "x", ""]), _TEXT),
+                     max_size=4).map(",".join),
+        ),
+        _TEXT,
+    )
+)
+def test_parse_flag_returns_a_flag_or_raises_value_error(text):
+    try:
+        spec = parse_flag(text)
+    except ValueError:
+        return
+    assert isinstance(spec, FlagSpec)
+
+
+_CONFIG_LINES = st.one_of(
+    st.builds("{} = {}".format, _TEXT, _TEXT),
+    st.sampled_from(["# comment", "t-max = 5 # tail", "=", "key", "", "\r", "\x00"]),
+    _TEXT,
+)
+
+
+@settings(max_examples=60)
+@given(lines=st.lists(_CONFIG_LINES, max_size=5))
+def test_load_config_returns_a_dict_or_raises_value_error(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(lines))
+        try:
+            out = load_config(path)
+        except ValueError:
+            return
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in out.items())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,27 @@ def test_sym_sqrt_round_trip_and_rejection():
         assert np.allclose(s, s.T, rtol=0, atol=0)
     with pytest.raises(ValueError):
         sym_sqrt(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 1), (2,), (2, 3)])
+def test_matrix_functions_take_only_2x2(shape):
+    y = np.eye(*shape) if len(shape) == 2 else np.ones(shape)
+    message = re.escape("expected a 2x2 matrix, got shape %r" % (shape,))
+    for fn in (is_psd, sym_sqrt, rank1_decompose):
+        with pytest.raises(ValueError, match=message):
+            fn(y)
+
+
+def test_realizing_frame_takes_tiny_negatives_as_zero():
+    x = np.array([0.5, -1e-11, 0.5])
+    assert np.array_equal(realizing_frame(x), realizing_frame(np.array([0.5, 0.0, 0.5])))
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        realizing_frame(np.array([0.5, -1e-9, 0.5]))
+    # a wider tolerance takes a wider band as zero
+    assert np.array_equal(
+        realizing_frame(np.array([0.5, -1e-9, 0.5]), tol=1e-8),
+        realizing_frame(np.array([0.5, 0.0, 0.5]), tol=1e-8),
+    )
 
 
 def test_rank1_decompose_reconstructs():
