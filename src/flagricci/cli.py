@@ -265,7 +265,7 @@ def cmd_equilibria(args) -> int:
 def cmd_realize(args) -> int:
     x = parse_point(args.point)
     membership = disk_membership(x)
-    if membership == "outside" or np.min(x) < -1e-12:
+    if membership == "outside":
         print(
             "error: point %s is outside the realizable region (F = %s)"
             % (fmt_vec(x), fmt(cone_form(x))),

@@ -13,7 +13,14 @@ for Y = frame frame^T, the linear map psd_to_coeffs, and the admissible
 coefficient vectors are exactly the first orthant part of {F <= 0} (see
 fields.cone_form).
 realizing_frame inverts the correspondence through the symmetric square
-root.
+root, in closed form: a 2x2 PSD matrix Y with eigenvalues lo <= hi has
+
+    sqrt(Y) = (Y + sqrt(lo hi) I) / (sqrt(lo) + sqrt(hi)),
+
+the polynomial in Y that takes lo and hi to their roots. It is computed on
+Python floats from the two eigenvalues alone, with no eigenvectors and no
+BLAS call, so its bits do not depend on the BLAS kernel, and it is
+symmetric by construction. Eigenvectors are used only by rank1_decompose.
 """
 
 from __future__ import annotations
@@ -70,27 +77,38 @@ def coeffs_to_psd(x) -> np.ndarray:
     return np.array([[x[0], s], [s, x[1]]])
 
 
-def _eig2_sym(a, b, c):
-    """Eigen-decomposition of the symmetric 2x2 matrix [[a, c], [c, b]].
+def _eig2_vals(a, b, c):
+    """Ascending eigenvalues of the symmetric 2x2 matrix [[a, c], [c, b]].
 
-    Takes Python floats and returns (w, v) with eigenvalues ascending and
-    v's columns the matching unit eigenvectors. Stable near equal
-    eigenvalues: hypot avoids cancellation and the eigenvector branch never
-    divides by a small pivot. The arithmetic is on floats, not numpy
-    scalars, because each numpy scalar operation costs a call; IEEE
-    doubles round alike in both, so the bits are those of the numpy form
-    the tests keep as its oracle.
+    Takes Python floats and returns (lo, hi, diagonal). A diagonal matrix
+    gives its own entries, sorted; any other gives half_tr -/+ hypot(delta,
+    c), where hypot avoids cancellation near equal eigenvalues. The
+    arithmetic is on floats, not numpy scalars, because each numpy scalar
+    operation costs a call; IEEE doubles round alike in both, so the bits
+    are those of the numpy form the tests keep as its oracle.
     """
     half_tr = 0.5 * (a + b)
     delta = 0.5 * (a - b)
     disc = math.hypot(delta, c)
-    lo, hi = half_tr - disc, half_tr + disc
     if disc == 0.0 or (c == 0.0 and abs(delta) == disc):
+        return (a, b, True) if a <= b else (b, a, True)
+    return half_tr - disc, half_tr + disc, False
+
+
+def _eig2_sym(a, b, c):
+    """Eigen-decomposition of the symmetric 2x2 matrix [[a, c], [c, b]].
+
+    Returns (w, v) with the eigenvalues of _eig2_vals in w and v's columns
+    the matching unit eigenvectors. The eigenvector branch never divides by
+    a small pivot.
+    """
+    lo, hi, diagonal = _eig2_vals(a, b, c)
+    if diagonal:
         if a <= b:
-            return np.array([a, b]), np.eye(2)
-        return np.array([b, a]), np.array([[0.0, 1.0], [1.0, 0.0]])
+            return np.array([lo, hi]), np.eye(2)
+        return np.array([lo, hi]), np.array([[0.0, 1.0], [1.0, 0.0]])
     # eigenvector for hi: (c, hi - a), better conditioned when delta <= 0
-    if delta <= 0:
+    if 0.5 * (a - b) <= 0:
         p, q = c, hi - a
     else:
         p, q = hi - b, c
@@ -100,38 +118,64 @@ def _eig2_sym(a, b, c):
     return np.array([lo, hi]), np.array([[-q, p], [p, q]])
 
 
-def _eigh_sym(y):
-    """_eig2_sym of the symmetric part of the 2x2 matrix y; other shapes raise."""
+def _sym_entries(y):
+    """(a, b, c) of the symmetric part [[a, c], [c, b]] of the 2x2 matrix y.
+
+    Python floats, symmetrized entrywise as 0.5 * (y + y.T) does; other
+    shapes raise.
+    """
     y = np.asarray(y, dtype=float)
     if y.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix, got shape %r" % (y.shape,))
-    # symmetrize entrywise as 0.5 * (y + y.T) does
     (a, c0), (c1, b) = y.tolist()
-    return _eig2_sym(0.5 * (a + a), 0.5 * (b + b), 0.5 * (c0 + c1))
+    return 0.5 * (a + a), 0.5 * (b + b), 0.5 * (c0 + c1)
+
+
+def _eigh_sym(y):
+    """_eig2_sym of the symmetric part of the 2x2 matrix y; other shapes raise."""
+    return _eig2_sym(*_sym_entries(y))
 
 
 def is_psd(y, tol: float = PSD_TOL) -> bool:
     """PSD test: smallest eigenvalue >= -tol * max(largest eigenvalue, 1)."""
-    w, _ = _eigh_sym(y)
-    return w[0] >= -tol * max(w[-1], 1.0)
+    lo, hi, _ = _eig2_vals(*_sym_entries(y))
+    return lo >= -tol * max(hi, 1.0)
+
+
+def _sqrt2(a, b, c, tol):
+    """Square root of the PSD matrix [[a, c], [c, b]] from its two eigenvalues.
+
+    With lo, hi >= 0 it is (Y + sqrt(lo hi) I) / (sqrt(lo) + sqrt(hi)): the
+    polynomial in Y that takes each eigenvalue to its root. An lo in
+    [-tol * scale, 0) counts as zero, and the root is that of Y's PSD part,
+    sqrt(hi) (Y - lo I) / (hi - lo); below that it raises. scale =
+    max(hi, 1). A diagonal Y gives the roots of its entries, correctly
+    rounded.
+    """
+    lo, hi, diagonal = _eig2_vals(a, b, c)
+    if lo < -tol * max(hi, 1.0):
+        raise ValueError("matrix is not positive semidefinite (min eigenvalue %.3e)" % lo)
+    if diagonal:
+        return np.array([[math.sqrt(max(0.0, a)), 0.0], [0.0, math.sqrt(max(0.0, b))]])
+    if hi <= 0.0:  # Y's PSD part is zero
+        return np.zeros((2, 2))
+    if lo < 0.0:
+        shift, denom = -lo, (hi - lo) / math.sqrt(hi)
+    else:
+        r_lo, r_hi = math.sqrt(lo), math.sqrt(hi)
+        shift, denom = r_lo * r_hi, r_lo + r_hi
+    off = c / denom
+    return np.array([[(a + shift) / denom, off], [off, (b + shift) / denom]])
 
 
 def sym_sqrt(y, tol: float = PSD_TOL) -> np.ndarray:
-    """Symmetric PSD square root via eigen-decomposition.
+    """Symmetric PSD square root in closed form from the two eigenvalues.
 
-    Eigenvalues in [-tol * scale, 0] are clipped to zero; anything below that
+    The root of the symmetric part of y, symmetric by construction.
+    Eigenvalues in [-tol * scale, 0) count as zero; anything below that
     raises. scale = max(largest eigenvalue, 1).
     """
-    w, v = _eigh_sym(y)
-    scale = max(w[-1], 1.0)
-    if w[0] < -tol * scale:
-        raise ValueError(
-            "matrix is not positive semidefinite (min eigenvalue %.3e)" % w[0]
-        )
-    w = np.sqrt(np.clip(w, 0.0, None))
-    s = (v * w) @ v.T
-    # the matmul can break symmetry in the last ulp; restore it exactly
-    return 0.5 * (s + s.T)
+    return _sqrt2(*_sym_entries(y), tol)
 
 
 def realizing_frame(x, tol: float = PSD_TOL) -> np.ndarray:
@@ -140,15 +184,21 @@ def realizing_frame(x, tol: float = PSD_TOL) -> np.ndarray:
     Defined on the first-orthant part of {F <= 0}; raises ValueError outside
     and on non-finite input. A coordinate below -tol is rejected; one in
     [-tol, 0) is taken as zero. Satisfies frame_metric(realizing_frame(x))
-    = x and is the unique PSD square root of coeffs_to_psd(x).
+    = x and is the unique PSD square root of coeffs_to_psd(x), taken from
+    x1, x2 and (x3 - x1 - x2) / 2 with no matrix built.
     """
     x = require_finite(x)
-    if np.min(x) < -tol:
+    if x.shape != (3,):
+        raise ValueError("coefficients must be a 3-vector, got shape %r" % (x.shape,))
+    x1, x2, x3 = x.tolist()
+    if min(x1, x2, x3) < -tol:
         raise ValueError("coefficients must be nonnegative, got %r" % (x,))
-    x = np.clip(x, 0.0, None)
+    # max(0.0, v) gives 0.0, not -0.0, for v = -0.0
+    x1, x2, x3 = max(0.0, x1), max(0.0, x2), max(0.0, x3)
     try:
-        return sym_sqrt(coeffs_to_psd(x), tol=tol)
+        return _sqrt2(x1, x2, (x3 - x1 - x2) / 2.0, tol)
     except ValueError:
+        x = np.array([x1, x2, x3])
         raise ValueError(
             "coefficients %r lie outside the realizable cone (F = %.3e > 0)"
             % (x, float(cone_form(x)))

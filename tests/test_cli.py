@@ -157,6 +157,23 @@ def test_realize_rejects_outside(capsys):
     assert "outside" in err
 
 
+def test_realize_takes_a_tiny_negative_coordinate_as_zero(capsys):
+    # F = 2e-11 is within CONE_TOL, and orbit realizes the same point
+    rc, out, err = run(capsys, "realize", "--point=-1e-11,0.5,0.5")
+    assert (rc, err) == (0, "")
+    data = json.loads(out)
+    assert data["membership"] == "boundary"
+    assert data["tau"] == realizing_frame(np.array([0.0, 0.5, 0.5])).tolist()
+
+
+def test_realize_rejects_a_negative_coordinate_on_the_boundary(capsys):
+    # F = 4e-10 is within CONE_TOL, but -2e-10 is below the -1e-10 cut
+    rc, out, err = run(capsys, "realize", "--point=-2e-10,0.5,0.5")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: coefficients must be nonnegative, got ")
+
+
 def test_orbit_determinism(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -1,24 +1,34 @@
 """CLI output files, byte for byte, against the golden copies in tests/golden/.
 
-All five CSV files were last written when the Dormand-Prince step became
-left-to-right float sums in place of BLAS contractions, so the integrator's
-bytes no longer depend on which BLAS kernel the CPU selects. Against the
-files before it, flow_A211.csv moved in 83 of 85 rows (t by at most 6.1e-7,
-x by 5.1e-11), flow_E.csv in 195 of 197 rows (t 1.1e-7, x 1.5e-10) and
-flow_D8_tight.csv in 703 of 704 rows (t 7.8e-5, x 1.75e-6: the adaptive
-step sequence shifts, and its distance to a DOP853 reference stays
+The four flow and portrait files were last written when the Dormand-Prince
+step became left-to-right float sums in place of BLAS contractions, so the
+integrator's bytes no longer depend on which BLAS kernel the CPU selects.
+Against the files before it, flow_A211.csv moved in 83 of 85 rows (t by at
+most 6.1e-7, x by 5.1e-11), flow_E.csv in 195 of 197 rows (t 1.1e-7, x
+1.5e-10) and flow_D8_tight.csv in 703 of 704 rows (t 7.8e-5, x 1.75e-6: the
+adaptive step sequence shifts, and its distance to a DOP853 reference stays
 1.68e-12). portrait_D8.csv moved in 17 of 36 rows (end_u and end_v by at
 most 6.7e-16) and collapse_A111.csv in 4 of 5 rows (x by 1.1e-16, hausdorff
-by 1.1e-15). To regenerate one, run the command of its case with
+by 1.1e-15).
+
+collapse_A111.csv and verify_fast.txt were last written when realize's
+square root became the closed form (Y + sqrt(lo hi) I) / (sqrt(lo) +
+sqrt(hi)) of Y's two eigenvalues lo, hi, in place of eigenvectors and a
+BLAS product, so the realizing frame's bytes no longer depend on the BLAS
+kernel either. collapse_A111.csv moved in 3 of 5 rows (hausdorff by at most
+3.3e-16; x did not move). In verify_fast.txt two detail lines moved: the
+section property's max rel went from 8.43e-16 to 5.36e-16, and the
+symmetric square root's from 7.65e-16 to 4.47e-16.
+
+To regenerate a CSV file, run the command of its case with
 `--out tests/golden/<name>`; any change in these bytes must be deliberate.
 A mismatch reports how many rows changed and the largest change per column,
 and test_golden_flow_is_accurate holds the flow files to an independent
 solution, so a regeneration cannot hide a loss of accuracy.
 
-verify_fast.txt is the stdout of `flagricci verify --fast`, written before
-the disk-invariance and no-recurrence checks moved to integrate_many. Its
-digits depend on the platform's libm and numpy's SIMD paths; it was written
-on x86-64 Linux (glibc, AVX-512).
+verify_fast.txt is the stdout of `flagricci verify --fast`. Its digits
+depend on the platform's libm and numpy's SIMD paths; it was written on
+x86-64 Linux (glibc, AVX-512).
 """
 
 import math

@@ -1,9 +1,10 @@
-"""Property tests: closed forms held against the loops they replaced, and
-the input parsers under fuzzing.
+"""Property tests: closed forms held against the forms they replaced, the
+realization of metrics, and the input parsers under fuzzing.
 
-Each fast path is compared bit for bit with its reference form, kept here,
-on inputs that hypothesis draws under the profile in conftest.py. Each
-parser either returns a value or raises ValueError, whatever its text.
+Each fast path is compared with its reference form, kept here, on inputs
+that hypothesis draws under the profile in conftest.py: bit for bit where
+the arithmetic is the same, within a few ulps where it is not. Each parser
+either returns a value or raises ValueError, whatever its text.
 """
 
 import math
@@ -19,9 +20,19 @@ from hypothesis import strategies as st  # noqa: E402
 
 from flagricci.cli import load_config, parse_point  # noqa: E402
 from flagricci.collapse import is_subalgebra  # noqa: E402
+from flagricci.fields import cone_form  # noqa: E402
 from flagricci.flags import FlagSpec, parse_flag  # noqa: E402
 from flagricci.orbits import build_model  # noqa: E402
-from flagricci.realize import _eigh_sym  # noqa: E402
+from flagricci.realize import (  # noqa: E402
+    PSD_TOL,
+    _eigh_sym,
+    coeffs_to_psd,
+    frame_metric,
+    is_psd,
+    psd_to_coeffs,
+    realizing_frame,
+    sym_sqrt,
+)
 
 
 def _projected_witness(model, i, j):
@@ -107,6 +118,123 @@ def test_eig2_sym_has_the_bits_of_the_numpy_scalar_form(y):
     assert w.dtype == w_ref.dtype and v.dtype == v_ref.dtype
     assert w.tobytes() == w_ref.tobytes()
     assert v.tobytes() == v_ref.tobytes()
+
+
+# --- realization: the closed-form square root and the frame -----------------
+
+
+def _sym_sqrt_eigenvectors(y, tol=PSD_TOL):
+    """sym_sqrt as realize computed it: eigenvectors, a matmul, a symmetry repair."""
+    w, v = _eigh_sym(y)
+    if w[0] < -tol * max(w[-1], 1.0):
+        raise ValueError("matrix is not positive semidefinite")
+    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    return 0.5 * (s + s.T)
+
+
+_SCALES = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _psd_like(draw):
+    """Random PSD, rank-one, near-singular, diagonal (c = 0) and zero matrices."""
+    kind = draw(st.sampled_from(["psd", "rank1", "near_singular", "diagonal", "zero"]))
+    scale = draw(_SCALES)
+    if kind == "zero":
+        return np.zeros((2, 2))
+    if kind == "diagonal":
+        a, b = draw(st.floats(-1e-9, 1.0)), draw(st.floats(-1e-9, 1.0))
+        return np.array([[a, 0.0], [0.0, b]]) * scale
+    if kind == "rank1":
+        u = np.array([draw(_UNIT), draw(_UNIT)])
+        return np.outer(u, u) * scale
+    if kind == "near_singular":
+        # eigenvalues 1 and one on either side of the rejection threshold
+        t = draw(st.floats(0.0, 2.0 * math.pi))
+        u, w = np.array([math.cos(t), math.sin(t)]), np.array([-math.sin(t), math.cos(t)])
+        small = draw(st.floats(-2.0 * PSD_TOL, 2.0 * PSD_TOL))
+        return (np.outer(u, u) + small * np.outer(w, w)) * scale
+    a = np.array([[draw(_UNIT), draw(_UNIT)], [draw(_UNIT), draw(_UNIT)]])
+    return a @ a.T * scale
+
+
+def _or_none(fn, arg):
+    """fn(arg), or None where it raises ValueError."""
+    try:
+        return fn(arg)
+    except ValueError:
+        return None
+
+
+def _within_8_ulps(got, want):
+    return np.abs(got - want).max() <= 8.0 * np.spacing(max(1.0, float(np.abs(want).max())))
+
+
+@settings(max_examples=120)
+@given(y=_psd_like())
+def test_sym_sqrt_agrees_with_the_eigenvector_form(y):
+    got, want = _or_none(sym_sqrt, y), _or_none(_sym_sqrt_eigenvectors, y)
+    assert (got is None) == (want is None)
+    assert is_psd(y) == (want is not None)
+    if got is not None:
+        assert got[0, 1] == got[1, 0]
+        assert _within_8_ulps(got, want)
+
+
+@settings(max_examples=80)
+@given(y=_two_by_two())
+def test_sym_sqrt_decides_as_the_eigenvector_form(y):
+    # the whole double range: the same inputs accepted and rejected
+    with np.errstate(all="ignore"):
+        want = _or_none(_sym_sqrt_eigenvectors, y)
+        got = _or_none(sym_sqrt, y)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.array_equal(got, got.T, equal_nan=True)
+
+
+# first-orthant points with x1 + x2 <= 1, so that |F| > 1e-9 puts the small
+# eigenvalue of coeffs_to_psd(x) beyond is_psd's tolerance
+_ORTHANT = st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda x: sum(x) > 0)
+
+
+@settings(max_examples=60)
+@given(x=_ORTHANT, t=st.floats(1e-3, 1.0))
+def test_cone_characterization(x, t):
+    x = np.array(x) / sum(x) * t
+    f = float(cone_form(x))
+    if abs(f) > 1e-9:
+        assert (f <= 0.0) == is_psd(coeffs_to_psd(x))
+
+
+def _realizing_frame_eigenvectors(x, tol=PSD_TOL):
+    """realizing_frame as realize computed it, on the eigenvector form."""
+    if np.min(x) < -tol:
+        raise ValueError("coefficients must be nonnegative")
+    return _sym_sqrt_eigenvectors(coeffs_to_psd(np.clip(x, 0.0, None)), tol)
+
+
+# boundary points (eps, u, u) with eps on either side of -PSD_TOL, in any order
+_NEAR_A_FACE = st.builds(
+    lambda eps, u, k: np.roll([eps, u, u], k),
+    st.floats(-2.0 * PSD_TOL, 0.0),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2),
+)
+
+
+@settings(max_examples=80)
+@given(x=st.one_of(_psd_like().map(psd_to_coeffs), _NEAR_A_FACE))
+def test_realizing_frame_matches_the_eigenvector_form_and_is_a_section(x):
+    got, want = _or_none(realizing_frame, x), _or_none(_realizing_frame_eigenvectors, x)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert got[0, 1] == got[1, 0]
+    assert _within_8_ulps(got, want)
+    scale = max(1.0, float(np.abs(x).max()))
+    assert np.abs(frame_metric(got) - x).max() <= 1e-9 * scale
 
 
 # --- the parsers: a value or a ValueError, never another exception ----------
