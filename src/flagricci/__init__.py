@@ -17,7 +17,6 @@ from .collapse import (
     collapse_verdict,
     hausdorff,
     is_subalgebra,
-    kernel_summands,
     orbit_distance,
     sampling_resolution,
 )
@@ -39,12 +38,10 @@ from .flow import (
     find_equilibria,
     integrate,
     integrate_many,
-    jacobian,
 )
 from .orbits import (
     LieModel,
     OrbitCloud,
-    TorusElement,
     build_model,
     haar_unitaries,
     induced_metric,
@@ -77,7 +74,6 @@ __all__ = [
     "NonRealizableError",
     "OrbitCloud",
     "Trajectory",
-    "TorusElement",
     "build_model",
     "circle_point",
     "classify_limit",
@@ -99,8 +95,6 @@ __all__ = [
     "integrate_many",
     "is_psd",
     "is_subalgebra",
-    "jacobian",
-    "kernel_summands",
     "make_flag",
     "orbit_distance",
     "parse_flag",

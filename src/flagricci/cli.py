@@ -32,7 +32,7 @@ from .fields import (
 from .flags import parse_flag
 from .flow import ATOL, RTOL, T_MAX, classify_limit, find_equilibria, integrate
 from .orbits import build_model, sample_orbit
-from .realize import coeffs_to_psd, disk_membership, realizing_frame
+from .realize import coeffs_to_psd, disk_membership, realized_coeffs, realizing_frame
 
 
 def fmt(v: float) -> str:
@@ -277,7 +277,7 @@ def cmd_realize(args) -> int:
         "x": [float(v) for v in x],
         "F": float(cone_form(x)),
         "membership": membership,
-        "mu_inverse": [[float(v) for v in row] for row in coeffs_to_psd(x)],
+        "mu_inverse": coeffs_to_psd(realized_coeffs(x)).tolist(),
         "tau": [[float(v) for v in row] for row in frame],
         "H1_omega_coords": [float(v) for v in frame[:, 0]],
         "H2_omega_coords": [float(v) for v in frame[:, 1]],
@@ -290,15 +290,12 @@ def cmd_orbit(args) -> int:
     spec = parse_flag(args.flag)
     model = build_model(*_flag_blocks(spec))
     if args.point is not None:
-        x = parse_point(args.point)
-        frame = realizing_frame(x)
-        h1 = model.torus_element(frame[:, 0])
-        h2 = model.torus_element(frame[:, 1])
+        tau = realizing_frame(parse_point(args.point))
     else:
         _require(args, "h1", "h2")
-        h1 = model.torus_element(parse_point(args.h1, dim=2))
-        h2 = model.torus_element(parse_point(args.h2, dim=2))
-    cloud = sample_orbit(model, h1, h2, args.count, args.seed)
+        # column k of tau holds the omega coordinates of h_k
+        tau = np.array([parse_point(args.h1, dim=2), parse_point(args.h2, dim=2)]).T
+    cloud = sample_orbit(model, model.frame(tau), args.count, args.seed)
     if not args.out:
         cloud.write_json(sys.stdout)
         return 0

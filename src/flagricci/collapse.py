@@ -26,10 +26,8 @@ from scipy.spatial.distance import cdist
 from .fields import CONE_TOL, cone_form, require_finite
 from .flags import FlagSpec
 from .flow import ATOL, RTOL, Trajectory, integrate
-from .orbits import LieModel, OrbitCloud, TorusElement, sample_orbit
+from .orbits import LieModel, OrbitCloud, sample_orbit
 from .realize import realizing_frame
-
-Frame = tuple[TorusElement, TorusElement]
 
 # rows of the distance matrix that sampling_resolution holds at once: 1 MiB
 # for a 2000-point cloud
@@ -58,13 +56,12 @@ def hausdorff(a: OrbitCloud, b: OrbitCloud) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def _diagonal(frame: Frame, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of z = phases(h1) + i phases(h2) in order of first
+def _diagonal(frame, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of z = frame[0] + i frame[1] in order of first
     appearance, and how often each occurs, both padded with zeros to 3."""
-    h1 = require_finite(frame[0].phases, name + "[0].phases")
-    h2 = require_finite(frame[1].phases, name + "[1].phases")
+    h = require_finite(frame, name)
     counts: dict[complex, int] = {}
-    for v in (h1 + 1j * h2).tolist():
+    for v in (h[0] + 1j * h[1]).tolist():
         counts[v] = counts.get(v, 0) + 1
     if len(counts) > 3:
         raise ValueError(
@@ -97,11 +94,11 @@ def _basic_plans() -> np.ndarray:
     return plans
 
 
-def orbit_distance(a: Frame, b: Frame) -> float:
-    """Exact distance between the adjoint orbits of two frames (h1, h2).
+def orbit_distance(a, b) -> float:
+    """Exact distance between the adjoint orbits of two (2, N) frames.
 
-    With h = i diag(phases), the orbit of a frame is the unitary orbit of
-    the normal matrix Z = diag(z), z = phases(h1) + i phases(h2). By
+    With h_k = i diag(frame[k]), the orbit of a frame is the unitary orbit
+    of the normal matrix Z = diag(z), z = frame[0] + i frame[1]. By
     Hoffman-Wielandt the nearest pair of points of two such orbits is a best
     matching of the diagonals. SU(N) acts by isometries, so this is also the
     Hausdorff distance of the orbits, in the metric of the negative Killing
@@ -117,8 +114,8 @@ def orbit_distance(a: Frame, b: Frame) -> float:
     costs summed in row order. Non-finite phases, and more than 3 distinct
     values, are rejected.
     """
-    n = len(a[0].phases)
-    if len(b[0].phases) != n:
+    n = np.shape(a)[-1]
+    if np.shape(b) != np.shape(a):
         raise ValueError("frames live in different ambient spaces")
     z, zn = _diagonal(a, "a")
     w, wn = _diagonal(b, "b")
@@ -163,16 +160,6 @@ def sampling_resolution(cloud: OrbitCloud) -> float:
         d[cols[None, :] == (s + rows)[:, None]] = np.inf
         nearest[s : s + _ROWS] = d.min(axis=1)
     return float(np.median(nearest))
-
-
-def kernel_summands(x) -> tuple[int, ...]:
-    """1-based indices of coefficients at or below KERNEL_TOL; non-finite x is rejected."""
-    return _kernel(require_finite(x))
-
-
-def _kernel(x):
-    # kernel_summands of a float array already checked to be finite
-    return tuple(int(i) + 1 for i in range(3) if x[i] <= KERNEL_TOL)
 
 
 def is_subalgebra(model: LieModel, summand_indices):
@@ -245,7 +232,7 @@ def collapse_verdict(model: LieModel, x_limit) -> CollapseVerdict:
     KERNEL_TOL.
     """
     x_limit = require_finite(x_limit, "x_limit")
-    kernel = _kernel(x_limit)
+    kernel = tuple(i + 1 for i in range(3) if x_limit[i] <= KERNEL_TOL)
     if not kernel:
         return CollapseVerdict(x_limit, kernel, "no_collapse", None)
     for i in kernel:
@@ -366,12 +353,11 @@ def collapse_run(
             )
         raise NonRealizableError(msg, verdict)
 
-    def frame_at(x) -> Frame:
-        frame = realizing_frame(x, tol=KERNEL_TOL)
-        return model.torus_element(frame[:, 0]), model.torus_element(frame[:, 1])
+    def frame_at(x):
+        return model.frame(realizing_frame(x, tol=KERNEL_TOL))
 
     limit_frame = frame_at(x_limit)
-    resolution = sampling_resolution(sample_orbit(model, *limit_frame, count, seed))
+    resolution = sampling_resolution(sample_orbit(model, limit_frame, count, seed))
     times = traj.eval_times
     states = traj.eval_states
     distances = np.array([orbit_distance(frame_at(x), limit_frame) for x in states])

@@ -11,11 +11,15 @@ Restricted-root functionals on block phases (a, b, c): alpha1 = b - a,
 alpha2 = a - c, alpha3 = alpha1 + alpha2 = b - c, so the composite class
 sits on the (2,3) pair, matching the third metric coordinate. The omega
 basis is dual to (alpha1, alpha2).
+
+A torus frame (h1, h2) is one (2, N) float array: row k holds the diagonal
+phases of h_k = i diag(row k). LieModel.frame builds it from the omega
+coordinates that realize.realizing_frame returns, and model.omega is the
+frame of the identity.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -24,18 +28,6 @@ import numpy as np
 # largest off-block residual of induced_metric's Gram matrix, relative to its
 # largest entry (at least 1)
 METRIC_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class TorusElement:
-    """Diagonal torus direction i*diag(phases), constant on blocks."""
-
-    phases: np.ndarray  # (N,) real, sums to ~0
-    omega_coords: np.ndarray  # (2,) coordinates in the omega basis
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return 1j * np.diag(self.phases.astype(complex))
 
 
 def _pair_basis(n_amb, rows, cols):
@@ -64,7 +56,6 @@ class LieModel:
         self.n_ambient = m + n + p
         edges = np.cumsum([0, m, n, p])
         self.block_ranges = [range(edges[i], edges[i + 1]) for i in range(3)]
-        self.block_starts = edges[:3]
         self.summand_pairs = ((0, 1), (0, 2), (1, 2))
         self.summand_bases = [
             _pair_basis(self.n_ambient, self.block_ranges[r], self.block_ranges[s])
@@ -90,36 +81,25 @@ class LieModel:
         return out
 
     def _build_omega(self):
-        m, n, p = self.blocks
-        nn = self.n_ambient
-        # alpha1(omega1) = 1, alpha2(omega1) = 0 forces phases (a, a+1, a)
-        # with trace zero; similarly for omega2.
-        a1 = -n / nn
-        w1 = self.torus_from_block_phases((a1, a1 + 1.0, a1), _coords=(1.0, 0.0))
-        a2 = p / nn
-        w2 = self.torus_from_block_phases((a2, a2, a2 - 1.0), _coords=(0.0, 1.0))
-        return (w1, w2)
+        # alpha1(omega1) = 1, alpha2(omega1) = 0 forces block phases
+        # (a, a+1, a) with trace zero; similarly (a, a, a-1) for omega2.
+        _, n, p = self.blocks
+        a1, a2 = -n / self.n_ambient, p / self.n_ambient
+        w1 = np.repeat([a1, a1 + 1.0, a1], self.blocks)
+        return np.array([w1, np.repeat([a2, a2, a2 - 1.0], self.blocks)])
 
-    def torus_from_block_phases(self, block_phases, _coords=None) -> TorusElement:
-        """Torus element from per-block phases (a, b, c); trace must vanish."""
-        a, b, c = (float(v) for v in block_phases)
-        m, n, p = self.blocks
-        if abs(m * a + n * b + p * c) > 1e-12 * max(1.0, abs(a), abs(b), abs(c)):
-            raise ValueError("block phases %r have nonzero trace" % (block_phases,))
-        phases = np.concatenate([np.full(m, a), np.full(n, b), np.full(p, c)])
-        if _coords is None:
-            _coords = (b - a, a - c)
-        return TorusElement(phases, np.array(_coords, dtype=float))
+    def frame(self, tau) -> np.ndarray:
+        """The (2, N) torus frame with omega coordinates tau.
 
-    def torus_element(self, omega_coords) -> TorusElement:
-        """Torus element c1 * omega1 + c2 * omega2."""
-        c1, c2 = (float(v) for v in omega_coords)
+        Column k of the 2 x 2 matrix tau gives h_k = tau[0, k] omega1 +
+        tau[1, k] omega2, and row k of the result holds the diagonal
+        phases of h_k = i diag(row k).
+        """
+        tau = np.asarray(tau, dtype=float)
+        if tau.shape != (2, 2):
+            raise ValueError("tau must be a 2x2 matrix, got shape %r" % (tau.shape,))
         w1, w2 = self.omega
-        phases = c1 * w1.phases + c2 * w2.phases
-        return TorusElement(phases, np.array([c1, c2]))
-
-    def block_phases(self, elem: TorusElement) -> np.ndarray:
-        return elem.phases[self.block_starts]
+        return tau[0][:, None] * w1 + tau[1][:, None] * w2
 
     def inner(self, x, y) -> float:
         """Negative Killing form -2N Re tr(XY)."""
@@ -138,8 +118,8 @@ def _flatten_real(mats, n_amb) -> np.ndarray:
     return scale * np.concatenate([flat.real, flat.imag], axis=-1)
 
 
-def induced_metric(model: LieModel, h1: TorusElement, h2: TorusElement) -> np.ndarray:
-    """Metric coefficients induced on the summands by the frame (h1, h2).
+def induced_metric(model: LieModel, frame) -> np.ndarray:
+    """Metric coefficients induced on the summands by the (2, N) frame.
 
     Computes the full Gram matrix of the bracket images of the summand bases
     and checks it is block-scalar: x_i times the basis Gram on summand i,
@@ -150,24 +130,18 @@ def induced_metric(model: LieModel, h1: TorusElement, h2: TorusElement) -> np.nd
     dims = model.dims
     namb = model.n_ambient
     g = np.zeros((len(basis), len(basis)))
-    for h in (h1, h2):
-        hm = h.matrix
+    for h in frame:
+        hm = 1j * np.diag(h)
         brackets = [x @ hm - hm @ x for x in basis]
         v = _flatten_real(brackets, namb)
         g += v @ v.T
 
     # basis elements all have <X, X> = 4N and are mutually orthogonal
     norm2 = 4.0 * namb
-    coeffs = np.empty(3)
     offs = np.cumsum([0, *dims])
-    for i in range(3):
-        block = g[offs[i] : offs[i + 1], offs[i] : offs[i + 1]]
-        coeffs[i] = np.trace(block) / (dims[i] * norm2)
-    expected = np.zeros_like(g)
-    for i in range(3):
-        idx = np.arange(offs[i], offs[i + 1])
-        expected[idx, idx] = coeffs[i] * norm2
-    resid = np.max(np.abs(g - expected))
+    traces = [np.trace(g[o : o + d, o : o + d]) for o, d in zip(offs, dims)]
+    coeffs = np.array(traces) / (np.array(dims) * norm2)
+    resid = np.max(np.abs(g - np.diag(np.repeat(coeffs * norm2, dims))))
     if resid > METRIC_TOL * max(1.0, np.max(np.abs(g))):
         raise ValueError(
             "induced metric is not block-scalar on the summands "
@@ -204,16 +178,16 @@ def _rng_for(seed: int):
 class OrbitCloud:
     """Sampled adjoint-orbit points of a torus frame.
 
-    points has shape (count, 2, N, N): pairs (u h1 u^-1, u h2 u^-1) over Haar
-    samples u. Sampling is deterministic in (seed, count, N) via a
-    counter-based generator, and the same seed yields the same unitaries for
-    any frame, so clouds at different frames are directly comparable.
+    frame is the (2, N) phase array of (h1, h2), and points has shape
+    (count, 2, N, N): pairs (u h1 u^-1, u h2 u^-1) over Haar samples u.
+    Sampling is deterministic in (seed, count, N) via a counter-based
+    generator, and the same seed yields the same unitaries for any frame,
+    so clouds at different frames are directly comparable.
     """
 
     n_ambient: int
     blocks: tuple[int, int, int]
-    h1: TorusElement
-    h2: TorusElement
+    frame: np.ndarray
     seed: int
     count: int
     points: np.ndarray
@@ -245,27 +219,19 @@ class OrbitCloud:
             fh.write((", " if s else "") + json.dumps(rows.tolist())[1:-1])
         fh.write("]}\n")
 
-    def to_json(self) -> str:
-        """The text write_json writes, as a string."""
-        buf = io.StringIO()
-        self.write_json(buf)
-        return buf.getvalue()
-
     def _header(self) -> dict:
         return {
             "N": self.n_ambient,
             "blocks": list(self.blocks),
-            "H1": [float(v) for v in self.h1.phases],
-            "H2": [float(v) for v in self.h2.phases],
+            "H1": self.frame[0].tolist(),
+            "H2": self.frame[1].tolist(),
             "seed": self.seed,
             "count": self.count,
         }
 
 
-def sample_orbit(
-    model: LieModel, h1: TorusElement, h2: TorusElement, count: int, seed: int
-) -> OrbitCloud:
-    """Sample the adjoint orbit of the frame (h1, h2) at Haar-random points.
+def sample_orbit(model: LieModel, frame, count: int, seed: int) -> OrbitCloud:
+    """Sample the adjoint orbit of the (2, N) frame at Haar-random points.
 
     seed is the Philox key of the Haar samples, an integer in [0, 2**128).
     """
@@ -273,15 +239,14 @@ def sample_orbit(
         raise ValueError("count must be positive")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
         raise ValueError("seed must be an integer in [0, 2**128), got %r" % (seed,))
+    frame = np.asarray(frame, dtype=float)
     n = model.n_ambient
     us = haar_unitaries(_rng_for(seed), n, count)
     uh = np.conjugate(np.swapaxes(us, -1, -2))
     # u h u^* for each frame element, written straight into its slot; scaling
-    # u's columns by the diagonal of h has the bits of the product u @ h
+    # u's columns by the diagonal 1j * h has the bits of the product u @ h
     points = np.empty((count, 2, n, n), dtype=complex)
-    for k, h in enumerate((h1, h2)):
-        np.matmul(us * np.diagonal(h.matrix), uh, out=points[:, k])
-    return OrbitCloud(
-        model.n_ambient, model.blocks, h1, h2, int(seed), int(count), points
-    )
+    for k in range(2):
+        np.matmul(us * (1j * frame[k]), uh, out=points[:, k])
+    return OrbitCloud(model.n_ambient, model.blocks, frame, int(seed), int(count), points)
 

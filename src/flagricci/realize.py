@@ -150,22 +150,27 @@ def _sqrt2(a, b, c, tol):
     [-tol * scale, 0) counts as zero, and the root is that of Y's PSD part,
     sqrt(hi) (Y - lo I) / (hi - lo); below that it raises. scale =
     max(hi, 1). A diagonal Y gives the roots of its entries, correctly
-    rounded.
+    rounded. Python floats overflow to inf and nan without a warning; a
+    root that is not finite raises too.
     """
     lo, hi, diagonal = _eig2_vals(a, b, c)
     if lo < -tol * max(hi, 1.0):
         raise ValueError("matrix is not positive semidefinite (min eigenvalue %.3e)" % lo)
     if diagonal:
-        return np.array([[math.sqrt(max(0.0, a)), 0.0], [0.0, math.sqrt(max(0.0, b))]])
-    if hi <= 0.0:  # Y's PSD part is zero
+        p, q, off = math.sqrt(max(0.0, a)), math.sqrt(max(0.0, b)), 0.0
+    elif hi <= 0.0:  # Y's PSD part is zero
         return np.zeros((2, 2))
-    if lo < 0.0:
-        shift, denom = -lo, (hi - lo) / math.sqrt(hi)
     else:
-        r_lo, r_hi = math.sqrt(lo), math.sqrt(hi)
-        shift, denom = r_lo * r_hi, r_lo + r_hi
-    off = c / denom
-    return np.array([[(a + shift) / denom, off], [off, (b + shift) / denom]])
+        if lo < 0.0:
+            shift, denom = -lo, (hi - lo) / math.sqrt(hi)
+        else:
+            r_lo, r_hi = math.sqrt(lo), math.sqrt(hi)
+            shift, denom = r_lo * r_hi, r_lo + r_hi
+        p, q, off = (a + shift) / denom, (b + shift) / denom, c / denom
+    # a root's entries lie below 1.4e154: the sum is finite when they are
+    if not math.isfinite(p + q + off):
+        raise ValueError("the root of %r overflows the float range" % ([[a, c], [c, b]],))
+    return np.array([[p, off], [off, q]])
 
 
 def sym_sqrt(y, tol: float = PSD_TOL) -> np.ndarray:
@@ -173,19 +178,17 @@ def sym_sqrt(y, tol: float = PSD_TOL) -> np.ndarray:
 
     The root of the symmetric part of y, symmetric by construction.
     Eigenvalues in [-tol * scale, 0) count as zero; anything below that
-    raises. scale = max(largest eigenvalue, 1).
+    raises. scale = max(largest eigenvalue, 1). Non-finite input, and a
+    root that overflows the float range, raise too.
     """
-    return _sqrt2(*_sym_entries(y), tol)
+    return _sqrt2(*_sym_entries(require_finite(y, "y")), tol)
 
 
-def realizing_frame(x, tol: float = PSD_TOL) -> np.ndarray:
-    """Canonical symmetric 2x2 frame realizing coefficients x.
+def realized_coeffs(x, tol: float = PSD_TOL) -> tuple[float, float, float]:
+    """The coefficients that realizing_frame(x, tol) realizes, as floats.
 
-    Defined on the first-orthant part of {F <= 0}; raises ValueError outside
-    and on non-finite input. A coordinate below -tol is rejected; one in
-    [-tol, 0) is taken as zero. Satisfies frame_metric(realizing_frame(x))
-    = x and is the unique PSD square root of coeffs_to_psd(x), taken from
-    x1, x2 and (x3 - x1 - x2) / 2 with no matrix built.
+    x with a coordinate in [-tol, 0), or -0.0, taken as 0.0. A coordinate
+    below -tol, a non-finite one and any shape but (3,) raise ValueError.
     """
     x = require_finite(x)
     if x.shape != (3,):
@@ -194,24 +197,47 @@ def realizing_frame(x, tol: float = PSD_TOL) -> np.ndarray:
     if min(x1, x2, x3) < -tol:
         raise ValueError("coefficients must be nonnegative, got %r" % (x,))
     # max(0.0, v) gives 0.0, not -0.0, for v = -0.0
-    x1, x2, x3 = max(0.0, x1), max(0.0, x2), max(0.0, x3)
+    return max(0.0, x1), max(0.0, x2), max(0.0, x3)
+
+
+def realizing_frame(x, tol: float = PSD_TOL) -> np.ndarray:
+    """Canonical symmetric 2x2 frame realizing coefficients x.
+
+    Defined on the first-orthant part of {F <= 0}; raises ValueError outside,
+    on non-finite input and when the frame overflows the float range. A
+    coordinate below -tol is rejected; one in [-tol, 0) is taken as zero
+    (realized_coeffs). Satisfies frame_metric(realizing_frame(x)) = x and is
+    the unique PSD square root of coeffs_to_psd(x), taken from x1, x2 and
+    (x3 - x1 - x2) / 2 with no matrix built.
+    """
+    x1, x2, x3 = realized_coeffs(x, tol)
     try:
         return _sqrt2(x1, x2, (x3 - x1 - x2) / 2.0, tol)
     except ValueError:
+        # the root overflows only where F does, and _cone_value raises there
         x = np.array([x1, x2, x3])
         raise ValueError(
             "coefficients %r lie outside the realizable cone (F = %.3e > 0)"
-            % (x, float(cone_form(x)))
+            % (x, _cone_value(x))
         ) from None
+
+
+def _cone_value(x) -> float:
+    """cone_form(x) as a float; ValueError, not a warning, when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = float(cone_form(x))
+    if not math.isfinite(f):
+        raise ValueError("F at %r overflows the float range" % (np.asarray(x).tolist(),))
+    return f
 
 
 def disk_membership(x):
     """Classify x against the realizability disk: interior, boundary, outside.
 
-    Points with |F| <= fields.CONE_TOL are on the boundary. Non-finite input
-    is rejected.
+    Points with |F| <= fields.CONE_TOL are on the boundary. Non-finite input,
+    and input whose F overflows the float range, is rejected.
     """
-    f = float(cone_form(require_finite(x)))
+    f = _cone_value(require_finite(x))
     if f < -CONE_TOL:
         return "interior"
     if f <= CONE_TOL:

@@ -251,9 +251,7 @@ def check_oracle_equivalence(fast=False) -> str:
         model = orbits.build_model(*blocks)
         for _ in range(n):
             c = rng.standard_normal((2, 2))
-            h1 = model.torus_element(c[:, 0])
-            h2 = model.torus_element(c[:, 1])
-            lhs = orbits.induced_metric(model, h1, h2)
+            lhs = orbits.induced_metric(model, model.frame(c))
             rhs = realize.frame_metric(c)
             worst = max(worst, float(np.abs(lhs - rhs).max() / max(1.0, rhs.max())))
     assert worst <= 1e-8, "induced metric vs frame metric rel %.3e" % worst
@@ -277,15 +275,10 @@ def check_ad_invariance(fast=False) -> str:
 
     worst = 0.0
     for u in us:
-        c = rng.standard_normal((2, 2))
-        h1 = model.torus_element(c[:, 0])
-        h2 = model.torus_element(c[:, 1])
+        hs = [1j * np.diag(h) for h in model.frame(rng.standard_normal((2, 2)))]
         uh = u.conj().T
-        g0 = bracket_gram(basis, [h1.matrix, h2.matrix])
-        g1 = bracket_gram(
-            [u @ x @ uh for x in basis],
-            [u @ h1.matrix @ uh, u @ h2.matrix @ uh],
-        )
+        g0 = bracket_gram(basis, hs)
+        g1 = bracket_gram([u @ x @ uh for x in basis], [u @ hm @ uh for hm in hs])
         worst = max(
             worst, float(np.abs(g0 - g1).max() / max(1.0, np.abs(g0).max()))
         )
@@ -298,11 +291,9 @@ def check_hausdorff_pseudometric(fast=False) -> str:
     rng = _rng(114)
     clouds = []
     for _ in range(3):
-        c = rng.standard_normal((2, 2))
-        h1 = model.torus_element(c[:, 0])
-        h2 = model.torus_element(c[:, 1])
+        frame = model.frame(rng.standard_normal((2, 2)))
         # one seed for all three: the same Haar samples under every frame
-        clouds.append(orbits.sample_orbit(model, h1, h2, 60 if fast else 150, 7))
+        clouds.append(orbits.sample_orbit(model, frame, 60 if fast else 150, 7))
     a, b, c3 = clouds
     assert clp.hausdorff(a, a) == 0.0
     dab = clp.hausdorff(a, b)
@@ -314,11 +305,11 @@ def check_hausdorff_pseudometric(fast=False) -> str:
     # Haar sample, the same for every sample
     scale = np.sqrt(2.0 * model.n_ambient)
     for x, y in ((a, b), (a, c3), (c3, b)):
-        exact = clp.orbit_distance((x.h1, x.h2), (y.h1, y.h2))
-        dz = (x.h1.phases - y.h1.phases) + 1j * (x.h2.phases - y.h2.phases)
+        exact = clp.orbit_distance(x.frame, y.frame)
+        dz = (x.frame[0] - y.frame[0]) + 1j * (x.frame[1] - y.frame[1])
         matched = scale * float(np.linalg.norm(dz))
         norm = scale * max(
-            float(np.linalg.norm(f.h1.phases + 1j * f.h2.phases)) for f in (x, y)
+            float(np.linalg.norm(f.frame[0] + 1j * f.frame[1])) for f in (x, y)
         )
         sampled = clp.hausdorff(x, y)
         tol = 1e-9 * norm

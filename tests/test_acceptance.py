@@ -135,10 +135,8 @@ def test_criterion_06_oracle_equivalence():
             model = build_model(*blocks)
             for _ in range(100):
                 c = rng.uniform(-1.5, 1.5, size=(2, 2))
-                h1 = model.torus_element(c[0])
-                h2 = model.torus_element(c[1])
                 frame = np.stack([c[0], c[1]], axis=1)
-                got = induced_metric(model, h1, h2)
+                got = induced_metric(model, model.frame(frame))
                 want = frame_metric(frame)
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(got - want)) / scale <= 1e-8
@@ -196,12 +194,11 @@ def test_criterion_09_hausdorff_collapse_profile():
 
 def test_collapse_profile_is_the_exact_orbit_distance():
     # The README run. Each distance must be the best matching of the diagonal
-    # entries z = phases(h1) + i phases(h2), found here by brute force over
-    # all permutations; 200-point clouds on one Haar seed must lie between
-    # that and the matched bound; and the profile must fall strictly.
+    # entries z = frame[0] + i frame[1], found here by brute force over all
+    # permutations; 200-point clouds on one Haar seed must lie between that
+    # and the matched bound; and the profile must fall strictly.
     def frame(model, x):
-        tau = realizing_frame(np.clip(x, 0.0, None), tol=1e-8)
-        return model.torus_element(tau[:, 0]), model.torus_element(tau[:, 1])
+        return model.frame(realizing_frame(np.clip(x, 0.0, None), tol=1e-8))
 
     for blocks in ((1, 1, 1), (2, 2, 2)):
         model = build_model(*blocks)
@@ -215,18 +212,18 @@ def test_collapse_profile_is_the_exact_orbit_distance():
         )
         scale = np.sqrt(2.0 * model.n_ambient)
         limit = frame(model, run.x_limit)
-        w = limit[0].phases + 1j * limit[1].phases
-        limit_cloud = sample_orbit(model, *limit, 200, 0)
+        w = limit[0] + 1j * limit[1]
+        limit_cloud = sample_orbit(model, limit, 200, 0)
         for x, d in zip(run.states, run.distances):
             fx = frame(model, x)
-            z = fx[0].phases + 1j * fx[1].phases
+            z = fx[0] + 1j * fx[1]
             exact = scale * min(
                 np.linalg.norm(z - w[list(p)]) for p in permutations(range(len(z)))
             )
             assert abs(d - exact) <= 1e-12 * exact, (blocks, d, exact)
             matched = scale * np.linalg.norm(z - w)
             norm = scale * max(np.linalg.norm(z), np.linalg.norm(w))
-            sampled = hausdorff(sample_orbit(model, *fx, 200, 0), limit_cloud)
+            sampled = hausdorff(sample_orbit(model, fx, 200, 0), limit_cloud)
             assert exact - 1e-9 * norm <= sampled <= matched + 1e-9 * norm, (
                 blocks,
                 sampled,

@@ -14,7 +14,7 @@ import pytest
 
 from flagricci.cli import atomic_write, fmt, load_config, main, parse_point
 from flagricci.orbits import build_model, sample_orbit
-from flagricci.realize import realizing_frame
+from flagricci.realize import coeffs_to_psd, realizing_frame
 
 
 def run(capsys, *argv):
@@ -166,6 +166,34 @@ def test_realize_takes_a_tiny_negative_coordinate_as_zero(capsys):
     assert data["tau"] == realizing_frame(np.array([0.0, 0.5, 0.5])).tolist()
 
 
+def test_realize_mu_inverse_is_the_square_of_tau(capsys):
+    # mu_inverse is the matrix of the point realized, the clipped one, while
+    # x and F echo the input; elsewhere it is coeffs_to_psd(x) as before
+    rc, out, _ = run(capsys, "realize", "--point=-1e-11,0.5,0.5")
+    assert rc == 0
+    data = json.loads(out)
+    tau, mu = np.array(data["tau"]), np.array(data["mu_inverse"])
+    assert np.abs(tau @ tau - mu).max() <= 1e-15
+    assert mu.tolist() == [[0.0, 0.0], [0.0, 0.5]]
+    assert math.copysign(1.0, mu[0, 0]) == math.copysign(1.0, mu[0, 1]) == 1.0
+    assert data["x"] == [-1e-11, 0.5, 0.5] and data["F"] > 0.0
+    for point in ("1/2,1/2,0", "0.3,0.3,0.4", "0,1/2,1/2"):
+        rc, out, _ = run(capsys, "realize", "--point", point)
+        assert rc == 0
+        want = coeffs_to_psd(parse_point(point)).tolist()
+        assert json.loads(out)["mu_inverse"] == want
+
+
+@pytest.mark.parametrize("command", [["realize"], ["orbit", "--flag", "A:1,1,1"]])
+def test_a_point_that_overflows_is_an_error(capsys, command):
+    # F of (1e308, 1e308, 1e308) is -3e616 and its frame's eigenvalues
+    # overflow: one error line, no warning, no NaN
+    rc, out, err = run(capsys, *command, "--point", "1e308,1e308,1e308")
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1
+    assert re.fullmatch(r"error: .* overflows the float range\n", err)
+
+
 def test_realize_rejects_a_negative_coordinate_on_the_boundary(capsys):
     # F = 4e-10 is within CONE_TOL, but -2e-10 is below the -1e-10 cut
     rc, out, err = run(capsys, "realize", "--point=-2e-10,0.5,0.5")
@@ -213,6 +241,10 @@ def test_orbit_explicit_torus_pair(capsys):
     data = json.loads(out)
     assert data["N"] == 4
     assert len(data["points"]) == 4
+    # --h1 and --h2 are the columns of tau: omega1 and omega2 here
+    model = build_model(2, 1, 1)
+    assert [data["H1"], data["H2"]] == model.omega.tolist()
+    assert out == json.dumps(sample_orbit(model, model.omega, 4, 0).as_dict()) + "\n"
 
 
 def test_collapse_csv_and_failure(tmp_path, capsys):
@@ -445,10 +477,9 @@ def _orbit_argv(blocks, count):
 def test_orbit_streams_the_bytes_of_as_dict(tmp_path, capsys, blocks):
     # counts on both sides of the 64-row blocks that write_json flattens at once
     model = build_model(*blocks)
-    frame = realizing_frame(np.array([0.3, 0.3, 0.4]))
-    h1, h2 = (model.torus_element(frame[:, k]) for k in range(2))
+    frame = model.frame(realizing_frame(np.array([0.3, 0.3, 0.4])))
     for count in (1, 63, 64, 65, 129):
-        want = json.dumps(sample_orbit(model, h1, h2, count, 3).as_dict()) + "\n"
+        want = json.dumps(sample_orbit(model, frame, count, 3).as_dict()) + "\n"
         rc, out, _ = run(capsys, *_orbit_argv(blocks, count))
         assert rc == 0
         assert out == want

@@ -12,13 +12,12 @@ from flagricci.collapse import (
     collapse_verdict,
     hausdorff,
     is_subalgebra,
-    kernel_summands,
     orbit_distance,
     sampling_resolution,
 )
 from flagricci.fields import cone_flux
 from flagricci.flags import make_flag
-from flagricci.orbits import TorusElement, build_model, sample_orbit
+from flagricci.orbits import build_model, sample_orbit
 from flagricci.realize import disk_membership, realizing_frame
 
 A111 = make_flag("A", (1, 1, 1))
@@ -26,9 +25,7 @@ MODEL3 = build_model(1, 1, 1)
 
 
 def small_cloud(c1, c2, count=30, seed=0):
-    h1 = MODEL3.torus_element([c1, 0.0])
-    h2 = MODEL3.torus_element([0.0, c2])
-    return sample_orbit(MODEL3, h1, h2, count, seed)
+    return sample_orbit(MODEL3, MODEL3.frame([[c1, 0.0], [0.0, c2]]), count, seed)
 
 
 def test_hausdorff_identity_and_symmetry():
@@ -49,7 +46,7 @@ def test_hausdorff_triangle_inequality():
 def test_hausdorff_requires_matching_ambient():
     a = small_cloud(1.0, 1.0)
     model4 = build_model(2, 1, 1)
-    b = sample_orbit(model4, *model4.omega, 10, seed=0)
+    b = sample_orbit(model4, model4.omega, 10, seed=0)
     with pytest.raises(ValueError):
         hausdorff(a, b)
 
@@ -58,16 +55,12 @@ def test_orbit_distance_matches_permuted_diagonals():
     # permuting the diagonal is conjugation by a permutation matrix: same
     # orbit, distance 0, although the entrywise (matched) distance is not 0
     a = small_cloud(1.0, 0.3)
-    perm = [2, 0, 1]
-    b = (
-        TorusElement(a.h1.phases[perm], a.h1.omega_coords),
-        TorusElement(a.h2.phases[perm], a.h2.omega_coords),
-    )
-    assert np.linalg.norm(a.h1.phases - b[0].phases) > 0.1
-    assert orbit_distance((a.h1, a.h2), b) == pytest.approx(0.0, abs=1e-15)
+    b = a.frame[:, [2, 0, 1]]
+    assert np.linalg.norm(a.frame[0] - b[0]) > 0.1
+    assert orbit_distance(a.frame, b) == pytest.approx(0.0, abs=1e-15)
     c = small_cloud(0.4, 0.9, count=300)
-    exact = orbit_distance((a.h1, a.h2), (c.h1, c.h2))
-    assert exact == orbit_distance((c.h1, c.h2), (a.h1, a.h2))
+    exact = orbit_distance(a.frame, c.frame)
+    assert exact == orbit_distance(c.frame, a.frame)
     assert 0.0 < exact <= hausdorff(small_cloud(1.0, 0.3, count=300), c) + 1e-12
 
 
@@ -82,14 +75,13 @@ LIMITS = [(0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5), (0.25, 0.25, 0.5)]
 
 
 def limit_frame(model, x):
-    tau = realizing_frame(np.array(x))
-    return model.torus_element(tau[:, 0]), model.torus_element(tau[:, 1])
+    return model.frame(realizing_frame(np.array(x)))
 
 
 def _assignment_distance(a, b):
     """orbit_distance from scipy's assignment solver on the full N x N costs."""
-    z = a[0].phases + 1j * a[1].phases
-    w = b[0].phases + 1j * b[1].phases
+    z = a[0] + 1j * a[1]
+    w = b[0] + 1j * b[1]
     cost = np.abs(z[:, None] - w[None, :]) ** 2
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(2 * len(z) * cost[rows, cols].sum()))
@@ -105,10 +97,9 @@ def test_orbit_distance_matches_the_assignment_solver(blocks):
     limits = [limit_frame(model, x) for x in LIMITS]
     for k in range(300):
         c = rng.standard_normal((4, 2))
-        a = model.torus_element(c[0]), model.torus_element(c[1])
-        b = model.torus_element(c[2]), model.torus_element(c[3])
-        perm = rng.permutation(model.n_ambient)
-        pb = tuple(TorusElement(h.phases[perm], h.omega_coords) for h in b)
+        a = model.frame(c[:2].T)
+        b = model.frame(c[2:].T)
+        pb = b[:, rng.permutation(model.n_ambient)]
         for x, y in ((a, b), (a, pb), (pb, a), (a, limits[k % 4])):
             got, want = orbit_distance(x, y), _assignment_distance(x, y)
             if blocks == (1, 1, 1):
@@ -120,19 +111,18 @@ def test_orbit_distance_matches_the_assignment_solver(blocks):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_orbit_distance_rejects_non_finite_phases(bad):
     h1, h2 = MODEL3.omega
-    broken = TorusElement(np.array([bad, 0.0, 0.0]), h2.omega_coords)
-    with pytest.raises(ValueError, match=r"^b\[1\]\.phases\[0\] = %r is not finite$" % bad):
-        orbit_distance((h1, h2), (h1, broken))
-    with pytest.raises(ValueError, match=r"^a\[0\]\.phases\[0\] = %r is not finite$" % bad):
-        orbit_distance((broken, h2), (h1, h2))
+    broken = np.array([bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^b\[1, 0\] = %r is not finite$" % bad):
+        orbit_distance(MODEL3.omega, np.array([h1, broken]))
+    with pytest.raises(ValueError, match=r"^a\[0, 0\] = %r is not finite$" % bad):
+        orbit_distance(np.array([broken, h2]), MODEL3.omega)
 
 
 def test_orbit_distance_rejects_a_frame_off_the_blocks():
     model = build_model(2, 1, 1)
-    h1, h2 = model.omega
-    spread = TorusElement(np.array([0.3, 0.1, -0.1, -0.3]), h1.omega_coords)
+    spread = np.array([[0.3, 0.1, -0.1, -0.3], model.omega[1]])
     with pytest.raises(ValueError, match="^frame a takes 4 distinct diagonal values"):
-        orbit_distance((spread, h2), model.omega)
+        orbit_distance(spread, model.omega)
 
 
 def _scan_resolution(cloud):
@@ -159,7 +149,7 @@ def test_sampling_resolution_matches_the_block_scan(blocks):
     for k, x in enumerate(LIMITS):
         frame = limit_frame(model, x)
         for count in [2, 63, 64, 65, 500] + [2000] * (k == big):
-            cloud = sample_orbit(model, *frame, count, count + k)
+            cloud = sample_orbit(model, frame, count, count + k)
             assert sampling_resolution(cloud) == _scan_resolution(cloud), (x, count)
 
 
@@ -169,7 +159,7 @@ def test_sampling_resolution_keeps_the_bits_of_near_ties(seed):
     # that cdist and the Gram form round differently; only the rounding
     # slack of the candidate rule keeps cdist's nearest among the candidates
     model = build_model(2, 2, 2)
-    base = sample_orbit(model, *model.omega, 100, seed)
+    base = sample_orbit(model, model.omega, 100, seed)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(base.points.shape) + 1j * rng.standard_normal(base.points.shape)
     v *= 1e-3 / np.linalg.norm(v.reshape(100, -1), axis=1)[:, None, None, None]
@@ -203,12 +193,15 @@ def test_cloud_distances_reject_non_finite_points(bad):
         hausdorff(other, cloud)
 
 
-def test_kernel_summands():
-    assert kernel_summands(np.array([0.5, 0.5, 0.0])) == (3,)
-    assert kernel_summands(np.array([0.0, 0.5, 0.5])) == (1,)
-    assert kernel_summands(np.array([1.0, 0.0, 0.0])) == (2, 3)
-    assert kernel_summands(np.ones(3) / 3.0) == ()
-    assert kernel_summands(np.array([0.5, 0.5, 1e-12])) == (3,)
+def test_collapse_verdict_kernel():
+    def kernel(x):
+        return collapse_verdict(MODEL3, np.array(x)).kernel
+
+    assert kernel([0.5, 0.5, 0.0]) == (3,)
+    assert kernel([0.0, 0.5, 0.5]) == (1,)
+    assert kernel([1.0, 0.0, 0.0]) == (2, 3)
+    assert kernel(np.ones(3) / 3.0) == ()
+    assert kernel([0.5, 0.5, 1e-12]) == (3,)
 
 
 @pytest.mark.parametrize("single", [1, 2, 3])
@@ -299,14 +292,12 @@ def test_block_rule_matches_bracket_scan(blocks):
         lambda x: cone_flux(A111, x),
         lambda x: collapse_verdict(MODEL3, x),
         disk_membership,
-        kernel_summands,
     ],
     ids=[
         "realizing_frame",
         "cone_flux",
         "collapse_verdict",
         "disk_membership",
-        "kernel_summands",
     ],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -424,10 +415,8 @@ def test_limit_cloud_rank_drops():
     from flagricci.realize import disk_membership, realizing_frame
 
     def cloud_rank(x):
-        frame = realizing_frame(np.clip(np.asarray(x), 0.0, None))
-        h1 = MODEL3.torus_element(frame[:, 0])
-        h2 = MODEL3.torus_element(frame[:, 1])
-        cloud = so(MODEL3, h1, h2, 200, 13)
+        frame = MODEL3.frame(realizing_frame(np.clip(np.asarray(x), 0.0, None)))
+        cloud = so(MODEL3, frame, 200, 13)
         flat = cloud.flat_points
         centered = flat - flat.mean(axis=0)
         s = np.linalg.svd(centered, compute_uv=False)

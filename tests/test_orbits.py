@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -43,21 +44,34 @@ def test_basis_matrices_are_antihermitian_traceless():
 def test_omega_duality():
     for blocks in ((1, 1, 1), (2, 1, 1), (3, 2, 1)):
         model = build_model(*blocks)
-        w1, w2 = model.omega
-        for w, want in ((w1, [1.0, 0.0, 1.0]), (w2, [0.0, 1.0, 1.0])):
+        assert model.omega.shape == (2, model.n_ambient)
+        starts = [r.start for r in model.block_ranges]
+        for w, want in zip(model.omega, ([1.0, 0.0, 1.0], [0.0, 1.0, 1.0])):
             # (alpha1, alpha2, alpha3) = (b - a, a - c, b - c) on block phases
-            a, b, c = model.block_phases(w)
+            a, b, c = w[starts]
             assert np.allclose([b - a, a - c, b - c], want, rtol=0, atol=1e-13)
-        for w in (w1, w2):
-            assert abs(np.trace(w.matrix)) < 1e-13
+            assert abs(w.sum()) < 1e-13
 
 
 def test_omega_coordinates_round_trip():
+    # column k of tau holds the omega coordinates of h_k
     model = build_model(2, 1, 1)
-    elem = model.torus_element([0.3, -1.2])
-    assert np.allclose(elem.omega_coords, [0.3, -1.2], rtol=0, atol=1e-15)
-    back = model.torus_from_block_phases(model.block_phases(elem))
-    assert np.allclose(back.phases, elem.phases, rtol=0, atol=1e-13)
+    w1, w2 = model.omega
+    tau = np.array([[0.3, 0.7], [-1.2, 0.4]])
+    frame = model.frame(tau)
+    assert frame.shape == (2, 4)
+    assert frame[0].tobytes() == (0.3 * w1 + -1.2 * w2).tobytes()
+    assert frame[1].tobytes() == (0.7 * w1 + 0.4 * w2).tobytes()
+    # block phases (a, b, c) give back the omega coordinates (b - a, a - c)
+    a, b, c = frame[:, [0, 2, 3]].T
+    assert np.allclose(np.array([b - a, a - c]), tau, rtol=0, atol=1e-15)
+    assert np.array_equal(model.frame(np.eye(2)), model.omega)
+
+
+@pytest.mark.parametrize("tau", [np.zeros(2), np.zeros((2, 3)), np.zeros((3, 2))])
+def test_frame_rejects_a_tau_that_is_not_2x2(tau):
+    with pytest.raises(ValueError, match=r"^tau must be a 2x2 matrix, got shape "):
+        build_model(1, 1, 1).frame(tau)
 
 
 def test_induced_metric_matches_frame_metric():
@@ -66,9 +80,7 @@ def test_induced_metric_matches_frame_metric():
         model = build_model(*blocks)
         for x in sample_disk(rng, 20):
             frame = realizing_frame(x)
-            h1 = model.torus_element(frame[:, 0])
-            h2 = model.torus_element(frame[:, 1])
-            got = induced_metric(model, h1, h2)
+            got = induced_metric(model, model.frame(frame))
             want = frame_metric(frame)
             assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -77,9 +89,7 @@ def test_induced_metric_exact_zero_for_degenerate_direction():
     # frame realizing (1/2, 0, 1/2) kills the second summand exactly
     model = build_model(1, 1, 1)
     frame = realizing_frame(np.array([0.5, 0.0, 0.5]))
-    h1 = model.torus_element(frame[:, 0])
-    h2 = model.torus_element(frame[:, 1])
-    got = induced_metric(model, h1, h2)
+    got = induced_metric(model, model.frame(frame))
     assert abs(got[1]) < 1e-15
 
 
@@ -98,12 +108,12 @@ def test_haar_unitaries_are_unitary_and_deterministic():
 
 def test_sample_orbit_preserves_spectra():
     model = build_model(2, 1, 1)
-    h1 = model.torus_element([0.4, 0.1])
-    h2 = model.torus_element([-0.2, 0.5])
-    cloud = sample_orbit(model, h1, h2, 40, seed=9)
+    frame = model.frame(np.array([[0.4, -0.2], [0.1, 0.5]]))
+    cloud = sample_orbit(model, frame, 40, seed=9)
     assert cloud.points.shape == (40, 2, 4, 4)
-    w1 = np.sort(np.linalg.eigvalsh(1j * h1.matrix))
-    w2 = np.sort(np.linalg.eigvalsh(1j * h2.matrix))
+    # 1j * h = -diag(frame[k]) is Hermitian
+    w1 = np.sort(-frame[0])
+    w2 = np.sort(-frame[1])
     for pair in cloud.points:
         assert np.allclose(np.sort(np.linalg.eigvalsh(1j * pair[0])), w1, atol=1e-12)
         assert np.allclose(np.sort(np.linalg.eigvalsh(1j * pair[1])), w2, atol=1e-12)
@@ -115,12 +125,12 @@ def test_sample_orbit_points_are_the_dense_products(blocks):
     # keeps the bits of the two triple products u h u^*
     model = build_model(*blocks)
     x = np.array([0.3, 0.3, 0.4])
-    frame = realizing_frame(x)
-    h1, h2 = (model.torus_element(frame[:, k]) for k in range(2))
-    cloud = sample_orbit(model, h1, h2, 300, seed=4)
+    frame = model.frame(realizing_frame(x))
+    cloud = sample_orbit(model, frame, 300, seed=4)
     us = haar_unitaries(_rng_for(4), model.n_ambient, 300)
     uh = np.conjugate(np.swapaxes(us, -1, -2))
-    dense = np.stack([us @ h1.matrix @ uh, us @ h2.matrix @ uh], axis=1)
+    h1, h2 = (1j * np.diag(h) for h in frame)
+    dense = np.stack([us @ h1 @ uh, us @ h2 @ uh], axis=1)
     assert cloud.points.tobytes() == dense.tobytes()
 
 
@@ -128,33 +138,34 @@ def test_sample_orbit_points_are_the_dense_products(blocks):
 def test_sample_orbit_rejects_bad_seeds(seed):
     model = build_model(1, 1, 1)
     with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*128\), got "):
-        sample_orbit(model, *model.omega, 5, seed)
+        sample_orbit(model, model.omega, 5, seed)
 
 
 def test_sample_orbit_accepts_the_seed_range_ends():
     model = build_model(1, 1, 1)
     for seed in (0, 2**128 - 1, np.int64(7)):
-        assert sample_orbit(model, *model.omega, 2, seed).seed == seed
+        assert sample_orbit(model, model.omega, 2, seed).seed == seed
 
 
 def test_sample_orbit_same_seed_same_unitaries():
     # the conjugating unitaries depend only on the seed, so clouds of two
     # different torus pairs are directly comparable point by point
     model = build_model(1, 1, 1)
-    a = sample_orbit(model, model.torus_element([0.5, 0.0]), model.torus_element([0.0, 0.5]), 10, seed=3)
-    b = sample_orbit(model, model.torus_element([0.2, 0.1]), model.torus_element([0.1, 0.2]), 10, seed=3)
+    a = sample_orbit(model, model.frame([[0.5, 0.0], [0.0, 0.5]]), 10, seed=3)
+    b = sample_orbit(model, model.frame([[0.2, 0.1], [0.1, 0.2]]), 10, seed=3)
     # first points conjugated by the same unitary: check via trace pairing
     ta = np.trace(a.points[0, 0] @ a.points[0, 1])
     tb = np.trace(b.points[0, 0] @ b.points[0, 1])
-    ha = np.trace(a.h1.matrix @ a.h2.matrix)
-    hb = np.trace(b.h1.matrix @ b.h2.matrix)
+    # tr(i diag(h1) i diag(h2)) = -h1 . h2
+    ha = -a.frame[0] @ a.frame[1]
+    hb = -b.frame[0] @ b.frame[1]
     assert ta == pytest.approx(ha, rel=1e-12)
     assert tb == pytest.approx(hb, rel=1e-12)
 
 
 def test_cloud_flat_points_and_dict():
     model = build_model(1, 1, 1)
-    cloud = sample_orbit(model, *model.omega, 6, seed=0)
+    cloud = sample_orbit(model, model.omega, 6, seed=0)
     flat = cloud.flat_points
     assert flat.shape == (6, 4 * 9)
     d = cloud.as_dict()
@@ -167,11 +178,17 @@ def test_cloud_flat_points_and_dict():
     assert np.allclose(rebuilt, flat, rtol=0, atol=0)
 
 
+def _json_text(cloud):
+    buf = io.StringIO()
+    cloud.write_json(buf)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("blocks,count", [((1, 1, 1), 1), ((2, 2, 2), 7)])
-def test_cloud_to_json_matches_dumps(blocks, count):
+def test_cloud_write_json_matches_dumps(blocks, count):
     model = build_model(*blocks)
-    cloud = sample_orbit(model, *model.omega, count, seed=5)
-    assert cloud.to_json() == json.dumps(cloud.as_dict()) + "\n"
+    cloud = sample_orbit(model, model.omega, count, seed=5)
+    assert _json_text(cloud) == json.dumps(cloud.as_dict()) + "\n"
 
 
 def test_write_json_writes_one_block_of_rows_at_a_time():
@@ -183,13 +200,13 @@ def test_write_json_writes_one_block_of_rows_at_a_time():
             self.chunks.append(text)
 
     model = build_model(2, 2, 2)
-    cloud = sample_orbit(model, *model.omega, 129, seed=1)
+    cloud = sample_orbit(model, model.omega, 129, seed=1)
     fh = Recorder()
     cloud.write_json(fh)
     # header, three blocks of 64, 64 and 1 rows, closing brackets
     assert len(fh.chunks) == 5
     assert [c.count("], [") for c in fh.chunks[1:4]] == [63, 63, 0]
-    assert "".join(fh.chunks) == cloud.to_json()
+    assert "".join(fh.chunks) == json.dumps(cloud.as_dict()) + "\n"
 
 
 def test_flat_embedding_is_isometric():
@@ -213,19 +230,13 @@ def test_induced_metric_accepts_any_diagonal_on_su3():
     # with three 1x1 blocks every traceless diagonal is a torus element, so
     # the block-scalar check always passes
     model = build_model(1, 1, 1)
-    w1, w2 = model.omega
-    elem = type(w1)(phases=np.array([0.9, -0.6, -0.3]), omega_coords=np.array([0.0, 0.0]))
-    induced_metric(model, elem, w2)
+    induced_metric(model, np.array([[0.9, -0.6, -0.3], model.omega[1]]))
 
 
 def test_induced_metric_rejects_non_central_diagonal():
     # on su(4) with a 2x2 block, a diagonal that is not constant on the
     # block is not in the torus; the induced Gram stops being block-scalar
     model = build_model(2, 1, 1)
-    w1, w2 = model.omega
-    bad = type(w1)(
-        phases=np.array([0.5, -0.5, 0.2, -0.2]),
-        omega_coords=np.array([0.0, 0.0]),
-    )
+    bad = np.array([[0.5, -0.5, 0.2, -0.2], model.omega[1]])
     with pytest.raises(ValueError):
-        induced_metric(model, bad, w2)
+        induced_metric(model, bad)

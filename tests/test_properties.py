@@ -1,5 +1,6 @@
 """Property tests: closed forms held against the forms they replaced, the
-realization of metrics, and the input parsers under fuzzing.
+realization of metrics, torus frames and their orbits, the symmetries of the
+curvature field, and the input parsers under fuzzing.
 
 Each fast path is compared with its reference form, kept here, on inputs
 that hypothesis draws under the profile in conftest.py: bit for bit where
@@ -19,10 +20,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from flagricci.cli import load_config, parse_point  # noqa: E402
-from flagricci.collapse import is_subalgebra  # noqa: E402
-from flagricci.fields import cone_form  # noqa: E402
-from flagricci.flags import FlagSpec, parse_flag  # noqa: E402
-from flagricci.orbits import build_model  # noqa: E402
+from flagricci.collapse import hausdorff, is_subalgebra, orbit_distance  # noqa: E402
+from flagricci.fields import cone_form, ricci_field  # noqa: E402
+from flagricci.flags import FlagSpec, make_flag, parse_flag  # noqa: E402
+from flagricci.orbits import build_model, induced_metric, sample_orbit  # noqa: E402
 from flagricci.realize import (  # noqa: E402
     PSD_TOL,
     _eigh_sym,
@@ -185,13 +186,20 @@ def test_sym_sqrt_agrees_with_the_eigenvector_form(y):
 @settings(max_examples=80)
 @given(y=_two_by_two())
 def test_sym_sqrt_decides_as_the_eigenvector_form(y):
-    # the whole double range: the same inputs accepted and rejected
+    # the whole double range: the same inputs accepted and rejected, except
+    # that sym_sqrt raises where its arithmetic overflows: wherever the
+    # reference's is inf or nan, and otherwise only near the float limit
     with np.errstate(all="ignore"):
         want = _or_none(_sym_sqrt_eigenvectors, y)
-        got = _or_none(sym_sqrt, y)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert np.array_equal(got, got.T, equal_nan=True)
+    try:
+        got = sym_sqrt(y)
+    except ValueError as exc:
+        if want is not None:
+            assert "overflows the float range" in str(exc)
+            assert not np.isfinite(want).all() or np.abs(y).max() > 1e307
+        return
+    assert want is not None and np.isfinite(want).all()
+    assert np.isfinite(got).all() and np.array_equal(got, got.T)
 
 
 # first-orthant points with x1 + x2 <= 1, so that |F| > 1e-9 puts the small
@@ -235,6 +243,89 @@ def test_realizing_frame_matches_the_eigenvector_form_and_is_a_section(x):
     assert _within_8_ulps(got, want)
     scale = max(1.0, float(np.abs(x).max()))
     assert np.abs(frame_metric(got) - x).max() <= 1e-9 * scale
+
+
+# --- torus frames and their orbit clouds ------------------------------------
+
+# family-A blocks of su(3) up to su(7)
+_BLOCKS = st.tuples(*[st.integers(1, 5)] * 3).filter(lambda b: sum(b) <= 7)
+_TAU = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(
+    lambda v: np.array(v).reshape(2, 2)
+)
+
+
+@settings(max_examples=30)
+@given(blocks=_BLOCKS, tau=_TAU)
+def test_frame_is_a_torus_frame_that_induces_the_frame_metric(blocks, tau):
+    model = build_model(*blocks)
+    frame = model.frame(tau)
+    assert frame.shape == (2, model.n_ambient)
+    for row in frame:
+        for r in model.block_ranges:
+            assert np.all(row[list(r)] == row[r.start])
+        assert abs(row.sum()) <= 1e-14 * max(1.0, np.abs(row).max())
+    want = frame_metric(tau)
+    got = induced_metric(model, frame)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=20)
+@given(blocks=_BLOCKS, taus=st.tuples(_TAU, _TAU), seed=st.integers(0, 2**32))
+def test_sampled_distance_lies_between_exact_and_matched(blocks, taus, seed):
+    # one seed, so both clouds conjugate by the same Haar samples
+    model = build_model(*blocks)
+    a, b = (sample_orbit(model, model.frame(tau), 40, seed) for tau in taus)
+    z, w = (c.frame[0] + 1j * c.frame[1] for c in (a, b))
+    scale = math.sqrt(2.0 * model.n_ambient)
+    matched = scale * float(np.linalg.norm(z - w))
+    tol = 1e-9 * scale * max(1.0, float(np.linalg.norm(z)), float(np.linalg.norm(w)))
+    exact = orbit_distance(a.frame, b.frame)
+    assert exact - tol <= hausdorff(a, b) <= matched + tol
+
+
+# --- the curvature field: symmetries on the whole catalogue ------------------
+
+_CATALOGUE = st.one_of(
+    st.tuples(*[st.integers(1, 6)] * 3).map(lambda p: make_flag("A", p)),
+    st.integers(4, 12).map(lambda ell: make_flag("D", ell)),
+    st.just(make_flag("E")),
+)
+_POINTS = st.lists(
+    st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1, max_size=8
+).map(np.array)
+_PERMS = st.sampled_from([[0, 1, 2], [1, 0, 2], [0, 2, 1], [2, 1, 0], [1, 2, 0], [2, 0, 1]])
+
+
+def _permuted_member(spec, perm):
+    """The member whose field at x[perm] is R(x)[perm], or None if there is none.
+
+    In family A coordinate i belongs to the block size absent from its pair,
+    s = (p, n, m), so permuting coordinates permutes s; family D is symmetric
+    in its first two coordinates only, and E in all three.
+    """
+    if spec.family == "A":
+        s = [spec.params[2], spec.params[1], spec.params[0]]
+        s2 = [s[k] for k in perm]
+        return make_flag("A", (s2[2], s2[1], s2[0]))
+    if spec.family == "E" or perm in ([0, 1, 2], [1, 0, 2]):
+        return spec
+    return None
+
+
+@settings(max_examples=60)
+@given(spec=_CATALOGUE, x=_POINTS, lam=st.floats(0.1, 3.0), perm=_PERMS)
+def test_ricci_field_symmetries(spec, x, lam, perm):
+    r = ricci_field(spec, x)
+    # degree-3 homogeneity; the cubic's terms are below 60 on the unit cube
+    assert np.abs(ricci_field(spec, lam * x) - lam**3 * r).max() <= 1e-12 * lam**3
+    # each face {x_i = 0} is invariant exactly
+    for i in range(3):
+        face = x.copy()
+        face[:, i] = 0.0
+        assert np.all(ricci_field(spec, face)[:, i] == 0.0)
+    other = _permuted_member(spec, perm)
+    if other is not None:
+        assert np.abs(ricci_field(other, x[:, perm]) - r[:, perm]).max() <= 1e-12
 
 
 # --- the parsers: a value or a ValueError, never another exception ----------

@@ -12,6 +12,7 @@ from flagricci.realize import (
     is_psd,
     psd_to_coeffs,
     rank1_decompose,
+    realized_coeffs,
     realizing_frame,
     sample_cone,
     sample_disk,
@@ -127,6 +128,38 @@ def test_realizing_frame_takes_tiny_negatives_as_zero():
         realizing_frame(np.array([0.5, -1e-9, 0.5]), tol=1e-8),
         realizing_frame(np.array([0.5, 0.0, 0.5]), tol=1e-8),
     )
+
+
+def test_realized_coeffs_is_the_point_realizing_frame_realizes():
+    x = realized_coeffs(np.array([-1e-11, 0.5, -0.0]))
+    assert x == (0.0, 0.5, 0.0)
+    assert all(np.copysign(1.0, v) == 1.0 for v in x)
+    tau = realizing_frame(np.array([-1e-11, 0.5, 0.5]))
+    assert np.abs(tau @ tau - coeffs_to_psd(realized_coeffs([-1e-11, 0.5, 0.5]))).max() <= 1e-15
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        realized_coeffs(np.array([0.5, -1e-9, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "call, arg",
+    [
+        (realizing_frame, np.array([1e308, 1e308, 1e308])),
+        (realizing_frame, np.array([1e308, 1e307, 0.0])),
+        (sym_sqrt, np.diag([1e308, 1e308])),
+        (sym_sqrt, np.array([[0.0, 1e308], [1e308, 0.0]])),
+        (disk_membership, np.array([1e308, 1e308, 1e308])),
+    ],
+    ids=["frame-interior", "frame-outside", "sqrt-diagonal", "sqrt-symmetrized", "disk"],
+)
+def test_finite_input_that_overflows_raises(call, arg):
+    # never NaN and never a warning, which pytest would turn into an error
+    with pytest.raises(ValueError, match="overflows the float range$"):
+        call(arg)
+
+
+def test_sym_sqrt_rejects_non_finite_input():
+    with pytest.raises(ValueError, match=r"^y\[1, 0\] = nan is not finite$"):
+        sym_sqrt(np.array([[1.0, 0.0], [np.nan, 1.0]]))
 
 
 def test_rank1_decompose_reconstructs():
