@@ -30,7 +30,15 @@ from .fields import (
     ricci_field,
 )
 from .flags import parse_flag
-from .flow import ATOL, RTOL, T_MAX, classify_limit, find_equilibria, integrate
+from .flow import (
+    ATOL,
+    RTOL,
+    T_MAX,
+    classify_limit,
+    find_equilibria,
+    integrate,
+    integrate_many,
+)
 from .orbits import build_model, sample_orbit
 from .realize import coeffs_to_psd, disk_membership, realized_coeffs, realizing_frame
 
@@ -179,23 +187,21 @@ def cmd_field(args) -> int:
     return 0
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row.
+
+    Floats go through fmt, so they carry 17 significant digits; strings are
+    written as given.
+    """
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def _trajectory_csv(traj) -> str:
-    rows = ["t,x1,x2,x3,F,sum_residual"]
-    for i in range(len(traj.times)):
-        s = traj.states[i]
-        rows.append(
-            ",".join(
-                [
-                    fmt(traj.times[i]),
-                    fmt(s[0]),
-                    fmt(s[1]),
-                    fmt(s[2]),
-                    fmt(traj.f_values[i]),
-                    fmt(traj.sum_residuals[i]),
-                ]
-            )
-        )
-    return "\n".join(rows) + "\n"
+    rows = np.column_stack([traj.times, traj.states, traj.f_values, traj.sum_residuals])
+    return _csv("t,x1,x2,x3,F,sum_residual", rows.tolist())
 
 
 def cmd_flow(args) -> int:
@@ -213,44 +219,29 @@ def cmd_portrait(args) -> int:
     if n < 1:
         raise ValueError("grid must be at least 1")
     eqs = find_equilibria(spec, grid_n=args.eq_grid)
-    rows = ["u,v,Yu,Yv,in_domain,end_u,end_v,limit"]
     ticks = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.0])
-    for u in ticks:
-        for v in ticks:
-            inside = u + v <= 1.0 + 1e-12
-            if not inside:
-                rows.append(
-                    ",".join([fmt(u), fmt(v), "nan", "nan", "0", "nan", "nan", ""])
-                )
-                continue
-            y = reduced_field(spec, (u, v))
-            traj = integrate(
-                spec,
-                np.array([u, v, max(0.0, 1.0 - u - v)]),
-                t_max=args.t_max,
-                rtol=args.rtol,
-                atol=args.atol,
-            )
-            eq = classify_limit(traj, eqs)
-            label = "undecided" if eq is None else "eq(%s)" % ";".join(
-                fmt(c) for c in eq.point
-            )
-            end = traj.final_state
-            rows.append(
-                ",".join(
-                    [
-                        fmt(u),
-                        fmt(v),
-                        fmt(y[0]),
-                        fmt(y[1]),
-                        "1",
-                        fmt(end[0]),
-                        fmt(end[1]),
-                        label,
-                    ]
-                )
-            )
-    _emit(args.out, "\n".join(rows) + "\n", "%d rows" % (n * n))
+    # u-major rows, as the cells are written
+    u, v = (g.ravel() for g in np.meshgrid(ticks, ticks, indexing="ij"))
+    inside = u + v <= 1.0 + 1e-12
+    ui, vi = u[inside], v[inside]
+    # one field call and one ensemble over the in-domain cells, each row
+    # bit-equal to its cell alone
+    y = reduced_field(spec, np.column_stack([ui, vi]))
+    starts = np.column_stack([ui, vi, np.maximum(0.0, 1.0 - ui - vi)])
+    trajs = integrate_many(spec, starts, t_max=args.t_max, rtol=args.rtol, atol=args.atol)
+    cells = zip(y.tolist(), trajs)
+    rows = []
+    for uk, vk, in_domain in zip(u.tolist(), v.tolist(), inside.tolist()):
+        if not in_domain:
+            rows.append((uk, vk, "nan", "nan", "0", "nan", "nan", ""))
+            continue
+        (yu, yv), traj = next(cells)
+        eq = classify_limit(traj, eqs)
+        label = "undecided" if eq is None else "eq(%s)" % ";".join(map(fmt, eq.point))
+        end_u, end_v, _ = traj.final_state.tolist()
+        rows.append((uk, vk, yu, yv, "1", end_u, end_v, label))
+    text = _csv("u,v,Yu,Yv,in_domain,end_u,end_v,limit", rows)
+    _emit(args.out, text, "%d rows" % (n * n))
     return 0
 
 
@@ -325,16 +316,9 @@ def cmd_collapse(args) -> int:
     except NonRealizableError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    rows = ["t,x1,x2,x3,hausdorff"]
-    for i in range(len(run.times)):
-        s = run.states[i]
-        rows.append(
-            ",".join(
-                [fmt(run.times[i]), fmt(s[0]), fmt(s[1]), fmt(s[2]), fmt(run.distances[i])]
-            )
-        )
+    rows = np.column_stack([run.times, run.states, run.distances])
     note = "limit %s, resolution %s" % (fmt_vec(run.x_limit), fmt(run.resolution))
-    _emit(args.out, "\n".join(rows) + "\n", note)
+    _emit(args.out, _csv("t,x1,x2,x3,hausdorff", rows.tolist()), note)
     return 0
 
 

@@ -207,20 +207,6 @@ class CollapseVerdict:
     verdict: str  # realizable | non_realizable | no_collapse
     witness: dict | None
 
-    def as_dict(self) -> dict:
-        witness = self.witness
-        if witness is not None:
-            witness = {
-                k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in witness.items()
-            }
-        return {
-            "point": [float(v) for v in self.point],
-            "kernel": list(self.kernel),
-            "verdict": self.verdict,
-            "witness": witness,
-        }
-
 
 def collapse_verdict(model: LieModel, x_limit) -> CollapseVerdict:
     """Classify a limit point: no_collapse, realizable, or non_realizable.

@@ -21,9 +21,13 @@ frame of the identity.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fields import require_finite
 
 # largest off-block residual of induced_metric's Gram matrix, relative to its
 # largest entry (at least 1)
@@ -99,7 +103,10 @@ class LieModel:
         if tau.shape != (2, 2):
             raise ValueError("tau must be a 2x2 matrix, got shape %r" % (tau.shape,))
         w1, w2 = self.omega
-        return tau[0][:, None] * w1 + tau[1][:, None] * w2
+        # a frame beyond the float range comes out inf, which sample_orbit
+        # rejects, with no numpy warning on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            return tau[0][:, None] * w1 + tau[1][:, None] * w2
 
     def inner(self, x, y) -> float:
         """Negative Killing form -2N Re tr(XY)."""
@@ -234,13 +241,22 @@ def sample_orbit(model: LieModel, frame, count: int, seed: int) -> OrbitCloud:
     """Sample the adjoint orbit of the (2, N) frame at Haar-random points.
 
     seed is the Philox key of the Haar samples, an integer in [0, 2**128).
+    A non-finite frame, and one whose orbit coordinates could leave the
+    float range, raise ValueError.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
         raise ValueError("seed must be an integer in [0, 2**128), got %r" % (seed,))
-    frame = np.asarray(frame, dtype=float)
+    frame = require_finite(frame, "frame")
     n = model.n_ambient
+    # an entry of u h u^* is at most max |h| in modulus and its real
+    # coordinates scale it by sqrt(2N); half the float range leaves room
+    # for the rounding of the products
+    peak = float(np.max(np.abs(frame)))
+    if peak > sys.float_info.max / (2.0 * math.sqrt(2.0 * n)):
+        msg = "the orbit of a frame with max |h| = %.3e overflows the float range"
+        raise ValueError(msg % peak)
     us = haar_unitaries(_rng_for(seed), n, count)
     uh = np.conjugate(np.swapaxes(us, -1, -2))
     # u h u^* for each frame element, written straight into its slot; scaling

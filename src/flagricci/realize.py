@@ -167,6 +167,12 @@ def _sqrt2(a, b, c, tol):
             r_lo, r_hi = math.sqrt(lo), math.sqrt(hi)
             shift, denom = r_lo * r_hi, r_lo + r_hi
         p, q, off = (a + shift) / denom, (b + shift) / denom, c / denom
+        if not math.isfinite(p + q + off) and math.isfinite(hi):
+            # a + shift can overflow though the root is representable; a
+            # quarter of each term gives the same quotients, exactly, as
+            # scaling by a power of two is: the bits of 2 sqrt(Y / 4)
+            a4, b4, c4, s4, d4 = a / 4, b / 4, c / 4, shift / 4, denom / 4
+            p, q, off = (a4 + s4) / d4, (b4 + s4) / d4, c4 / d4
     # a root's entries lie below 1.4e154: the sum is finite when they are
     if not math.isfinite(p + q + off):
         raise ValueError("the root of %r overflows the float range" % ([[a, c], [c, b]],))

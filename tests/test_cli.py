@@ -12,7 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from flagricci import flow
 from flagricci.cli import atomic_write, fmt, load_config, main, parse_point
+from flagricci.fields import reduced_field
+from flagricci.flags import parse_flag
 from flagricci.orbits import build_model, sample_orbit
 from flagricci.realize import coeffs_to_psd, realizing_frame
 
@@ -194,6 +197,24 @@ def test_a_point_that_overflows_is_an_error(capsys, command):
     assert re.fullmatch(r"error: .* overflows the float range\n", err)
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        # a finite frame whose orbit coordinates overflow
+        ("A:1,1,1", r"the orbit of a frame with max \|h\| = .* overflows the float range"),
+        # a frame that overflows itself: 1.7e308 (-4/7 - 5/7) on the third block
+        ("A:1,4,2", r"frame\[0, 5\] = -inf is not finite"),
+    ],
+    ids=["orbit-overflows", "frame-overflows"],
+)
+def test_orbit_frames_beyond_the_float_range_are_an_error(tmp_path, capsys, flag, message):
+    argv = ["orbit", "--flag", flag, "--h1", "1.7e308,1.7e308", "--h2", "0,0"]
+    rc, out, err = run(capsys, *argv, "--count", "1", "--out", str(tmp_path / "o.json"))
+    assert (rc, out) == (2, "")
+    assert re.fullmatch("error: %s\n" % message, err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_realize_rejects_a_negative_coordinate_on_the_boundary(capsys):
     # F = 4e-10 is within CONE_TOL, but -2e-10 is below the -1e-10 cut
     rc, out, err = run(capsys, "realize", "--point=-2e-10,0.5,0.5")
@@ -303,6 +324,43 @@ def test_portrait_row_count(tmp_path, capsys):
     assert rc == 0
     lines = out_file.read_text().strip().splitlines()
     assert len(lines) == 1 + 25
+
+
+@pytest.mark.parametrize("flag", ["A:3,2,1", "D:8"])
+def test_portrait_runs_its_cells_in_lockstep_with_the_bytes_of_each_cell(
+    tmp_path, capsys, monkeypatch, flag
+):
+    # 45 in-domain cells, more than FLOAT_LOOP_ROWS: one lockstep ensemble,
+    # against the rows the cells give one by one
+    real, batches = flow._lockstep, []
+
+    def lockstep(f, x0, *settings):
+        batches.append(len(x0))
+        return real(f, x0, *settings)
+
+    monkeypatch.setattr(flow, "_lockstep", lockstep)
+    path = tmp_path / "p.csv"
+    argv = ["portrait", "--flag", flag, "--grid", "9", "--eq-grid", "10"]
+    rc, _, _ = run(capsys, *argv, "--out", str(path))
+    assert rc == 0
+    assert batches == [45] and 45 > flow.FLOAT_LOOP_ROWS
+    spec = parse_flag(flag)
+    eqs = flow.find_equilibria(spec, grid_n=10)
+    rows = ["u,v,Yu,Yv,in_domain,end_u,end_v,limit"]
+    ticks = np.linspace(0.0, 1.0, 9)
+    for u in ticks:
+        for v in ticks:
+            if u + v > 1.0 + 1e-12:
+                rows.append(",".join([fmt(u), fmt(v), "nan", "nan", "0", "nan", "nan", ""]))
+                continue
+            y = reduced_field(spec, (u, v))
+            traj = flow.integrate(spec, np.array([u, v, max(0.0, 1.0 - u - v)]))
+            eq = flow.classify_limit(traj, eqs)
+            label = "undecided" if eq is None else "eq(%s)" % ";".join(map(fmt, eq.point))
+            end = traj.final_state
+            cells = [fmt(u), fmt(v), fmt(y[0]), fmt(y[1]), "1", fmt(end[0]), fmt(end[1])]
+            rows.append(",".join(cells + [label]))
+    assert path.read_text() == "\n".join(rows) + "\n"
 
 
 def test_portrait_rejects_zero_grid(capsys):

@@ -340,8 +340,6 @@ def test_collapse_verdict_midpoints():
         assert v.verdict == "realizable"
         assert v.kernel == (dead,)
         assert "tau" in v.witness
-        d = v.as_dict()
-        assert d["verdict"] == "realizable"
 
 
 def test_collapse_verdict_vertices():

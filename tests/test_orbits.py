@@ -1,5 +1,7 @@
 import io
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -145,6 +147,29 @@ def test_sample_orbit_accepts_the_seed_range_ends():
     model = build_model(1, 1, 1)
     for seed in (0, 2**128 - 1, np.int64(7)):
         assert sample_orbit(model, model.omega, 2, seed).seed == seed
+
+
+def test_sample_orbit_rejects_a_frame_whose_orbit_overflows():
+    # the frame is finite, but its orbit coordinates, sqrt(2N) times an
+    # entry of u h u^*, are not; never a warning, which pytest would raise
+    model = build_model(1, 1, 1)
+    frame = model.frame([[1.7e308, 0.0], [1.7e308, 0.0]])
+    assert np.isfinite(frame).all()
+    message = r"max \|h\| = 1\.700e\+308 overflows the float range$"
+    with pytest.raises(ValueError, match=message):
+        sample_orbit(model, frame, 1, 0)
+    with pytest.raises(ValueError, match=r"^frame\[0, 1\] = inf is not finite$"):
+        sample_orbit(model, np.array([[0.0, np.inf, 0.0], [0.0, 0.0, 0.0]]), 1, 0)
+
+
+def test_sample_orbit_at_the_overflow_bound_is_finite():
+    model = build_model(1, 2, 1)
+    b = sys.float_info.max / (2.0 * math.sqrt(2.0 * model.n_ambient))
+    frame = np.array([[b, -b, 0.0, 0.0], [0.0, 0.0, b, -b]])
+    cloud = sample_orbit(model, frame, 50, 2)
+    assert np.isfinite(cloud.flat_points).all()
+    with pytest.raises(ValueError, match="overflows the float range$"):
+        sample_orbit(model, np.array([[2.0 * b, -b, -b, 0.0], [0.0] * 4]), 1, 0)
 
 
 def test_sample_orbit_same_seed_same_unitaries():

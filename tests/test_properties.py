@@ -23,6 +23,7 @@ from flagricci.cli import load_config, parse_point  # noqa: E402
 from flagricci.collapse import hausdorff, is_subalgebra, orbit_distance  # noqa: E402
 from flagricci.fields import cone_form, ricci_field  # noqa: E402
 from flagricci.flags import FlagSpec, make_flag, parse_flag  # noqa: E402
+from flagricci.flow import FLOAT_LOOP_ROWS, integrate, integrate_many  # noqa: E402
 from flagricci.orbits import build_model, induced_metric, sample_orbit  # noqa: E402
 from flagricci.realize import (  # noqa: E402
     PSD_TOL,
@@ -326,6 +327,58 @@ def test_ricci_field_symmetries(spec, x, lam, perm):
     other = _permuted_member(spec, perm)
     if other is not None:
         assert np.abs(ricci_field(other, x[:, perm]) - r[:, perm]).max() <= 1e-12
+
+
+def _lyapunov_linear(spec, x):
+    """The linear form L of test_lyapunov_certificate_holds_symbolically at x."""
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    if spec.family == "D":
+        (ell,) = spec.params
+        return (ell - 2) * (x1 + x2) + 2 * x3
+    m, n, p = spec.params if spec.family == "A" else (1, 1, 1)
+    return p * x1 + n * x2 + m * x3
+
+
+@settings(max_examples=60)
+@given(spec=_CATALOGUE, x=_POINTS)
+def test_lyapunov_bracket_is_nonnegative_on_the_orthant(spec, x):
+    # G = L s^2 + sum R is a sum of terms nonnegative on the orthant, so
+    # only rounding can take it below 0: by at most 1e-12 of the terms' size
+    r = ricci_field(spec, x)
+    ls2 = _lyapunov_linear(spec, x) * x.sum(axis=-1) ** 2
+    g = ls2 + r.sum(axis=-1)
+    assert np.all(g >= -1e-12 * (ls2 + np.abs(r).sum(axis=-1)))
+
+
+# batches of 1 to 40 simplex points, their sizes drawn on either side of
+# FLOAT_LOOP_ROWS alike
+_BATCH_SIZES = st.one_of(
+    st.integers(1, FLOAT_LOOP_ROWS), st.integers(FLOAT_LOOP_ROWS + 1, 40)
+)
+_SIMPLEX_STARTS = _BATCH_SIZES.flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda x: sum(x) > 1e-3),
+        min_size=n,
+        max_size=n,
+    )
+).map(lambda rows: np.array(rows) / np.sum(rows, axis=1, keepdims=True))
+
+
+@settings(max_examples=20)
+@given(spec=_CATALOGUE, starts=_SIMPLEX_STARTS, t_max=st.floats(0.05, 0.5))
+def test_integrate_many_has_the_bits_of_integrate(spec, starts, t_max):
+    trajs = integrate_many(spec, starts, t_max=t_max)
+    assert len(trajs) == len(starts)
+    for start, got in zip(starts, trajs):
+        want = integrate(spec, start, t_max=t_max)
+        for name in ("times", "states", "f_values", "sum_residuals", "step_sizes"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.status == want.status
+        assert (got.n_accepted, got.n_rejected, got.n_field_evals) == (
+            want.n_accepted,
+            want.n_rejected,
+            want.n_field_evals,
+        )
 
 
 # --- the parsers: a value or a ValueError, never another exception ----------

@@ -157,6 +157,16 @@ def test_finite_input_that_overflows_raises(call, arg):
         call(arg)
 
 
+def test_a_root_whose_shifted_diagonal_overflows_is_the_quarter_scaled_root():
+    # a + sqrt(lo hi) overflows before the division, but the root does not:
+    # its terms are taken at a quarter, which keeps every bit
+    x = np.array([1.5e308, 1e307, 1.61e308])
+    got = realizing_frame(x)
+    want = 2.0 * sym_sqrt(coeffs_to_psd(x) / 4.0)
+    assert np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes()
+
+
 def test_sym_sqrt_rejects_non_finite_input():
     with pytest.raises(ValueError, match=r"^y\[1, 0\] = nan is not finite$"):
         sym_sqrt(np.array([[1.0, 0.0], [np.nan, 1.0]]))
