@@ -8,14 +8,17 @@ the same group and the verdict is non_realizable, with a concrete bracket
 witness. collapse_run follows a flow trajectory into such a limit and
 measures the exact distance from the adjoint orbit at each sample time to
 the limit orbit, the cheapest transport plan between the two frames' block
-values. Only the limit orbit is sampled, for the resolution: a Gram product
-ranks each point's neighbours and cdist measures the nearest. hausdorff,
-the distance between sampled clouds, is the reference that verify and the
-tests hold orbit_distance against.
+values. Only the limit orbit is sampled, for the resolution: a float32 Gram
+product ranks each point's neighbours, within a stated rounding bound, and
+cdist measures the few candidates, so the nearest distance keeps cdist's
+bits. hausdorff, the distance between sampled clouds, runs through the same
+kernel; it is the reference that verify and the tests hold orbit_distance
+against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -29,9 +32,11 @@ from .flow import ATOL, RTOL, Trajectory, integrate
 from .orbits import LieModel, OrbitCloud, sample_orbit
 from .realize import realizing_frame
 
-# rows of the distance matrix that sampling_resolution holds at once: 1 MiB
-# for a 2000-point cloud
-_ROWS = 64
+# rows that _nearest ranks at once: its float32 block is 1 MiB for a
+# 2000-point cloud
+_ROWS = 128
+# rows that cdist measures at once, each against its own candidates only
+_CHUNK = 16
 # a limit coordinate at or below KERNEL_TOL kills its summand
 KERNEL_TOL = 1e-8
 # collapse_run integrates at least this long, so its limit is settled
@@ -45,15 +50,15 @@ def hausdorff(a: OrbitCloud, b: OrbitCloud) -> float:
     """Hausdorff distance between two clouds in the same ambient algebra.
 
     Exact max-min over both directions, in the metric induced by the
-    negative Killing form. Clouds with a non-finite coordinate are rejected.
+    negative Killing form: _nearest gives each point's nearest distance to
+    the other cloud with the bits of a full cdist scan. Clouds with a
+    non-finite coordinate are rejected.
     """
     if a.n_ambient != b.n_ambient or a.points.shape[1:] != b.points.shape[1:]:
         raise ValueError("clouds live in different ambient spaces")
-    d = cdist(
-        require_finite(a.flat_points, "a.flat_points"),
-        require_finite(b.flat_points, "b.flat_points"),
-    )
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    pa = require_finite(a.flat_points, "a.flat_points")
+    pb = require_finite(b.flat_points, "b.flat_points")
+    return float(max(_nearest(pa, pb).max(), _nearest(pb, pa).max()))
 
 
 def _diagonal(frame, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -126,40 +131,82 @@ def orbit_distance(a, b) -> float:
     return float(np.sqrt(2 * n * np.repeat(cost, best).sum()))
 
 
+def _ranking_copy(pts: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """pts scaled by 2^-e, exactly, then rounded to float32, and the float64
+    squared norms of the scaled rows."""
+    w = np.empty(pts.shape, dtype=np.float32)
+    np.ldexp(pts, -e, out=w, casting="same_kind")
+    return w, np.einsum("ij,ij->i", w, w, dtype=np.float64)
+
+
+def _nearest(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Each row of a's smallest cdist distance to a row of b, or, with b
+    None, to another row of a; a and b are finite (count, D) arrays.
+
+    Rows are ranked _ROWS at a time on float32 copies of the points, scaled
+    by one power of two so that the largest coordinate lies in [0.5, 1).
+    With w the scaled points, r_ij = |w_j|^2 / 2 - <w_i, w_j> is
+    |w_i - w_j|^2 / 2 less a term of the row, so it ranks row i's columns
+    by distance. Column j is a candidate for row i when r_ij lies within
+    the row's slack of its least r, and cdist measures each _CHUNK rows
+    against their candidates only. cdist's nearest column is always a
+    candidate, so every distance has the bits of a full cdist scan.
+
+    The slack is an error bound, to first order in u = 2^-24. Let s be the
+    float64 squared norms of the float32 rows and S = max s, at least 1/4.
+    Each float32 r_ij is within (D + 7) / 2 * u * (s_i + S) of its exact
+    value: (D + 3) u |w_i| |w_j| from the rounding to float32 and the
+    D-term product, 2 u |w_j|^2 from the half norm and the subtraction.
+    Underflow adds less than D * 2^-125. The row's cutoff, rounded to
+    float32, moves by at most u (s_i + S), and cdist's own rounding can
+    put its nearest column up to (D + 3) * 2^-51 * (s_i + S) above the
+    exact least r. So the slack (D + 2) * 2^-21 * (s_i + S), which is
+    8 (D + 2) u (s_i + S), covers twice the first bound plus the other two
+    about seven times over at su(3)'s D = 36, and more at larger D.
+    """
+    skip_self = b is None
+    if skip_self:
+        b = a
+    rows, d = a.shape
+    e = math.frexp(max(-a.min(), a.max(), -b.min(), b.max()))[1]
+    wa, sa = _ranking_copy(a, e)
+    wb, sb = (wa, sa) if skip_self else _ranking_copy(b, e)
+    half = (0.5 * sb).astype(np.float32)
+    slack = ((d + 2) * 2.0**-21 * (sa + max(sa.max(), sb.max()))).astype(np.float32)
+    nearest = np.empty(rows)
+    block = np.empty((min(rows, _ROWS), len(b)), dtype=np.float32)
+    for i0 in range(0, rows, _ROWS):
+        r = block[: rows - i0]
+        np.matmul(wa[i0 : i0 + _ROWS], wb.T, out=r)
+        np.subtract(half, r, out=r)
+        if skip_self:
+            own = np.arange(len(r))
+            r[own, i0 + own] = np.inf
+        keep = r <= (r.min(axis=1) + slack[i0 : i0 + _ROWS])[:, None]
+        for c in range(0, len(r), _CHUNK):
+            k = keep[c : c + _CHUNK]
+            cols = np.flatnonzero(k.any(axis=0))
+            dist = cdist(a[i0 + c : i0 + c + _CHUNK], b[cols])
+            dist[~k[:, cols]] = np.inf
+            nearest[i0 + c : i0 + c + _CHUNK] = dist.min(axis=1)
+    return nearest
+
+
 def sampling_resolution(cloud: OrbitCloud) -> float:
     """Median nearest-neighbor distance within a cloud.
 
-    Rows are taken _ROWS at a time, never as a count x count matrix. One
-    BLAS product per block ranks every other point by squared distance;
-    cdist measures the block against each column within a rounding slack
-    of some row's best, and a row's nearest distance is its smallest entry
-    there other than itself. That includes the nearest point, so the result
+    Never holds a count x count matrix: _nearest ranks each point's
+    neighbours on a float32 copy of the cloud, scaled by a power of two, in
+    blocks of _ROWS (128) rows, and cdist measures each _CHUNK (16) rows
+    against only the columns within the float32 error bound of a row's
+    best, (D + 2) * 2^-21 * (s_i + max s) for D coordinates and scaled
+    squared norms s. The nearest point is always among them, so the result
     has the bits of a full cdist scan. Non-finite clouds are rejected.
     """
     pts = require_finite(cloud.flat_points, "cloud.flat_points")
     if len(pts) < 2:
         return np.inf
-    sq = np.einsum("ij,ij->i", pts, pts)
-    # The Gram form's rounding error in a squared distance is below
-    # (len(a) + 2) * 2^-53 * (|a|^2 + |b|^2), under 2e-12 of that scale up to
-    # su(50), and cdist's is smaller: a column more than this slack above a
-    # row's best is truly further than the row's nearest point.
-    slack = 1e-9 * (sq + sq.max())
-    nearest = np.empty(len(pts))
-    for s in range(0, len(pts), _ROWS):
-        blk = pts[s : s + _ROWS]
-        rows = np.arange(len(blk))
-        # |a - b|^2 less the row's own |a|^2, which does not change its ranking
-        d2 = blk @ pts.T
-        d2 *= -2.0
-        d2 += sq
-        d2[rows, s + rows] = np.inf
-        keep = d2 <= (d2.min(axis=1) + slack[s : s + _ROWS])[:, None]
-        cols = np.flatnonzero(keep.any(axis=0))
-        d = cdist(blk, pts[cols])
-        d[cols[None, :] == (s + rows)[:, None]] = np.inf
-        nearest[s : s + _ROWS] = d.min(axis=1)
-    return float(np.median(nearest))
+    return float(np.median(_nearest(pts)))
 
 
 def is_subalgebra(model: LieModel, summand_indices):

@@ -281,6 +281,13 @@ def _cpow(x, p) -> np.ndarray:
     return np.array([v ** p for v in x.tolist()])
 
 
+def _bounded(lo, fac, hi) -> np.ndarray:
+    """min(hi, max(lo, fac)) on each element of fac, with the semantics of
+    Python's min and max: a NaN fac gives lo, where np.maximum gives NaN."""
+    fac = np.where(fac > lo, fac, lo)
+    return np.where(fac < hi, fac, hi)
+
+
 def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
     """_float_loop's adaptive step on every row of the (n, 3) array x0.
 
@@ -325,22 +332,25 @@ def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
         else:
             # land exactly on t_max
             h_try = np.minimum(h, t_max - t)
-            z, e = map(np.array, _step(f, y, k1, h_try))
+            # Python floats overflow to inf and nan without a warning; a
+            # step whose error estimate does is rejected, as it is there
+            with np.errstate(over="ignore", invalid="ignore"):
+                z, e = map(np.array, _step(f, y, k1, h_try))
+                q = e / (atol + rtol * np.maximum(np.abs(y), np.abs(z)))
+                err = np.sqrt(_sum_squares(*q) / 3)
             finite = np.isfinite(z).all(axis=0)
             if not finite.all():
                 r = int(np.argmin(finite))
                 msg = "row %d: non-finite state produced at t = %.6g"
                 msg %= (rows[r], t[r] + h_try[r])
                 raise IntegrationError(msg, t=t[r], state=y[:, r].copy())
-            q = e / (atol + rtol * np.maximum(np.abs(y), np.abs(z)))
-            err = np.sqrt(_sum_squares(*q) / 3)
             steps += 1
 
             # every operation below is a no-op on an empty selection
             ir = np.flatnonzero(~(err <= 1.0))
             n_rej[rows[ir]] += 1
             fac = 0.9 * _cpow(err[ir], -1.0 / 5.0)
-            h[ir] = h_try[ir] * np.minimum(1.0, np.maximum(0.2, fac))
+            h[ir] = h_try[ir] * _bounded(0.2, fac, 1.0)
 
             ia = np.flatnonzero(err <= 1.0)
             t[ia] += h_try[ia]
@@ -354,7 +364,7 @@ def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
             status[rows[at_rest]] = "equilibrium"
             ea = np.maximum(err[ia], 1e-10)
             fac = 0.9 * _cpow(ea, -0.7 / 5.0) * _cpow(err_prev[ia], 0.4 / 5.0)
-            h[ia] = h_try[ia] * np.minimum(5.0, np.maximum(0.2, fac))
+            h[ia] = h_try[ia] * _bounded(0.2, fac, 5.0)
             err_prev[ia] = ea
             done = t >= t_max
             done[at_rest] = True

@@ -85,10 +85,14 @@ def _eig2_vals(a, b, c):
     c), where hypot avoids cancellation near equal eigenvalues. The
     arithmetic is on floats, not numpy scalars, because each numpy scalar
     operation costs a call; IEEE doubles round alike in both, so the bits
-    are those of the numpy form the tests keep as its oracle.
+    are those of the numpy form the tests keep as its oracle wherever
+    a + b and a - b are finite.
     """
-    half_tr = 0.5 * (a + b)
-    delta = 0.5 * (a - b)
+    half_tr, delta = 0.5 * (a + b), 0.5 * (a - b)
+    if not (math.isfinite(half_tr) and math.isfinite(delta)):
+        # a + b or a - b can overflow though its half does not; halving
+        # each term first is exact at that size
+        half_tr, delta = 0.5 * a + 0.5 * b, 0.5 * a - 0.5 * b
     disc = math.hypot(delta, c)
     if disc == 0.0 or (c == 0.0 and abs(delta) == disc):
         return (a, b, True) if a <= b else (b, a, True)
@@ -121,14 +125,15 @@ def _eig2_sym(a, b, c):
 def _sym_entries(y):
     """(a, b, c) of the symmetric part [[a, c], [c, b]] of the 2x2 matrix y.
 
-    Python floats, symmetrized entrywise as 0.5 * (y + y.T) does; other
-    shapes raise.
+    Python floats, symmetrized entrywise as 0.5 * (y + y.T) does, except
+    that the diagonal is taken as it is: 0.5 * (a + a) is a wherever a + a
+    does not overflow. Other shapes raise.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix, got shape %r" % (y.shape,))
     (a, c0), (c1, b) = y.tolist()
-    return 0.5 * (a + a), 0.5 * (b + b), 0.5 * (c0 + c1)
+    return a, b, 0.5 * (c0 + c1)
 
 
 def _eigh_sym(y):

@@ -187,14 +187,27 @@ def test_realize_mu_inverse_is_the_square_of_tau(capsys):
         assert json.loads(out)["mu_inverse"] == want
 
 
-@pytest.mark.parametrize("command", [["realize"], ["orbit", "--flag", "A:1,1,1"]])
+@pytest.mark.parametrize("command", [["realize"]])
 def test_a_point_that_overflows_is_an_error(capsys, command):
-    # F of (1e308, 1e308, 1e308) is -3e616 and its frame's eigenvalues
-    # overflow: one error line, no warning, no NaN
+    # F of (1e308, 1e308, 1e308) is -3e616, and realize reports F: one
+    # error line, no warning, no NaN
     rc, out, err = run(capsys, *command, "--point", "1e308,1e308,1e308")
     assert (rc, out) == (2, "")
     assert err.count("\n") == 1
     assert re.fullmatch(r"error: .* overflows the float range\n", err)
+
+
+def test_orbit_of_a_point_whose_sums_overflow_is_twice_the_quarter_point(capsys):
+    # the frame of (1e308, 1e308, 1e308) is finite, about 1e154, although
+    # its trace 2e308 is not; scaling by powers of two is exact, so the
+    # orbit is twice that of the quarter point, bit for bit
+    rc, out, _ = run(capsys, "orbit", "--flag", "A:1,1,1", "--point", "1e308,1e308,1e308")
+    assert rc == 0
+    got = np.array(json.loads(out)["points"])
+    rc, out, _ = run(capsys, "orbit", "--flag", "A:1,1,1", "--point", "2.5e307,2.5e307,2.5e307")
+    assert rc == 0
+    assert np.isfinite(got).all()
+    assert got.tobytes() == (2.0 * np.array(json.loads(out)["points"])).tobytes()
 
 
 @pytest.mark.parametrize(

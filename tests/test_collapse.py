@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -6,8 +7,10 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from flagricci import collapse
 from flagricci.collapse import (
     NonRealizableError,
+    _nearest,
     collapse_run,
     collapse_verdict,
     hausdorff,
@@ -178,6 +181,68 @@ def test_sampling_resolution_shrinks_with_count():
     coarse = small_cloud(1.0, 1.0, count=50, seed=7)
     fine = small_cloud(1.0, 1.0, count=800, seed=7)
     assert sampling_resolution(fine) < sampling_resolution(coarse)
+
+
+# powers of two scale exactly; 1e+-150 round, and square beyond the float range
+SCALES = [2.0**500, 2.0**-500, 1e150, 1e-150]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("count", [2, 3, 127, 128, 129])
+def test_nearest_has_the_bits_of_a_full_cdist_scan(count, scale):
+    # on either side of one 128-row ranking block, within a cloud and
+    # between two clouds, at scales whose squares overflow or underflow
+    model = build_model(2, 1, 1)
+    pts = sample_orbit(model, limit_frame(model, LIMITS[count % 4]), count, count).flat_points
+    other = sample_orbit(model, model.omega, count + 5, count).flat_points
+    pts, other = pts * scale, other * scale
+    within = cdist(pts, pts)
+    np.fill_diagonal(within, np.inf)
+    assert _nearest(pts).tobytes() == within.min(axis=1).tobytes()
+    assert _nearest(pts, other).tobytes() == cdist(pts, other).min(axis=1).tobytes()
+    assert _nearest(other, pts).tobytes() == cdist(other, pts).min(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0] + SCALES)
+def test_hausdorff_is_the_max_min_of_a_full_cdist_scan(scale):
+    a = small_cloud(1.0, 0.3, count=140, seed=8)
+    b = small_cloud(0.4, 0.9, count=131, seed=9)
+    a, b = replace(a, points=a.points * scale), replace(b, points=b.points * scale)
+    d = cdist(a.flat_points, b.flat_points)
+    assert hausdorff(a, b) == float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+@pytest.mark.parametrize("where", ["orbit point", "origin"])
+def test_a_cloud_of_one_point_makes_every_column_a_candidate(monkeypatch, where):
+    cloud = small_cloud(1.0, 0.3, count=1, seed=3)
+    point = cloud.points if where == "orbit point" else np.zeros_like(cloud.points)
+    same = replace(cloud, points=np.repeat(point, 129, axis=0), count=129)
+    widths = []
+
+    def counted(rows, cols):
+        widths.append(len(cols))
+        return cdist(rows, cols)
+
+    monkeypatch.setattr(collapse, "cdist", counted)
+    assert sampling_resolution(same) == 0.0
+    # eight chunks of 16 rows take every column; row 128 alone takes all but itself
+    assert widths == [129] * 8 + [128]
+
+
+def test_sampling_resolution_holds_blocks_not_the_distance_matrix():
+    # a 2000-point su(6) cloud: beyond its flat coordinates, a float32 copy
+    # (1.1 MiB), one 128-row ranking block (1 MiB) and small change, where
+    # a full distance matrix would take 30.5 MiB
+    model = build_model(2, 2, 2)
+    cloud = sample_orbit(model, model.omega, 2000, 0)
+    flat = cloud.flat_points.nbytes
+    tracemalloc.start()
+    try:
+        sampling_resolution(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - flat <= 3 * 2**20
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -301,6 +301,21 @@ def test_lockstep_step_budget_names_the_row(monkeypatch):
     assert info.value.t > 0
 
 
+def test_lockstep_rejects_a_step_whose_error_estimate_overflows():
+    # 1e-4 from A(3,2,1)'s normal point the field is tiny, so the first step
+    # is as long as t_max and its error estimate overflows; the float loop
+    # rejects it with h shrunk fivefold, and so does every lockstep row
+    spec = make_flag("A", (3, 2, 1))
+    x = [0.41658936562113774, 0.3333967726618085, 0.25001386171705375]
+    single = integrate(spec, x, t_max=300.0)
+    assert single.status == "equilibrium" and single.n_rejected == 4
+    rows = _lockstep(point_field(spec), _onto_simplex(np.array([x] * 2)), 300.0, RTOL, ATOL)
+    for row in rows:
+        assert (row.status, row.n_rejected) == (single.status, single.n_rejected)
+        for name in ("times", "states", "step_sizes"):
+            assert getattr(row, name).tobytes() == getattr(single, name).tobytes(), name
+
+
 def test_float_loop_step_budget(monkeypatch):
     monkeypatch.setattr(flow, "MAX_STEPS", 3)
     with pytest.raises(IntegrationError, match=r"^step budget exhausted$") as info:

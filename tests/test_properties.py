@@ -21,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from flagricci.cli import load_config, parse_point  # noqa: E402
 from flagricci.collapse import hausdorff, is_subalgebra, orbit_distance  # noqa: E402
-from flagricci.fields import cone_form, ricci_field  # noqa: E402
+from flagricci.fields import _cubic_coefficients, cone_form, ricci_field  # noqa: E402
 from flagricci.flags import FlagSpec, make_flag, parse_flag  # noqa: E402
 from flagricci.flow import FLOAT_LOOP_ROWS, integrate, integrate_many  # noqa: E402
 from flagricci.orbits import build_model, induced_metric, sample_orbit  # noqa: E402
@@ -55,7 +55,7 @@ def _projected_witness(model, i, j):
     }
 
 
-@settings(max_examples=40)
+@settings(max_examples=10)
 @given(
     blocks=st.tuples(*[st.integers(1, 6)] * 3),
     pair=st.sampled_from([(1, 2), (1, 3), (2, 3)]),
@@ -110,11 +110,25 @@ def _two_by_two(draw):
     return np.array([[a, c], [c1, b]])
 
 
-@settings(max_examples=400)
+@settings(max_examples=80)
 @given(y=_two_by_two())
 def test_eig2_sym_has_the_bits_of_the_numpy_scalar_form(y):
     w, v = _eigh_sym(y)
-    # huge entries overflow to inf and nan in both forms; numpy warns
+    (a, c0), (c1, b) = y.tolist()
+    if not all(map(math.isfinite, (a + a, b + b, a + b, a - b))):
+        # the numpy form overflows in a + a, b + b or a +- b; _eigh_sym halves
+        # first, so its eigenvalues are those of y / 4 times 4, up to the
+        # bits that quartering takes from subnormal entries. The numpy form
+        # of y / 4 is no reference where c0 + c1 overflows too.
+        if math.isfinite(c0 + c1):
+            with np.errstate(over="ignore"):
+                w4 = 4.0 * _eig2_sym_numpy(0.5 * (y / 4.0 + y.T / 4.0))[0]
+            assert np.array_equal(np.isfinite(w), np.isfinite(w4))
+            ok = np.isfinite(w)
+            top = np.abs(w4[ok]).max(initial=0.0)
+            assert np.abs(w[ok] - w4[ok]).max(initial=0.0) <= 2.0**-51 * top
+        return
+    # otherwise huge entries overflow to inf and nan in both forms; numpy warns
     with np.errstate(all="ignore"):
         w_ref, v_ref = _eig2_sym_numpy(0.5 * (y + y.T))
     assert w.dtype == w_ref.dtype and v.dtype == v_ref.dtype
@@ -173,7 +187,7 @@ def _within_8_ulps(got, want):
     return np.abs(got - want).max() <= 8.0 * np.spacing(max(1.0, float(np.abs(want).max())))
 
 
-@settings(max_examples=120)
+@settings(max_examples=40)
 @given(y=_psd_like())
 def test_sym_sqrt_agrees_with_the_eigenvector_form(y):
     got, want = _or_none(sym_sqrt, y), _or_none(_sym_sqrt_eigenvectors, y)
@@ -184,7 +198,7 @@ def test_sym_sqrt_agrees_with_the_eigenvector_form(y):
         assert _within_8_ulps(got, want)
 
 
-@settings(max_examples=80)
+@settings(max_examples=40)
 @given(y=_two_by_two())
 def test_sym_sqrt_decides_as_the_eigenvector_form(y):
     # the whole double range: the same inputs accepted and rejected, except
@@ -208,7 +222,7 @@ def test_sym_sqrt_decides_as_the_eigenvector_form(y):
 _ORTHANT = st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda x: sum(x) > 0)
 
 
-@settings(max_examples=60)
+@settings(max_examples=40)
 @given(x=_ORTHANT, t=st.floats(1e-3, 1.0))
 def test_cone_characterization(x, t):
     x = np.array(x) / sum(x) * t
@@ -233,7 +247,7 @@ _NEAR_A_FACE = st.builds(
 )
 
 
-@settings(max_examples=80)
+@settings(max_examples=40)
 @given(x=st.one_of(_psd_like().map(psd_to_coeffs), _NEAR_A_FACE))
 def test_realizing_frame_matches_the_eigenvector_form_and_is_a_section(x):
     got, want = _or_none(realizing_frame, x), _or_none(_realizing_frame_eigenvectors, x)
@@ -255,7 +269,7 @@ _TAU = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(
 )
 
 
-@settings(max_examples=30)
+@settings(max_examples=20)
 @given(blocks=_BLOCKS, tau=_TAU)
 def test_frame_is_a_torus_frame_that_induces_the_frame_metric(blocks, tau):
     model = build_model(*blocks)
@@ -270,7 +284,7 @@ def test_frame_is_a_torus_frame_that_induces_the_frame_metric(blocks, tau):
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
-@settings(max_examples=20)
+@settings(max_examples=15)
 @given(blocks=_BLOCKS, taus=st.tuples(_TAU, _TAU), seed=st.integers(0, 2**32))
 def test_sampled_distance_lies_between_exact_and_matched(blocks, taus, seed):
     # one seed, so both clouds conjugate by the same Haar samples
@@ -313,7 +327,7 @@ def _permuted_member(spec, perm):
     return None
 
 
-@settings(max_examples=60)
+@settings(max_examples=20)
 @given(spec=_CATALOGUE, x=_POINTS, lam=st.floats(0.1, 3.0), perm=_PERMS)
 def test_ricci_field_symmetries(spec, x, lam, perm):
     r = ricci_field(spec, x)
@@ -339,7 +353,7 @@ def _lyapunov_linear(spec, x):
     return p * x1 + n * x2 + m * x3
 
 
-@settings(max_examples=60)
+@settings(max_examples=20)
 @given(spec=_CATALOGUE, x=_POINTS)
 def test_lyapunov_bracket_is_nonnegative_on_the_orthant(spec, x):
     # G = L s^2 + sum R is a sum of terms nonnegative on the orthant, so
@@ -364,9 +378,7 @@ _SIMPLEX_STARTS = _BATCH_SIZES.flatmap(
 ).map(lambda rows: np.array(rows) / np.sum(rows, axis=1, keepdims=True))
 
 
-@settings(max_examples=20)
-@given(spec=_CATALOGUE, starts=_SIMPLEX_STARTS, t_max=st.floats(0.05, 0.5))
-def test_integrate_many_has_the_bits_of_integrate(spec, starts, t_max):
+def _assert_rows_are_single_runs(spec, starts, t_max):
     trajs = integrate_many(spec, starts, t_max=t_max)
     assert len(trajs) == len(starts)
     for start, got in zip(starts, trajs):
@@ -379,6 +391,48 @@ def test_integrate_many_has_the_bits_of_integrate(spec, starts, t_max):
             want.n_rejected,
             want.n_field_evals,
         )
+
+
+@settings(max_examples=8)
+@given(spec=_CATALOGUE, starts=_SIMPLEX_STARTS, t_max=st.floats(0.05, 0.5))
+def test_integrate_many_has_the_bits_of_integrate(spec, starts, t_max):
+    _assert_rows_are_single_runs(spec, starts, t_max)
+
+
+def _interior_equilibria(spec):
+    """The normal point b / sum(b) and the three Kahler points, where x_k =
+    1/2 and x_i : x_j = b_i : b_j, with b from fields._cubic_coefficients."""
+    b = np.array(_cubic_coefficients(spec)[1], dtype=float)
+    points = [b / b.sum()]
+    for k, (i, j) in enumerate([(1, 2), (0, 2), (0, 1)]):
+        x = np.zeros(3)
+        x[k], x[i], x[j] = 0.5, b[i] / (2 * (b[i] + b[j])), b[j] / (2 * (b[i] + b[j]))
+        points.append(x)
+    return points
+
+
+# unit vectors spanning the plane {sum x = 0}
+_PLANE = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]) / np.sqrt([[2.0], [6.0]])
+
+
+@settings(max_examples=3)
+@given(
+    spec=_CATALOGUE,
+    which=st.integers(0, 3),
+    n=st.integers(FLOAT_LOOP_ROWS + 1, 40),
+    radius=st.floats(-6.0, -3.0).map(lambda e: 10.0**e),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    t_max=st.floats(1.0, 400.0),
+)
+def test_integrate_many_has_the_bits_of_integrate_near_interior_equilibria(
+    spec, which, n, radius, phase, t_max
+):
+    # a ring of lockstep rows around an equilibrium, where the field is so
+    # small that a first step as long as t_max overflows in its error estimate
+    theta = phase + 2.0 * math.pi * np.arange(n) / n
+    ring = np.column_stack([np.cos(theta), np.sin(theta)]) @ _PLANE
+    starts = _interior_equilibria(spec)[which] + radius * ring
+    _assert_rows_are_single_runs(spec, starts / starts.sum(axis=1, keepdims=True), t_max)
 
 
 # --- the parsers: a value or a ValueError, never another exception ----------
@@ -403,7 +457,7 @@ _NUMBER_TOKENS = st.one_of(
 )
 
 
-@settings(max_examples=100)
+@settings(max_examples=30)
 @given(
     tokens=st.lists(_NUMBER_TOKENS, min_size=1, max_size=4),
     dim=st.sampled_from([None, 3]),
@@ -418,7 +472,7 @@ def test_parse_point_returns_finite_numbers_or_raises_value_error(tokens, dim):
     assert len(x) == len(tokens)
 
 
-@settings(max_examples=100)
+@settings(max_examples=30)
 @given(
     text=st.one_of(
         st.builds(
@@ -445,7 +499,7 @@ _CONFIG_LINES = st.one_of(
 )
 
 
-@settings(max_examples=60)
+@settings(max_examples=20)
 @given(lines=st.lists(_CONFIG_LINES, max_size=5))
 def test_load_config_returns_a_dict_or_raises_value_error(lines):
     with tempfile.TemporaryDirectory() as tmp:

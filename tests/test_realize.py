@@ -143,18 +143,37 @@ def test_realized_coeffs_is_the_point_realizing_frame_realizes():
 @pytest.mark.parametrize(
     "call, arg",
     [
-        (realizing_frame, np.array([1e308, 1e308, 1e308])),
         (realizing_frame, np.array([1e308, 1e307, 0.0])),
-        (sym_sqrt, np.diag([1e308, 1e308])),
         (sym_sqrt, np.array([[0.0, 1e308], [1e308, 0.0]])),
         (disk_membership, np.array([1e308, 1e308, 1e308])),
     ],
-    ids=["frame-interior", "frame-outside", "sqrt-diagonal", "sqrt-symmetrized", "disk"],
+    ids=["frame-outside", "sqrt-symmetrized", "disk"],
 )
 def test_finite_input_that_overflows_raises(call, arg):
     # never NaN and never a warning, which pytest would turn into an error
     with pytest.raises(ValueError, match="overflows the float range$"):
         call(arg)
+
+
+@pytest.mark.parametrize(
+    "call, arg, want",
+    [
+        (
+            realizing_frame,
+            np.array([1e308, 1e308, 1e308]),
+            lambda: 2.0 * realizing_frame(np.array([1e308, 1e308, 1e308]) / 4.0),
+        ),
+        (sym_sqrt, np.diag([1e308, 1e308]), lambda: np.diag([1e154, 1e154])),
+    ],
+    ids=["frame-interior", "sqrt-diagonal"],
+)
+def test_a_root_whose_sums_overflow_is_the_root(call, arg, want):
+    # a + a and a + b overflow, but the root does not: the diagonal is taken
+    # as it is, and the half trace from the halved entries, which keeps the
+    # bits of the quarter-scaled root
+    got = call(arg)
+    assert np.isfinite(got).all()
+    assert got.tobytes() == want().tobytes()
 
 
 def test_a_root_whose_shifted_diagonal_overflows_is_the_quarter_scaled_root():
