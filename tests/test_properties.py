@@ -26,6 +26,8 @@ from flagricci.flags import FlagSpec, make_flag, parse_flag  # noqa: E402
 from flagricci.flow import FLOAT_LOOP_ROWS, integrate, integrate_many  # noqa: E402
 from flagricci.orbits import build_model, induced_metric, sample_orbit  # noqa: E402
 from flagricci.realize import (  # noqa: E402
+    _E1,
+    _E2,
     PSD_TOL,
     _eigh_sym,
     coeffs_to_psd,
@@ -411,10 +413,6 @@ def _interior_equilibria(spec):
     return points
 
 
-# unit vectors spanning the plane {sum x = 0}
-_PLANE = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]) / np.sqrt([[2.0], [6.0]])
-
-
 @settings(max_examples=3)
 @given(
     spec=_CATALOGUE,
@@ -430,7 +428,7 @@ def test_integrate_many_has_the_bits_of_integrate_near_interior_equilibria(
     # a ring of lockstep rows around an equilibrium, where the field is so
     # small that a first step as long as t_max overflows in its error estimate
     theta = phase + 2.0 * math.pi * np.arange(n) / n
-    ring = np.column_stack([np.cos(theta), np.sin(theta)]) @ _PLANE
+    ring = np.cos(theta)[:, None] * _E1 + np.sin(theta)[:, None] * _E2
     starts = _interior_equilibria(spec)[which] + radius * ring
     _assert_rows_are_single_runs(spec, starts / starts.sum(axis=1, keepdims=True), t_max)
 
