@@ -284,12 +284,7 @@ def collapse_verdict(model: LieModel, x_limit) -> CollapseVerdict:
         return CollapseVerdict(x_limit, kernel, "non_realizable", witness)
     data = None
     if float(cone_form(x_limit)) <= KERNEL_TOL:
-        frame = realizing_frame(x_limit, tol=KERNEL_TOL)
-        data = {
-            "tau": frame,
-            "h1_omega_coords": frame[:, 0].copy(),
-            "h2_omega_coords": frame[:, 1].copy(),
-        }
+        data = {"tau": realizing_frame(x_limit, tol=KERNEL_TOL)}
     return CollapseVerdict(x_limit, kernel, "realizable", data)
 
 

@@ -18,9 +18,11 @@ root, in closed form: a 2x2 PSD matrix Y with eigenvalues lo <= hi has
     sqrt(Y) = (Y + sqrt(lo hi) I) / (sqrt(lo) + sqrt(hi)),
 
 the polynomial in Y that takes lo and hi to their roots. It is computed on
-Python floats from the two eigenvalues alone, with no eigenvectors and no
-BLAS call, so its bits do not depend on the BLAS kernel, and it is
-symmetric by construction. Eigenvectors are used only by rank1_decompose.
+Python floats from the two eigenvalues alone, with no BLAS call, so its
+bits do not depend on the BLAS kernel, and it is symmetric by construction.
+is_psd, sym_sqrt, realizing_frame and rank1_decompose all read one eigen
+split, _split; rank1_decompose's projectors come from its unit vector, so
+no eigenvector is formed.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .fields import CONE_TOL, cone_form, require_finite
 PSD_TOL = 1e-10
 # smallest coordinate, relative to the sum, of a sample_cone point
 CONE_FLOOR = 1e-3
+# _split quarters a matrix with an entry at or above this
+_BIG = 2.0**1021
 
 SIMPLEX_CENTROID = np.array([1.0, 1.0, 1.0]) / 3.0
 
@@ -77,91 +81,72 @@ def coeffs_to_psd(x) -> np.ndarray:
     return np.array([[x[0], s], [s, x[1]]])
 
 
-def _eig2_vals(a, b, c):
-    """Ascending eigenvalues of the symmetric 2x2 matrix [[a, c], [c, b]].
+def _split(a, b, c0, c1):
+    """Eigen split of Y, the symmetric part of [[a, c0], [c1, b]], on floats.
 
-    Takes Python floats and returns (lo, hi, diagonal). A diagonal matrix
-    gives its own entries, sorted; any other gives half_tr -/+ hypot(delta,
-    c), where hypot avoids cancellation near equal eigenvalues. The
-    arithmetic is on floats, not numpy scalars, because each numpy scalar
-    operation costs a call; IEEE doubles round alike in both, so the bits
-    are those of the numpy form the tests keep as its oracle wherever
-    a + b and a - b are finite.
+    Returns (k, a, b, c, lo, hi, d, s) with Y = k^2 [[a, c], [c, b]],
+    c = (c0 + c1) / 2 and k = 2 where an entry is at or above _BIG, so that
+    no sum here or in _sqrt2 overflows, else 1. [[a, c], [c, b]] is
+    half_tr I + r [[d, s], [s, -d]] for half_tr = (a + b) / 2, delta =
+    (a - b) / 2, r = hypot(delta, c) and the unit vector (d, s) =
+    (delta, c) / r, or (-1, 0) where r = 0. Its eigenvalues lo <= hi are a
+    diagonal's own entries, sorted, else half_tr -/+ r: hypot avoids
+    cancellation near equal eigenvalues. Floats, not numpy scalars, as each
+    numpy scalar operation costs a call; IEEE doubles round alike in both.
     """
+    k = 1.0
+    if abs(a) >= _BIG or abs(b) >= _BIG or abs(c0) >= _BIG or abs(c1) >= _BIG:
+        # the root of Y / 4 is exactly half the root of Y
+        k, a, b, c0, c1 = 2.0, a / 4, b / 4, c0 / 4, c1 / 4
+    c = 0.5 * (c0 + c1)
     half_tr, delta = 0.5 * (a + b), 0.5 * (a - b)
-    if not (math.isfinite(half_tr) and math.isfinite(delta)):
-        # a + b or a - b can overflow though its half does not; halving
-        # each term first is exact at that size
-        half_tr, delta = 0.5 * a + 0.5 * b, 0.5 * a - 0.5 * b
-    disc = math.hypot(delta, c)
-    if disc == 0.0 or (c == 0.0 and abs(delta) == disc):
-        return (a, b, True) if a <= b else (b, a, True)
-    return half_tr - disc, half_tr + disc, False
-
-
-def _eig2_sym(a, b, c):
-    """Eigen-decomposition of the symmetric 2x2 matrix [[a, c], [c, b]].
-
-    Returns (w, v) with the eigenvalues of _eig2_vals in w and v's columns
-    the matching unit eigenvectors. The eigenvector branch never divides by
-    a small pivot.
-    """
-    lo, hi, diagonal = _eig2_vals(a, b, c)
-    if diagonal:
-        if a <= b:
-            return np.array([lo, hi]), np.eye(2)
-        return np.array([lo, hi]), np.array([[0.0, 1.0], [1.0, 0.0]])
-    # eigenvector for hi: (c, hi - a), better conditioned when delta <= 0
-    if 0.5 * (a - b) <= 0:
-        p, q = c, hi - a
+    r = math.hypot(delta, c)
+    if c == 0.0:
+        lo, hi = (a, b) if a <= b else (b, a)
     else:
-        p, q = hi - b, c
-    norm = math.hypot(p, q)
-    p, q = p / norm, q / norm
-    # columns (-q, p) for lo and (p, q) for hi
-    return np.array([lo, hi]), np.array([[-q, p], [p, q]])
+        lo, hi = half_tr - r, half_tr + r
+    d, s = (delta / r, c / r) if r else (-1.0, 0.0)
+    return k, a, b, c, lo, hi, d, s
 
 
-def _sym_entries(y):
-    """(a, b, c) of the symmetric part [[a, c], [c, b]] of the 2x2 matrix y.
-
-    Python floats, symmetrized entrywise as 0.5 * (y + y.T) does, except
-    that the diagonal is taken as it is: 0.5 * (a + a) is a wherever a + a
-    does not overflow. Other shapes raise.
-    """
+def _matrix_split(y):
+    """_split of the 2x2 matrix y; other shapes raise."""
     y = np.asarray(y, dtype=float)
     if y.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix, got shape %r" % (y.shape,))
     (a, c0), (c1, b) = y.tolist()
-    return a, b, 0.5 * (c0 + c1)
+    return _split(a, b, c0, c1)
 
 
-def _eigh_sym(y):
-    """_eig2_sym of the symmetric part of the 2x2 matrix y; other shapes raise."""
-    return _eig2_sym(*_sym_entries(y))
+def _psd_band(k, lo, hi, tol):
+    """tol * max(hi, 1) of Y at the split's scale: eigenvalues that near zero
+    count as zero, and an lo further below raises."""
+    band = tol * max(hi, 1.0 / (k * k))
+    if lo < -band:
+        lo *= k * k
+        raise ValueError("matrix is not positive semidefinite (min eigenvalue %.3e)" % lo)
+    return band
 
 
 def is_psd(y, tol: float = PSD_TOL) -> bool:
     """PSD test: smallest eigenvalue >= -tol * max(largest eigenvalue, 1)."""
-    lo, hi, _ = _eig2_vals(*_sym_entries(y))
-    return lo >= -tol * max(hi, 1.0)
+    k, _, _, _, lo, hi, _, _ = _matrix_split(y)
+    return lo >= -tol * max(hi, 1.0 / (k * k))
 
 
-def _sqrt2(a, b, c, tol):
-    """Square root of the PSD matrix [[a, c], [c, b]] from its two eigenvalues.
+def _sqrt2(split, tol):
+    """Square root of the PSD matrix Y = k^2 [[a, c], [c, b]] from its split.
 
-    With lo, hi >= 0 it is (Y + sqrt(lo hi) I) / (sqrt(lo) + sqrt(hi)): the
-    polynomial in Y that takes each eigenvalue to its root. An lo in
-    [-tol * scale, 0) counts as zero, and the root is that of Y's PSD part,
-    sqrt(hi) (Y - lo I) / (hi - lo); below that it raises. scale =
-    max(hi, 1). A diagonal Y gives the roots of its entries, correctly
-    rounded. Python floats overflow to inf and nan without a warning; a
-    root that is not finite raises too.
+    With lo, hi >= 0 it is k ([[a, c], [c, b]] + sqrt(lo hi) I) / (sqrt(lo)
+    + sqrt(hi)): the polynomial in Y that takes each eigenvalue to its root.
+    An lo within _psd_band below zero counts as zero, and the root is that
+    of Y's PSD part, k sqrt(hi) ([[a, c], [c, b]] - lo I) / (hi - lo); below
+    that it raises. A diagonal Y gives the roots of its entries, correctly
+    rounded.
     """
-    lo, hi, diagonal = _eig2_vals(a, b, c)
-    if lo < -tol * max(hi, 1.0):
-        raise ValueError("matrix is not positive semidefinite (min eigenvalue %.3e)" % lo)
-    if diagonal:
+    k, a, b, c, lo, hi, _, _ = split
+    _psd_band(k, lo, hi, tol)
+    if c == 0.0:
         p, q, off = math.sqrt(max(0.0, a)), math.sqrt(max(0.0, b)), 0.0
     elif hi <= 0.0:  # Y's PSD part is zero
         return np.zeros((2, 2))
@@ -172,27 +157,18 @@ def _sqrt2(a, b, c, tol):
             r_lo, r_hi = math.sqrt(lo), math.sqrt(hi)
             shift, denom = r_lo * r_hi, r_lo + r_hi
         p, q, off = (a + shift) / denom, (b + shift) / denom, c / denom
-        if not math.isfinite(p + q + off) and math.isfinite(hi):
-            # a + shift can overflow though the root is representable; a
-            # quarter of each term gives the same quotients, exactly, as
-            # scaling by a power of two is: the bits of 2 sqrt(Y / 4)
-            a4, b4, c4, s4, d4 = a / 4, b / 4, c / 4, shift / 4, denom / 4
-            p, q, off = (a4 + s4) / d4, (b4 + s4) / d4, c4 / d4
-    # a root's entries lie below 1.4e154: the sum is finite when they are
-    if not math.isfinite(p + q + off):
-        raise ValueError("the root of %r overflows the float range" % ([[a, c], [c, b]],))
-    return np.array([[p, off], [off, q]])
+    return np.array([[k * p, k * off], [k * off, k * q]])
 
 
-def sym_sqrt(y, tol: float = PSD_TOL) -> np.ndarray:
+def sym_sqrt(y) -> np.ndarray:
     """Symmetric PSD square root in closed form from the two eigenvalues.
 
     The root of the symmetric part of y, symmetric by construction.
-    Eigenvalues in [-tol * scale, 0) count as zero; anything below that
-    raises. scale = max(largest eigenvalue, 1). Non-finite input, and a
-    root that overflows the float range, raise too.
+    Eigenvalues in [-PSD_TOL * scale, 0) count as zero; anything below that
+    raises. scale = max(largest eigenvalue, 1). Non-finite input raises too;
+    the root of finite input is always finite.
     """
-    return _sqrt2(*_sym_entries(require_finite(y, "y")), tol)
+    return _sqrt2(_matrix_split(require_finite(y, "y")), PSD_TOL)
 
 
 def realized_coeffs(x, tol: float = PSD_TOL) -> tuple[float, float, float]:
@@ -214,18 +190,19 @@ def realized_coeffs(x, tol: float = PSD_TOL) -> tuple[float, float, float]:
 def realizing_frame(x, tol: float = PSD_TOL) -> np.ndarray:
     """Canonical symmetric 2x2 frame realizing coefficients x.
 
-    Defined on the first-orthant part of {F <= 0}; raises ValueError outside,
-    on non-finite input and when the frame overflows the float range. A
-    coordinate below -tol is rejected; one in [-tol, 0) is taken as zero
-    (realized_coeffs). Satisfies frame_metric(realizing_frame(x)) = x and is
-    the unique PSD square root of coeffs_to_psd(x), taken from x1, x2 and
-    (x3 - x1 - x2) / 2 with no matrix built.
+    Defined on the first-orthant part of {F <= 0}; raises ValueError outside
+    and on non-finite input. A coordinate below -tol is rejected; one in
+    [-tol, 0) is taken as zero (realized_coeffs). Satisfies
+    frame_metric(realizing_frame(x)) = x and is the unique PSD square root
+    of coeffs_to_psd(x), taken from x1, x2 and (x3 - x1 - x2) / 2 with no
+    matrix built.
     """
     x1, x2, x3 = realized_coeffs(x, tol)
     try:
-        return _sqrt2(x1, x2, (x3 - x1 - x2) / 2.0, tol)
+        # (x3 - x1 - x2) / 2 is the symmetric part of [[., x3 - x1], [-x2, .]],
+        # whose entries are finite: x1 and x3 are nonnegative
+        return _sqrt2(_split(x1, x2, x3 - x1, -x2), tol)
     except ValueError:
-        # the root overflows only where F does, and _cone_value raises there
         x = np.array([x1, x2, x3])
         raise ValueError(
             "coefficients %r lie outside the realizable cone (F = %.3e > 0)"
@@ -259,20 +236,19 @@ def disk_membership(x):
 def rank1_decompose(y):
     """Spectral split of a PSD 2x2 matrix into [(weight, unit rank-1 term)].
 
-    Weights are the positive eigenvalues; terms are v v^T for unit
-    eigenvectors. Eigenvalues within PSD_TOL * scale of zero are dropped,
-    below -PSD_TOL * scale the input is rejected.
+    Weights are the positive eigenvalues; terms are the eigenprojectors
+    (I -/+ [[d, s], [s, -d]]) / 2 of the split. Eigenvalues within
+    PSD_TOL * max(largest eigenvalue, 1) of zero are dropped; one further
+    below zero, non-finite input and a weight beyond the float range raise.
     """
-    w, v = _eigh_sym(y)
-    scale = max(w[-1], 1.0)
-    if w[0] < -PSD_TOL * scale:
-        raise ValueError("matrix is not positive semidefinite")
-    terms = []
-    for i in range(len(w)):
-        if w[i] > PSD_TOL * scale:
-            vi = v[:, i]
-            terms.append((float(w[i]), np.outer(vi, vi)))
-    return terms
+    y = require_finite(y, "y")
+    k, _, _, _, lo, hi, d, s = _matrix_split(y)
+    band = _psd_band(k, lo, hi, PSD_TOL)
+    if not math.isfinite(k * k * hi):
+        raise ValueError("an eigenvalue of %r overflows the float range" % (y.tolist(),))
+    r = np.array([[d, s], [s, -d]])
+    terms = ((lo, np.eye(2) - r), (hi, np.eye(2) + r))
+    return [(k * k * w, p / 2) for w, p in terms if w > band]
 
 
 # --- samplers over the realizable region -----------------------------------

@@ -18,7 +18,11 @@ BLAS product, so the realizing frame's bytes no longer depend on the BLAS
 kernel either. collapse_A111.csv moved in 3 of 5 rows (hausdorff by at most
 3.3e-16; x did not move). In verify_fast.txt two detail lines moved: the
 section property's max rel went from 8.43e-16 to 5.36e-16, and the
-symmetric square root's from 7.65e-16 to 4.47e-16.
+symmetric square root's from 7.65e-16 to 4.47e-16. Its convex hull line was
+last written when rank1_decompose's terms became the eigenprojectors
+(I -/+ [[d, s], [s, -d]]) / 2 of the eigen split in place of outer
+products of eigenvectors: reconstruction and linearity went from 3.6e-15
+to 1.8e-15.
 
 To regenerate a CSV file, run the command of its case with
 `--out tests/golden/<name>`; any change in these bytes must be deliberate.

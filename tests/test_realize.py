@@ -141,17 +141,18 @@ def test_realized_coeffs_is_the_point_realizing_frame_realizes():
 
 
 @pytest.mark.parametrize(
-    "call, arg",
+    "call, arg, message",
     [
-        (realizing_frame, np.array([1e308, 1e307, 0.0])),
-        (sym_sqrt, np.array([[0.0, 1e308], [1e308, 0.0]])),
-        (disk_membership, np.array([1e308, 1e308, 1e308])),
+        (realizing_frame, np.array([1e308, 1e307, 0.0]), "overflows the float range$"),
+        # its eigenvalues are -1e308 and 1e308, though c0 + c1 overflows
+        (sym_sqrt, np.array([[0.0, 1e308], [1e308, 0.0]]), "not positive semidefinite"),
+        (disk_membership, np.array([1e308, 1e308, 1e308]), "overflows the float range$"),
     ],
     ids=["frame-outside", "sqrt-symmetrized", "disk"],
 )
-def test_finite_input_that_overflows_raises(call, arg):
+def test_finite_input_that_overflows_raises(call, arg, message):
     # never NaN and never a warning, which pytest would turn into an error
-    with pytest.raises(ValueError, match="overflows the float range$"):
+    with pytest.raises(ValueError, match=message):
         call(arg)
 
 
@@ -174,6 +175,34 @@ def test_a_root_whose_sums_overflow_is_the_root(call, arg, want):
     got = call(arg)
     assert np.isfinite(got).all()
     assert got.tobytes() == want().tobytes()
+
+
+@pytest.mark.parametrize(
+    "call, arg, y",
+    [
+        (sym_sqrt, [[1.7e308, 0.9e308], [0.9e308, 1.7e308]], None),
+        (realizing_frame, [1.7e308] * 3, [[1.7e308, -0.85e308], [-0.85e308, 1.7e308]]),
+        (realizing_frame, [1.7e308, 1.7e308, 0.0], [[1.7e308, -1.7e308], [-1.7e308, 1.7e308]]),
+    ],
+    ids=["sqrt-off-diagonal", "frame-interior", "frame-boundary"],
+)
+def test_a_root_whose_eigenvalues_overflow_is_the_root(call, arg, y):
+    # the off-diagonal sum or the larger eigenvalue overflows, but the root
+    # does not; squared at a sixteenth, no sum overflows
+    got, y = call(np.array(arg)), np.array(arg if y is None else y)
+    assert got[0, 1] == got[1, 0]
+    assert np.abs((got / 16) @ (got / 16) - y / 256).max() <= 1e-15 * np.abs(y).max() / 256
+
+
+def test_is_psd_where_the_off_diagonal_sum_overflows():
+    # eigenvalues -5e307 and 2.5e308
+    assert not is_psd(np.array([[1e308, 1.5e308], [1.5e308, 1e308]]))
+
+
+def test_rank1_decompose_rejects_a_weight_beyond_the_float_range():
+    # PSD, with eigenvalues 8e307 and 2.6e308: the larger is no float
+    with pytest.raises(ValueError, match="overflows the float range$"):
+        rank1_decompose(np.array([[1.7e308, 0.9e308], [0.9e308, 1.7e308]]))
 
 
 def test_a_root_whose_shifted_diagonal_overflows_is_the_quarter_scaled_root():
