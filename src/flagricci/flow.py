@@ -509,36 +509,43 @@ def _in_closed_domain(uv, slack=1e-12) -> bool:
     return u >= -slack and v >= -slack and u + v <= 1.0 + slack
 
 
+def _probe(f, p):
+    """f(p) and jacobian(f, p) from one call of f on the (5, 2) stack of p
+    and its probes; each quotient is formed as from five single calls."""
+    p = np.asarray(p, dtype=float)
+    steps = [JACOBIAN_STEP * max(1.0, abs(p[i])) for i in range(2)]
+    pts = np.array([p] * 5)
+    pts[[1, 2, 3, 4], [0, 0, 1, 1]] += [steps[0], -steps[0], steps[1], -steps[1]]
+    vals = f(pts)
+    cols = []
+    for i, step in enumerate(steps):
+        fwd, bwd = 2 * i + 1, 2 * i + 2
+        if _in_closed_domain(pts[fwd]) and _in_closed_domain(pts[bwd]):
+            cols.append((vals[fwd] - vals[bwd]) / (2.0 * step))
+        elif _in_closed_domain(pts[fwd]):
+            cols.append((vals[fwd] - vals[0]) / step)
+        else:
+            cols.append((vals[0] - vals[bwd]) / step)
+    return vals[0], np.column_stack(cols)
+
+
 def jacobian(f, p) -> np.ndarray:
     """Finite-difference Jacobian of a planar field at p.
 
     Central differences with relative step JACOBIAN_STEP; one-sided when a
-    probe would leave the closed triangle {u >= 0, v >= 0, u + v <= 1}.
+    probe would leave the closed triangle {u >= 0, v >= 0, u + v <= 1}. f
+    must be vectorized over a leading axis: it is called once, on a (5, 2)
+    stack of points, and row k of its result must be f of row k.
     """
-    p = np.asarray(p, dtype=float)
-    cols = []
-    for i in range(2):
-        step = JACOBIAN_STEP * max(1.0, abs(p[i]))
-        fwd = p.copy()
-        fwd[i] += step
-        bwd = p.copy()
-        bwd[i] -= step
-        if _in_closed_domain(fwd) and _in_closed_domain(bwd):
-            cols.append((f(fwd) - f(bwd)) / (2.0 * step))
-        elif _in_closed_domain(fwd):
-            cols.append((f(fwd) - f(p)) / step)
-        else:
-            cols.append((f(p) - f(bwd)) / step)
-    return np.column_stack(cols)
+    return _probe(f, p)[1]
 
 
 def _newton_root(f, seed, tol, max_iter=60):
     p = np.asarray(seed, dtype=float).copy()
     for _ in range(max_iter):
-        val = f(p)
+        val, jac = _probe(f, p)
         if float(np.linalg.norm(val)) <= tol:
             return p
-        jac = jacobian(f, p)
         try:
             delta = np.linalg.solve(jac, -val)
         except np.linalg.LinAlgError:
@@ -576,11 +583,15 @@ def find_equilibria(
 ) -> list[Equilibrium]:
     """Newton search over a barycentric seed grid of the closed triangle.
 
-    Roots are deduplicated at distance 1e-6 and validated as Einstein points:
-    the unprojected field must be proportional to the point.
+    Each iteration makes one reduced_field call, on the point and its four
+    Jacobian probes stacked. Roots are deduplicated at distance 1e-6 and
+    validated as Einstein points: the unprojected field must be proportional
+    to the point. newton_tol must be finite and positive.
     """
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
+    if not 0.0 < newton_tol < math.inf:
+        raise ValueError("newton_tol must be finite and positive, got %r" % newton_tol)
 
     def fy(uv):
         return reduced_field(spec, uv)

@@ -110,8 +110,8 @@ def _split(a, b, c0, c1):
 
 
 def _matrix_split(y):
-    """_split of the 2x2 matrix y; other shapes raise."""
-    y = np.asarray(y, dtype=float)
+    """_split of the 2x2 matrix y; other shapes and non-finite entries raise."""
+    y = require_finite(y, "y")
     if y.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix, got shape %r" % (y.shape,))
     (a, c0), (c1, b) = y.tolist()
@@ -129,7 +129,10 @@ def _psd_band(k, lo, hi, tol):
 
 
 def is_psd(y, tol: float = PSD_TOL) -> bool:
-    """PSD test: smallest eigenvalue >= -tol * max(largest eigenvalue, 1)."""
+    """PSD test: smallest eigenvalue >= -tol * max(largest eigenvalue, 1).
+
+    Non-finite input raises ValueError.
+    """
     k, _, _, _, lo, hi, _, _ = _matrix_split(y)
     return lo >= -tol * max(hi, 1.0 / (k * k))
 
@@ -168,7 +171,7 @@ def sym_sqrt(y) -> np.ndarray:
     raises. scale = max(largest eigenvalue, 1). Non-finite input raises too;
     the root of finite input is always finite.
     """
-    return _sqrt2(_matrix_split(require_finite(y, "y")), PSD_TOL)
+    return _sqrt2(_matrix_split(y), PSD_TOL)
 
 
 def realized_coeffs(x, tol: float = PSD_TOL) -> tuple[float, float, float]:
@@ -241,11 +244,11 @@ def rank1_decompose(y):
     PSD_TOL * max(largest eigenvalue, 1) of zero are dropped; one further
     below zero, non-finite input and a weight beyond the float range raise.
     """
-    y = require_finite(y, "y")
     k, _, _, _, lo, hi, d, s = _matrix_split(y)
     band = _psd_band(k, lo, hi, PSD_TOL)
     if not math.isfinite(k * k * hi):
-        raise ValueError("an eigenvalue of %r overflows the float range" % (y.tolist(),))
+        msg = "an eigenvalue of %r overflows the float range"
+        raise ValueError(msg % (np.asarray(y).tolist(),))
     r = np.array([[d, s], [s, -d]])
     terms = ((lo, np.eye(2) - r), (hi, np.eye(2) + r))
     return [(k * k * w, p / 2) for w, p in terms if w > band]

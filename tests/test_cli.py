@@ -135,6 +135,17 @@ def test_equilibria_json(tmp_path, capsys):
     assert cent["lambda"] == pytest.approx(-5.0 / 9.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_equilibria_rejects_a_newton_tol_that_is_not_finite_and_positive(tol, capsys):
+    # nan and -1 printed [] and inf printed only the seed points, with exit 0
+    rc, out, err = run(
+        capsys, "equilibria", "--flag", "A:1,1,1", "--grid", "10", "--newton-tol=" + tol
+    )
+    assert rc == 2
+    assert out == ""
+    assert "newton_tol must be finite and positive" in err
+
+
 def test_realize_json(capsys):
     rc, out, _ = run(capsys, "realize", "--point", "1/2,1/2,0")
     assert rc == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flagricci import flow
-from flagricci.fields import cone_form, point_field, projected_field
+from flagricci.fields import cone_form, point_field, projected_field, reduced_field
 from flagricci.flags import make_flag, parse_flag
 from flagricci.flow import (
     ATOL,
@@ -158,7 +158,7 @@ def test_trajectory_metadata():
 
 def test_jacobian_of_linear_field():
     a = np.array([[2.0, -1.0], [0.5, 3.0]])
-    jac = jacobian(lambda p: a @ p, np.array([0.3, 0.3]))
+    jac = jacobian(lambda p: p @ a.T, np.array([0.3, 0.3]))
     assert np.allclose(jac, a, rtol=0, atol=1e-8)
 
 
@@ -401,3 +401,107 @@ def test_step_is_bit_equal_on_floats_columns_and_blocks(spec):
         got = np.array([[c[i] for c in z_cols], [c[i] for c in e_cols]])
         assert got.tobytes() == want.tobytes()
         assert np.array([z_block[:, i], e_block[:, i]]).tobytes() == want.tobytes()
+
+
+# --- the Newton search against its five-call form ----------------------------
+
+
+def _jacobian_five_calls(f, p):
+    # jacobian as it was before its probes were stacked: one f call per probe
+    p = np.asarray(p, dtype=float)
+    cols = []
+    for i in range(2):
+        step = flow.JACOBIAN_STEP * max(1.0, abs(p[i]))
+        fwd = p.copy()
+        fwd[i] += step
+        bwd = p.copy()
+        bwd[i] -= step
+        if flow._in_closed_domain(fwd) and flow._in_closed_domain(bwd):
+            cols.append((f(fwd) - f(bwd)) / (2.0 * step))
+        elif flow._in_closed_domain(fwd):
+            cols.append((f(fwd) - f(p)) / step)
+        else:
+            cols.append((f(p) - f(bwd)) / step)
+    return np.column_stack(cols)
+
+
+def _newton_root_five_calls(f, seed, tol, max_iter=60):
+    # _newton_root as it was: f at the point, then the five-call Jacobian
+    p = np.asarray(seed, dtype=float).copy()
+    for _ in range(max_iter):
+        val = f(p)
+        if float(np.linalg.norm(val)) <= tol:
+            return p
+        jac = _jacobian_five_calls(f, p)
+        try:
+            delta = np.linalg.solve(jac, -val)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(delta)):
+            return None
+        if float(np.linalg.norm(delta)) > 10.0:
+            return None
+        p = p + delta
+    return None
+
+
+# interior; on an edge or the hypotenuse, where one probe leaves the triangle;
+# at each vertex, where a column is one-sided or both probes leave; outside
+JACOBIAN_POINTS = [
+    (0.3, 0.2),
+    (1 / 3, 1 / 3),
+    (0.0, 0.4),
+    (0.4, 0.0),
+    (0.6, 0.4),
+    (0.0, 0.0),
+    (1.0, 0.0),
+    (0.0, 1.0),
+    (-0.0, 0.5),
+    (-0.2, 0.7),
+    (1.5, -2.5),
+]
+
+
+@pytest.mark.parametrize("spec", STEP_FAMILIES, ids=lambda spec: spec.label)
+def test_jacobian_and_newton_root_have_the_bits_of_the_five_call_form(spec):
+    def fy(uv):
+        return reduced_field(spec, uv)
+
+    for p in JACOBIAN_POINTS:
+        want = _jacobian_five_calls(fy, np.array(p))
+        assert jacobian(fy, np.array(p)).tobytes() == want.tobytes(), p
+        got = flow._newton_root(fy, p, 1e-12)
+        want = _newton_root_five_calls(fy, p, 1e-12)
+        assert (got is None) == (want is None), p
+        if want is not None:
+            assert got.tobytes() == want.tobytes(), p
+
+
+# every catalogue member the Grounding checks exactly, each at one seed grid
+EQUILIBRIA_CASES = list(zip(STEP_FAMILIES, (10, 15, 20, 25, 30))) + [
+    (make_flag("A", (2, 1, 1)), 14),
+    (make_flag("A", (1, 4, 2)), 12),
+    (make_flag("A", (7, 1, 3)), 18),
+    (make_flag("D", 4), 16),
+    (make_flag("D", 20), 10),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,grid_n", EQUILIBRIA_CASES, ids=lambda c: getattr(c, "label", str(c))
+)
+def test_find_equilibria_has_the_bits_of_the_five_call_search(spec, grid_n, monkeypatch):
+    def as_bytes(eqs):
+        return [(e.point.tobytes(), repr(e.as_dict())) for e in eqs]
+
+    got = as_bytes(find_equilibria(spec, grid_n=grid_n))
+    monkeypatch.setattr(flow, "jacobian", _jacobian_five_calls)
+    monkeypatch.setattr(flow, "_newton_root", _newton_root_five_calls)
+    assert got == as_bytes(find_equilibria(spec, grid_n=grid_n))
+    assert len(got) == 10
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, 0.0])
+def test_find_equilibria_rejects_a_newton_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="^newton_tol must be finite and positive"):
+        find_equilibria(A111, grid_n=10, newton_tol=tol)

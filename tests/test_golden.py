@@ -24,7 +24,12 @@ last written when rank1_decompose's terms became the eigenprojectors
 products of eigenvectors: reconstruction and linearity went from 3.6e-15
 to 1.8e-15.
 
-To regenerate a CSV file, run the command of its case with
+equilibria_A321.json pins the Newton search's 17-digit roots and Einstein
+constants at the default grid of 30. It was written before the search
+evaluated each iteration's point and probes in one stacked field call, and
+that change kept every byte.
+
+To regenerate a CSV or JSON file, run the command of its case with
 `--out tests/golden/<name>`; any change in these bytes must be deliberate.
 A mismatch reports how many rows changed and the largest change per column,
 and test_golden_flow_is_accurate holds the flow files to an independent
@@ -64,6 +69,7 @@ CASES = {
         "200",
     ],
     "portrait_D8.csv": ["portrait", "--flag", "D:8", "--grid", "6", "--eq-grid", "10"],
+    "equilibria_A321.json": ["equilibria", "--flag", "A:3,2,1"],
     "collapse_A111.csv": [
         "collapse",
         "--flag",

@@ -220,6 +220,13 @@ def test_sym_sqrt_rejects_non_finite_input():
         sym_sqrt(np.array([[1.0, 0.0], [np.nan, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_is_psd_rejects_non_finite_input(bad):
+    # it answered True for inf and False for nan
+    with pytest.raises(ValueError, match=r"^y\[0, 0\] = (inf|nan) is not finite$"):
+        is_psd(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 def test_rank1_decompose_reconstructs():
     rng = np.random.default_rng(41)
     for _ in range(100):
