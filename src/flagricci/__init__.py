@@ -4,7 +4,7 @@ The package traces one pipeline: symbolic-free evaluation of the curvature
 field on the coefficient simplex (`fields`), adaptive integration of the
 projected flow and equilibrium classification (`flow`), realization of
 simplex points by torus frames (`realize`), adjoint-orbit clouds in a
-concrete matrix model (`orbits`), and Hausdorff-distance tracking of
+concrete matrix model (`orbits`), and exact orbit distances along
 collapsing trajectories (`collapse`). `verify.run_all` cross-checks the
 pieces against each other.
 """

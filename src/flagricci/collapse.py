@@ -8,12 +8,9 @@ the same group and the verdict is non_realizable, with a concrete bracket
 witness. collapse_run follows a flow trajectory into such a limit and
 measures the exact distance from the adjoint orbit at each sample time to
 the limit orbit, the cheapest transport plan between the two frames' block
-values. Only the limit orbit is sampled, for the resolution: a float32 Gram
-product ranks each point's neighbours, within a stated rounding bound, and
-cdist measures the few candidates, so the nearest distance keeps cdist's
-bits. hausdorff, the distance between sampled clouds, runs through the same
-kernel; it is the reference that verify and the tests hold orbit_distance
-against.
+values. Only the limit orbit is sampled, for the resolution. hausdorff, the
+distance between sampled clouds, is the reference that verify and the tests
+hold orbit_distance against.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from functools import cache
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .fields import CONE_TOL, cone_form, require_finite
 from .flags import FlagSpec
@@ -35,8 +31,6 @@ from .realize import realizing_frame
 # rows that _nearest ranks at once: its float32 block is 1 MiB for a
 # 2000-point cloud
 _ROWS = 128
-# rows that cdist measures at once, each against its own candidates only
-_CHUNK = 16
 # a limit coordinate at or below KERNEL_TOL kills its summand
 KERNEL_TOL = 1e-8
 # collapse_run integrates at least this long, so its limit is settled
@@ -49,10 +43,9 @@ PROFILE_ALLOWANCE = 0.1
 def hausdorff(a: OrbitCloud, b: OrbitCloud) -> float:
     """Hausdorff distance between two clouds in the same ambient algebra.
 
-    Exact max-min over both directions, in the metric induced by the
-    negative Killing form: _nearest gives each point's nearest distance to
-    the other cloud with the bits of a full cdist scan. Clouds with a
-    non-finite coordinate are rejected.
+    Exact max-min over both directions of _nearest's distances, in the
+    metric induced by the negative Killing form. Clouds with a non-finite
+    coordinate are rejected.
     """
     if a.n_ambient != b.n_ambient or a.points.shape[1:] != b.points.shape[1:]:
         raise ValueError("clouds live in different ambient spaces")
@@ -140,17 +133,18 @@ def _ranking_copy(pts: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nearest(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Each row of a's smallest cdist distance to a row of b, or, with b
-    None, to another row of a; a and b are finite (count, D) arrays.
+    """Each row of a's least distance to a row of b, or, with b None, to
+    another row of a; a and b are finite (count, D) arrays.
 
     Rows are ranked _ROWS at a time on float32 copies of the points, scaled
-    by one power of two so that the largest coordinate lies in [0.5, 1).
+    by a power of two so that the largest coordinate lies in [0.5, 1).
     With w the scaled points, r_ij = |w_j|^2 / 2 - <w_i, w_j> is
     |w_i - w_j|^2 / 2 less a term of the row, so it ranks row i's columns
     by distance. Column j is a candidate for row i when r_ij lies within
-    the row's slack of its least r, and cdist measures each _CHUNK rows
-    against their candidates only. cdist's nearest column is always a
-    candidate, so every distance has the bits of a full cdist scan.
+    the row's slack of its least r. Candidate pairs are measured as cdist
+    does, in batches no larger than the block: squared differences summed
+    left to right, then the root. The nearest column under that sum is
+    always a candidate, so every distance has the bits of a full cdist scan.
 
     The slack is an error bound, to first order in u = 2^-24. Let s be the
     float64 squared norms of the float32 rows and S = max s, at least 1/4.
@@ -175,6 +169,7 @@ def _nearest(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     slack = ((d + 2) * 2.0**-21 * (sa + max(sa.max(), sb.max()))).astype(np.float32)
     nearest = np.empty(rows)
     block = np.empty((min(rows, _ROWS), len(b)), dtype=np.float32)
+    step = max(1, block.size // (2 * d))
     for i0 in range(0, rows, _ROWS):
         r = block[: rows - i0]
         np.matmul(wa[i0 : i0 + _ROWS], wb.T, out=r)
@@ -183,25 +178,27 @@ def _nearest(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
             own = np.arange(len(r))
             r[own, i0 + own] = np.inf
         keep = r <= (r.min(axis=1) + slack[i0 : i0 + _ROWS])[:, None]
-        for c in range(0, len(r), _CHUNK):
-            k = keep[c : c + _CHUNK]
-            cols = np.flatnonzero(k.any(axis=0))
-            dist = cdist(a[i0 + c : i0 + c + _CHUNK], b[cols])
-            dist[~k[:, cols]] = np.inf
-            nearest[i0 + c : i0 + c + _CHUNK] = dist.min(axis=1)
+        pairs = np.flatnonzero(keep)
+        dist = np.empty(len(pairs))
+        # a square beyond the float range is inf, as in cdist
+        with np.errstate(over="ignore"):
+            for p0 in range(0, len(pairs), step):
+                i, j = np.divmod(pairs[p0 : p0 + step], len(b))
+                diff = a[i0 + i]
+                diff -= b[j]
+                np.square(diff, out=diff)
+                np.add.accumulate(diff, axis=1, out=diff)
+                np.sqrt(diff[:, -1], out=dist[p0 : p0 + step])
+        starts = np.searchsorted(pairs, np.arange(len(r)) * len(b))
+        nearest[i0 : i0 + len(r)] = np.minimum.reduceat(dist, starts)
     return nearest
 
 
 def sampling_resolution(cloud: OrbitCloud) -> float:
     """Median nearest-neighbor distance within a cloud.
 
-    Never holds a count x count matrix: _nearest ranks each point's
-    neighbours on a float32 copy of the cloud, scaled by a power of two, in
-    blocks of _ROWS (128) rows, and cdist measures each _CHUNK (16) rows
-    against only the columns within the float32 error bound of a row's
-    best, (D + 2) * 2^-21 * (s_i + max s) for D coordinates and scaled
-    squared norms s. The nearest point is always among them, so the result
-    has the bits of a full cdist scan. Non-finite clouds are rejected.
+    _nearest's blocks give it the bits of a full cdist scan without a
+    count x count matrix. Non-finite clouds are rejected.
     """
     pts = require_finite(cloud.flat_points, "cloud.flat_points")
     if len(pts) < 2:

@@ -586,7 +586,8 @@ def find_equilibria(
     Each iteration makes one reduced_field call, on the point and its four
     Jacobian probes stacked. Roots are deduplicated at distance 1e-6 and
     validated as Einstein points: the unprojected field must be proportional
-    to the point. newton_tol must be finite and positive.
+    to the point; a root that fails raises ValueError, as newton_tol is too
+    loose. newton_tol must be finite and positive.
     """
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
@@ -613,8 +614,12 @@ def find_equilibria(
         x = x / x.sum()
         r = ricci_field(spec, x)
         lam = float(r @ x) / float(x @ x)
-        if np.linalg.norm(r - lam * x) > 1e-8 * max(1.0, np.linalg.norm(r)):
-            continue
+        res = float(np.linalg.norm(r - lam * x))
+        if res > 1e-8 * max(1.0, np.linalg.norm(r)):
+            raise ValueError(
+                "Newton root %r fails the Einstein check: residual %.3e at newton_tol = %r"
+                % (x.tolist(), res, newton_tol)
+            )
         eig = np.linalg.eigvals(jacobian(fy, x[:2]))
         out.append(Equilibrium(x, lam, _stability(eig), _location(x)))
     return out

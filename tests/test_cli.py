@@ -146,6 +146,16 @@ def test_equilibria_rejects_a_newton_tol_that_is_not_finite_and_positive(tol, ca
     assert "newton_tol must be finite and positive" in err
 
 
+def test_equilibria_fails_loudly_on_a_newton_tol_too_loose_to_refine_a_root(capsys):
+    # 1e-6 printed 8 of A(3,2,1)'s 10 equilibria with exit 0
+    rc, out, err = run(capsys, "equilibria", "--flag", "A:3,2,1", "--newton-tol", "1e-6")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: Newton root [")
+    assert "fails the Einstein check: residual" in err
+    assert err.endswith("at newton_tol = 1e-06\n")
+
+
 def test_realize_json(capsys):
     rc, out, _ = run(capsys, "realize", "--point", "1/2,1/2,0")
     assert rc == 0
@@ -651,22 +661,32 @@ def test_orbit_rejects_seeds_outside_philox_keys(capsys, seed):
     assert err == "error: seed must be an integer in [0, 2**128), got %s\n" % seed
 
 
-def test_collapse_and_verify_do_not_import_scipy_optimize(tmp_path):
-    # orbit_distance needs no assignment solver; scipy.optimize would add
-    # about 11 MiB to every run. A fresh interpreter, since the tests
-    # themselves import scipy.optimize.
+def test_no_command_imports_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy would add about 0.3 s and
+    # 37 MiB to every run. A fresh interpreter, since the tests themselves
+    # import scipy as their oracle.
     import flagricci
 
+    commands = [
+        ["field", "--flag", "A:1,1,1", "--point", "1/4,1/4,1/2"],
+        ["flow", "--flag", "A:2,1,1", "--point", "0.3,0.3,0.4", "--t-max", "1"],
+        ["portrait", "--flag", "A:1,1,1", "--grid", "3", "--eq-grid", "10", "--t-max", "1"],
+        ["equilibria", "--flag", "A:3,2,1", "--grid", "10"],
+        ["realize", "--point", "1/2,1/2,0"],
+        ["orbit", "--flag", "A:1,1,1", "--point", "0.3,0.3,0.4", "--count", "20"],
+        ["collapse", "--flag", "A:1,1,1", "--point", "0.42,0.40,0.18",
+         "--times", "0,1,2,4,8", "--count", "200", "--out", "run.csv"],
+        ["verify", "--fast"],
+    ]
     script = "\n".join(
         [
             "import sys",
             "from flagricci.cli import main",
-            "argv = ['collapse', '--flag', 'A:1,1,1', '--point', '0.42,0.40,0.18',",
-            "        '--times', '0,1,2,4,8', '--count', '200', '--out', 'run.csv']",
-            "assert main(argv) == 0",
-            "assert main(['verify', '--fast']) == 0",
-            "if 'scipy.optimize' in sys.modules:",
-            "    sys.exit('scipy.optimize was imported')",
+            "for argv in %r:" % (commands,),
+            "    assert main(argv) == 0, argv",
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+            "if loaded:",
+            "    sys.exit('scipy modules were imported: %s' % loaded[:5])",
         ]
     )
     src = os.path.dirname(os.path.dirname(flagricci.__file__))

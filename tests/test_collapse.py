@@ -7,7 +7,6 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from flagricci import collapse
 from flagricci.collapse import (
     NonRealizableError,
     _nearest,
@@ -183,24 +182,27 @@ def test_sampling_resolution_shrinks_with_count():
     assert sampling_resolution(fine) < sampling_resolution(coarse)
 
 
-# powers of two scale exactly; 1e+-150 round, and square beyond the float range
-SCALES = [2.0**500, 2.0**-500, 1e150, 1e-150]
+# powers of two scale exactly; 1e+-150 round, the squares of 1e-150 underflow
+# and those of 1e155 overflow
+SCALES = [2.0**500, 2.0**-500, 1e150, 1e-150, 1e155]
 
 
 @pytest.mark.parametrize("scale", SCALES)
 @pytest.mark.parametrize("count", [2, 3, 127, 128, 129])
 def test_nearest_has_the_bits_of_a_full_cdist_scan(count, scale):
     # on either side of one 128-row ranking block, within a cloud and
-    # between two clouds, at scales whose squares overflow or underflow
-    model = build_model(2, 1, 1)
-    pts = sample_orbit(model, limit_frame(model, LIMITS[count % 4]), count, count).flat_points
-    other = sample_orbit(model, model.omega, count + 5, count).flat_points
-    pts, other = pts * scale, other * scale
-    within = cdist(pts, pts)
-    np.fill_diagonal(within, np.inf)
-    assert _nearest(pts).tobytes() == within.min(axis=1).tobytes()
-    assert _nearest(pts, other).tobytes() == cdist(pts, other).min(axis=1).tobytes()
-    assert _nearest(other, pts).tobytes() == cdist(other, pts).min(axis=1).tobytes()
+    # between two clouds, at scales whose squares overflow or underflow, in
+    # su(3), su(4) and su(9): 36, 64 and 324 coordinates
+    for blocks in [(1, 1, 1), (2, 1, 1), (3, 3, 3)]:
+        model = build_model(*blocks)
+        frame = limit_frame(model, LIMITS[count % 4])
+        pts = sample_orbit(model, frame, count, count).flat_points * scale
+        other = sample_orbit(model, model.omega, count + 5, count).flat_points * scale
+        within = cdist(pts, pts)
+        np.fill_diagonal(within, np.inf)
+        assert _nearest(pts).tobytes() == within.min(axis=1).tobytes(), blocks
+        assert _nearest(pts, other).tobytes() == cdist(pts, other).min(axis=1).tobytes()
+        assert _nearest(other, pts).tobytes() == cdist(other, pts).min(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("scale", [1.0] + SCALES)
@@ -213,20 +215,26 @@ def test_hausdorff_is_the_max_min_of_a_full_cdist_scan(scale):
 
 
 @pytest.mark.parametrize("where", ["orbit point", "origin"])
-def test_a_cloud_of_one_point_makes_every_column_a_candidate(monkeypatch, where):
-    cloud = small_cloud(1.0, 0.3, count=1, seed=3)
+def test_a_cloud_of_one_point_makes_every_column_a_candidate(where):
+    # the pair kernel's worst case: each block measures all of its pairs, in
+    # batches, so a 2000-point su(6) cloud holds its float32 copy, one
+    # ranking block, the block's pair indices and distances (2 MiB each) and
+    # one batch, where a full distance matrix would take 30.5 MiB
+    model = build_model(2, 2, 2)
+    cloud = sample_orbit(model, model.omega, 1, 3)
     point = cloud.points if where == "orbit point" else np.zeros_like(cloud.points)
-    same = replace(cloud, points=np.repeat(point, 129, axis=0), count=129)
-    widths = []
-
-    def counted(rows, cols):
-        widths.append(len(cols))
-        return cdist(rows, cols)
-
-    monkeypatch.setattr(collapse, "cdist", counted)
-    assert sampling_resolution(same) == 0.0
-    # eight chunks of 16 rows take every column; row 128 alone takes all but itself
-    assert widths == [129] * 8 + [128]
+    for count in [129, 2000]:
+        pts = replace(cloud, points=np.repeat(point, count, axis=0), count=count).flat_points
+        tracemalloc.start()
+        try:
+            got = _nearest(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
+        within = cdist(pts, pts)
+        np.fill_diagonal(within, np.inf)
+        assert got.tobytes() == within.min(axis=1).tobytes()
 
 
 def test_sampling_resolution_holds_blocks_not_the_distance_matrix():

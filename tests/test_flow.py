@@ -505,3 +505,11 @@ def test_find_equilibria_has_the_bits_of_the_five_call_search(spec, grid_n, monk
 def test_find_equilibria_rejects_a_newton_tol_that_is_not_finite_and_positive(tol):
     with pytest.raises(ValueError, match="^newton_tol must be finite and positive"):
         find_equilibria(A111, grid_n=10, newton_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-4, 1e-2])
+def test_find_equilibria_raises_on_a_root_that_a_loose_newton_tol_leaves_unrefined(tol):
+    # these dropped 2, 5 and 7 of A(3,2,1)'s 10 equilibria without a word
+    message = r"^Newton root \[.*\] fails the Einstein check: residual .* at newton_tol = %r$"
+    with pytest.raises(ValueError, match=message % tol):
+        find_equilibria(make_flag("A", (3, 2, 1)), newton_tol=tol)
