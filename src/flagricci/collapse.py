@@ -124,49 +124,165 @@ def orbit_distance(a, b) -> float:
     return float(np.sqrt(2 * n * np.repeat(cost, best).sum()))
 
 
-def _ranking_copy(pts: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """pts scaled by 2^-e, exactly, then rounded to float32, and the float64
-    squared norms of the scaled rows."""
-    w = np.empty(pts.shape, dtype=np.float32)
-    np.ldexp(pts, -e, out=w, casting="same_kind")
-    return w, np.einsum("ij,ij->i", w, w, dtype=np.float64)
+@cache
+def _skew_half(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_ranking_copy's pairs in a flat (2, 2, n, n) row: the positions of
+    each pair's entry and of its partner, the sign the partner is added
+    with, and the factor of the sum.
+
+    First come the real parts' entries above the diagonal, each with its
+    transpose, added with sign -1, then the imaginary parts' entries above
+    and on the diagonal, added with sign +1, for both matrices of a point:
+    their 2 n^2 scaled sums are the kept coordinates. The real parts'
+    diagonals come last. The scaled differences of all pairs are the
+    coordinates left out, those of the imaginary diagonals being 0.
+    """
+    i, j = np.triu_indices(n, 1)
+    upper, lower, diag = i * n + j, j * n + i, np.arange(n) * (n + 1)
+    half = math.sqrt(0.5)
+    parts = [
+        (upper, lower, -1.0, half, 0),
+        (upper, lower, 1.0, half, n * n),
+        (diag, diag, 1.0, 0.5, n * n),
+        (diag, diag, -1.0, 0.5, 0),
+    ]
+    at, partner, sign, scale = [], [], [], []
+    for first, second, sgn, factor, part in parts:
+        for matrix in (part, part + 2 * n * n):
+            at.append(first + matrix)
+            partner.append(second + matrix)
+            sign.append(np.full(len(first), sgn))
+            scale.append(np.full(len(first), factor))
+    out = tuple(np.concatenate(v) for v in (at, partner, sign, scale))
+    for v in out:
+        v.flags.writeable = False
+    return out
+
+
+def _ranking_copy(pts: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The skew-Hermitian half of pts's rows scaled by 2^-e, rounded to
+    float32, with the float64 squared norms of the float32 rows and of the
+    Hermitian half that the copy leaves out.
+
+    A row is a flat (2, N, N) complex point as OrbitCloud.flat_points lays
+    it out: the real and then the imaginary part of each N x N matrix. Its
+    skew-Hermitian half is kept as 2 N^2 orthonormal coordinates: the real
+    part's (a_ij - a_ji) / sqrt(2) and the imaginary part's b_ii and
+    (b_ij + b_ji) / sqrt(2), for i < j. The Hermitian half left out has
+    the coordinates a_ii, (a_ij + a_ji) / sqrt(2) and
+    (b_ij - b_ji) / sqrt(2). Rows are scaled and split _ROWS at a time, so
+    no float64 temporary is larger than one block of them.
+    """
+    count, d = pts.shape
+    n = math.isqrt(d // 4)
+    if 4 * n * n != d:
+        raise ValueError("rows of %d coordinates are no flat (2, N, N) points" % d)
+    at, partner, sign, scale = _skew_half(n)
+    w = np.empty((count, d // 2), dtype=np.float32)
+    dropped = np.empty(count)
+    for s in range(0, count, _ROWS):
+        x = np.ldexp(pts[s : s + _ROWS], -e)
+        u, v = x[:, at], x[:, partner]
+        v *= sign
+        kept = u + v
+        kept *= scale
+        w[s : s + _ROWS] = kept[:, : d // 2]
+        u -= v
+        u *= scale
+        dropped[s : s + _ROWS] = np.einsum("ij,ij->i", u, u)
+    return w, np.einsum("ij,ij->i", w, w, dtype=np.float64), dropped
+
+
+@cache
+def _key(d: int) -> np.ndarray:
+    """The d odd multipliers of _distinct's row key."""
+    key = np.arange(d, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)
+    key.flags.writeable = False
+    return key
+
+
+def _distinct(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """pts with each repeated row kept once, and the index of each row of
+    pts among them, or pts itself and None when no row repeats.
+
+    Rows are sorted by an exact key, a wrapping integer projection of their
+    bits, and neighbours with equal keys are compared entry by entry, so
+    only rows equal in value share an index. Such rows lie at distance 0
+    from each other, and at the same distance, in every bit, from any other
+    row.
+    """
+    key = pts.view(np.uint64) @ _key(pts.shape[1])
+    order = np.argsort(key, kind="stable")
+    tied = np.flatnonzero(np.diff(key[order]) == 0)
+    same = (pts[order[tied]] == pts[order[tied + 1]]).all(axis=1)
+    if not same.any():
+        return pts, None
+    first = np.ones(len(pts), dtype=bool)
+    first[tied[same] + 1] = False
+    group = np.empty(len(pts), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return pts[order[first]], group
 
 
 def _nearest(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Each row of a's least distance to a row of b, or, with b None, to
-    another row of a; a and b are finite (count, D) arrays.
+    another row of a; a and b are finite (count, 4 N^2) arrays of flat
+    (2, N, N) complex points.
 
-    Rows are ranked _ROWS at a time on float32 copies of the points, scaled
-    by a power of two so that the largest coordinate lies in [0.5, 1).
-    With w the scaled points, r_ij = |w_j|^2 / 2 - <w_i, w_j> is
-    |w_i - w_j|^2 / 2 less a term of the row, so it ranks row i's columns
-    by distance. Column j is a candidate for row i when r_ij lies within
-    the row's slack of its least r. Candidate pairs are measured as cdist
-    does, in batches no larger than the block: squared differences summed
-    left to right, then the root. The nearest column under that sum is
-    always a candidate, so every distance has the bits of a full cdist scan.
+    Repeated rows are ranked and measured once (_distinct); within one
+    cloud a repeated row is exactly 0 from its copies. Rows are ranked
+    _ROWS at a time on float32 copies of the skew-Hermitian half of each
+    point (_ranking_copy), which is all of an orbit point but rounding,
+    scaled by a power of two so that the largest coordinate lies in
+    [0.5, 1). Let x_i be the scaled point, w_i its kept half and h_i the
+    Hermitian half left out, so that
+    |x_i - x_j|^2 = |w_i - w_j|^2 + |h_i - h_j|^2. What is ranked is
+    rho_ij = |w_j|^2 / 2 - <w_i, w_j>, and
+    r_ij = rho_ij + |h_j|^2 / 2 - <h_i, h_j> is |x_i - x_j|^2 / 2 less a
+    term of the row, so r ranks row i's columns by distance. Column j is a
+    candidate for row i when rho_ij lies within the row's slack of its
+    least rho. Candidate pairs are measured on the full float64 rows as
+    cdist does, in batches no larger than the block: squared differences
+    summed left to right, then the root. The nearest column under that sum
+    is always a candidate, so every distance has the bits of a full cdist
+    scan.
 
-    The slack is an error bound, to first order in u = 2^-24. Let s be the
-    float64 squared norms of the float32 rows and S = max s, at least 1/4.
-    Each float32 r_ij is within (D + 7) / 2 * u * (s_i + S) of its exact
-    value: (D + 3) u |w_i| |w_j| from the rounding to float32 and the
-    D-term product, 2 u |w_j|^2 from the half norm and the subtraction.
-    Underflow adds less than D * 2^-125. The row's cutoff, rounded to
-    float32, moves by at most u (s_i + S), and cdist's own rounding can
-    put its nearest column up to (D + 3) * 2^-51 * (s_i + S) above the
-    exact least r. So the slack (D + 2) * 2^-21 * (s_i + S), which is
-    8 (D + 2) u (s_i + S), covers twice the first bound plus the other two
-    about seven times over at su(3)'s D = 36, and more at larger D.
+    The slack is an error bound, to first order in u = 2^-24. Let
+    e_i = |h_i| and E = max e. The part left out,
+    r_ij - rho_ij = (|h_j|^2 - 2 <h_i, h_j>) / 2, lies in
+    [-e_i E, E^2 / 2 + e_i E], so it moves from column to column by at most
+    E^2 / 2 + 2 e_i E, and the nearest column's exact rho lies at most
+    that far above the least exact rho. Let s be the float64 squared norms
+    of the float32 rows plus e^2, S = max s, at least 1/4, and K = 2 N^2
+    the number of ranked coordinates. Each float32 rho_ij is within
+    (K + 7) / 2 * u * (s_i + S) of its exact value: (K + 3) u |w_i| |w_j|
+    from the rounding to float32 and the K-term product, 2 u |w_j|^2 from
+    the half norm and the subtraction. The float64 split and e add
+    second-order terms only, and underflow less than K * 2^-125. Rounding
+    the slack and the row's cutoff to float32 moves the cutoff by at most
+    u (s_i + S) plus 2 u times the E-term, which is at most 1.5 (s_i + S),
+    and cdist's own rounding can put its nearest column up to
+    (2 K + 3) * 2^-51 * (s_i + S) above the exact least r. So the slack
+    (K + 2) * 2^-21 * (s_i + S) + E^2 / 2 + 2 e_i E, whose first term is
+    8 (K + 2) u (s_i + S), covers the E-term, twice the float32 bound and
+    the other errors about five times over at su(3)'s K = 18, and more at
+    larger K. On an orbit cloud e is about 1e-16 of |x|, so the E-term adds
+    no candidates; on any other points it only adds candidates.
     """
     skip_self = b is None
-    if skip_self:
-        b = a
+    a, group = _distinct(a)
+    b = a if skip_self else _distinct(b)[0]
     rows, d = a.shape
     e = math.frexp(max(-a.min(), a.max(), -b.min(), b.max()))[1]
-    wa, sa = _ranking_copy(a, e)
-    wb, sb = (wa, sa) if skip_self else _ranking_copy(b, e)
+    wa, sa, qa = _ranking_copy(a, e)
+    wb, sb, qb = (wa, sa, qa) if skip_self else _ranking_copy(b, e)
     half = (0.5 * sb).astype(np.float32)
-    slack = ((d + 2) * 2.0**-21 * (sa + max(sa.max(), sb.max()))).astype(np.float32)
+    na = sa + qa
+    nb = na if skip_self else sb + qb
+    big = math.sqrt(max(qa.max(), qb.max()))
+    slack = (d // 2 + 2) * 2.0**-21 * (na + max(na.max(), nb.max()))
+    slack += big * (0.5 * big + 2 * np.sqrt(qa))
+    slack = slack.astype(np.float32)
     nearest = np.empty(rows)
     block = np.empty((min(rows, _ROWS), len(b)), dtype=np.float32)
     step = max(1, block.size // (2 * d))
@@ -191,6 +307,11 @@ def _nearest(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
                 np.sqrt(diff[:, -1], out=dist[p0 : p0 + step])
         starts = np.searchsorted(pairs, np.arange(len(r)) * len(b))
         nearest[i0 : i0 + len(r)] = np.minimum.reduceat(dist, starts)
+    if group is None:
+        return nearest
+    nearest = nearest[group]
+    if skip_self:
+        nearest[np.bincount(group)[group] > 1] = 0.0
     return nearest
 
 

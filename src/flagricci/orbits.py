@@ -120,9 +120,14 @@ def build_model(m: int, n: int, p: int) -> LieModel:
 def _flatten_real(mats, n_amb) -> np.ndarray:
     """Isometric real coordinates: <X, Y> becomes the Euclidean dot product."""
     arr = np.asarray(mats)
-    flat = arr.reshape(arr.shape[:-2] + (n_amb * n_amb,))
+    m = n_amb * n_amb
+    flat = arr.reshape(arr.shape[:-2] + (m,))
     scale = np.sqrt(2.0 * n_amb)
-    return scale * np.concatenate([flat.real, flat.imag], axis=-1)
+    # the scaled real and imaginary parts go straight into their halves
+    out = np.empty(flat.shape[:-1] + (2 * m,))
+    np.multiply(scale, flat.real, out=out[..., :m])
+    np.multiply(scale, flat.imag, out=out[..., m:])
+    return out
 
 
 def induced_metric(model: LieModel, frame) -> np.ndarray:

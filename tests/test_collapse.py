@@ -9,6 +9,7 @@ from scipy.spatial.distance import cdist
 
 from flagricci.collapse import (
     NonRealizableError,
+    _distinct,
     _nearest,
     collapse_run,
     collapse_verdict,
@@ -205,6 +206,57 @@ def test_nearest_has_the_bits_of_a_full_cdist_scan(count, scale):
         assert _nearest(other, pts).tobytes() == cdist(other, pts).min(axis=1).tobytes()
 
 
+def _assert_nearest_has_the_bits_of_cdist(pts, other):
+    """_nearest within pts, from pts to other and back, against cdist."""
+    within = cdist(pts, pts)
+    np.fill_diagonal(within, np.inf)
+    assert _nearest(pts).tobytes() == within.min(axis=1).tobytes()
+    assert _nearest(pts, other).tobytes() == cdist(pts, other).min(axis=1).tobytes()
+    assert _nearest(other, pts).tobytes() == cdist(other, pts).min(axis=1).tobytes()
+
+
+# clouds off the skew-Hermitian points: complex Gaussian points, and orbit
+# points moved by complex Gaussian matrices of these sizes
+OFF_SKEW = ["gaussian", 1e-8, 1e-3, 1.0]
+
+
+@pytest.mark.parametrize("bend", OFF_SKEW)
+@pytest.mark.parametrize("count", [3, 127, 128, 129])
+def test_nearest_has_the_bits_of_cdist_off_the_skew_hermitian_points(count, bend):
+    # the ranking leaves out the Hermitian half of each point, which is as
+    # large as the rest here; only the slack it adds keeps the nearest
+    # column among the candidates
+    rng = np.random.default_rng([count, OFF_SKEW.index(bend)])
+    for blocks in [(1, 1, 1), (2, 1, 1)]:
+        model = build_model(*blocks)
+        clouds = []
+        for k, frame in enumerate([limit_frame(model, LIMITS[count % 4]), model.omega]):
+            cloud = sample_orbit(model, frame, count + 5 * k, count)
+            shape = cloud.points.shape
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            points = z if bend == "gaussian" else cloud.points + bend * z
+            clouds.append(replace(cloud, points=points).flat_points)
+        _assert_nearest_has_the_bits_of_cdist(*clouds)
+
+
+def test_nearest_has_the_bits_of_cdist_on_repeated_rows():
+    # 300 draws from 150 points, so most rows repeat, and two rows equal but
+    # for the sign of a zero, which count as two rows and lie 0 apart
+    model = build_model(2, 1, 1)
+    base = sample_orbit(model, model.omega, 150, 4).flat_points
+    rng = np.random.default_rng(4)
+    drawn = base[rng.integers(0, 150, 300)]
+    rows, group = _distinct(drawn)
+    assert len(rows) == len(np.unique(drawn, axis=0)) < 150
+    assert np.array_equal(rows[group], drawn)
+    signed = np.repeat(base[:1], 2, axis=0)
+    signed[:, 0] = [0.0, -0.0]
+    pts = np.concatenate([drawn, signed])
+    _assert_nearest_has_the_bits_of_cdist(pts, base[:50])
+    _assert_nearest_has_the_bits_of_cdist(base, pts)
+    assert _distinct(base)[1] is None
+
+
 @pytest.mark.parametrize("scale", [1.0] + SCALES)
 def test_hausdorff_is_the_max_min_of_a_full_cdist_scan(scale):
     a = small_cloud(1.0, 0.3, count=140, seed=8)
@@ -216,10 +268,9 @@ def test_hausdorff_is_the_max_min_of_a_full_cdist_scan(scale):
 
 @pytest.mark.parametrize("where", ["orbit point", "origin"])
 def test_a_cloud_of_one_point_makes_every_column_a_candidate(where):
-    # the pair kernel's worst case: each block measures all of its pairs, in
-    # batches, so a 2000-point su(6) cloud holds its float32 copy, one
-    # ranking block, the block's pair indices and distances (2 MiB each) and
-    # one batch, where a full distance matrix would take 30.5 MiB
+    # one su(6) point repeated is ranked as one row and each copy is exactly
+    # 0 from the others, where a full distance matrix of the 2000-point
+    # cloud would take 30.5 MiB
     model = build_model(2, 2, 2)
     cloud = sample_orbit(model, model.omega, 1, 3)
     point = cloud.points if where == "orbit point" else np.zeros_like(cloud.points)
@@ -237,10 +288,35 @@ def test_a_cloud_of_one_point_makes_every_column_a_candidate(where):
         assert got.tobytes() == within.min(axis=1).tobytes()
 
 
+def test_a_cloud_that_float32_cannot_resolve_makes_every_column_a_candidate():
+    # the pair kernel's worst case: distinct points 1e-12 apart, which the
+    # float32 ranking cannot tell apart, so each block measures all of its
+    # pairs, in batches, and holds its pair indices and distances
+    model = build_model(2, 2, 2)
+    cloud = sample_orbit(model, model.omega, 1, 3)
+    rng = np.random.default_rng(3)
+    for count in [129, 600]:
+        shape = (count,) + cloud.points.shape[1:]
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        points = cloud.points + 1e-12 * z
+        pts = replace(cloud, points=points, count=count).flat_points
+        tracemalloc.start()
+        try:
+            got = _nearest(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
+        within = cdist(pts, pts)
+        np.fill_diagonal(within, np.inf)
+        assert got.tobytes() == within.min(axis=1).tobytes()
+
+
 def test_sampling_resolution_holds_blocks_not_the_distance_matrix():
     # a 2000-point su(6) cloud: beyond its flat coordinates, a float32 copy
-    # (1.1 MiB), one 128-row ranking block (1 MiB) and small change, where
-    # a full distance matrix would take 30.5 MiB
+    # of the points' skew-Hermitian halves (0.55 MiB), one 128-row ranking
+    # block (1 MiB) and small change, where a full distance matrix would
+    # take 30.5 MiB
     model = build_model(2, 2, 2)
     cloud = sample_orbit(model, model.omega, 2000, 0)
     flat = cloud.flat_points.nbytes

@@ -21,9 +21,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 from flagricci.cli import load_config, parse_point  # noqa: E402
 from flagricci.collapse import hausdorff, is_subalgebra, orbit_distance  # noqa: E402
-from flagricci.fields import _cubic_coefficients, cone_form, ricci_field  # noqa: E402
+from flagricci.fields import (  # noqa: E402
+    _cubic_coefficients,
+    cone_form,
+    point_field,
+    ricci_field,
+)
 from flagricci.flags import FlagSpec, make_flag, parse_flag  # noqa: E402
-from flagricci.flow import FLOAT_LOOP_ROWS, integrate, integrate_many  # noqa: E402
+from flagricci.flow import FLOAT_LOOP_ROWS, _step, integrate, integrate_many  # noqa: E402
 from flagricci.orbits import build_model, induced_metric, sample_orbit  # noqa: E402
 from flagricci.realize import (  # noqa: E402
     _E1,
@@ -398,6 +403,50 @@ def _assert_rows_are_single_runs(spec, starts, t_max):
 @given(spec=_CATALOGUE, starts=_SIMPLEX_STARTS, t_max=st.floats(0.05, 0.5))
 def test_integrate_many_has_the_bits_of_integrate(spec, starts, t_max):
     _assert_rows_are_single_runs(spec, starts, t_max)
+
+
+# a coordinate near a vertex: 0, or 10^-300 to 10^-1
+_TINY = st.one_of(st.just(0.0), st.floats(-300.0, -1.0).map(lambda p: 10.0**p))
+# a state near a vertex: two tiny coordinates and what they leave of 1
+_NEAR_VERTEX = st.tuples(st.integers(0, 2), _TINY, _TINY).map(
+    lambda v: np.roll([1.0 - v[1] - v[2], v[1], v[2]], v[0]).tolist()
+)
+# step sizes from the least subnormal to 1e300, where the stages overflow
+# to inf and nan
+_STEPS = st.one_of(
+    st.sampled_from([5e-324, 1e300]), st.floats(-320.0, 300.0).map(lambda p: 10.0**p)
+)
+
+
+@settings(max_examples=30)
+@given(spec=_CATALOGUE, rows=st.lists(st.tuples(_NEAR_VERTEX, _STEPS), min_size=1, max_size=6))
+def test_step_has_the_bits_of_the_float_step_on_columns_and_blocks(spec, rows):
+    # each row's attempt on Python floats against the same attempt made on
+    # three columns and on a (3, n) block, each row with its own step size;
+    # the largest steps overflow to inf and nan, which the loops reject
+    f = point_field(spec)
+    want = []
+    for y, h in rows:
+        z, err = _step(f, y, f(y), h)
+        want.append(z + err)
+    block = np.array([y for y, _ in rows]).T
+    h = np.array([h for _, h in rows])
+    columns = tuple(block.copy())
+    with np.errstate(all="ignore"):
+        z, err = _step(f, columns, f(columns), h)
+        got_columns = np.array(z + err)
+        z, err = _step(f, block, np.array(f(block)), h)
+        got_block = np.array(z + err)
+    # the sign of a NaN is the hardware's choice, which numpy's vector
+    # loops make otherwise than Python's float arithmetic
+    want = _one_nan(np.array(want).T)
+    assert _one_nan(got_columns) == want
+    assert _one_nan(got_block) == want
+
+
+def _one_nan(a):
+    """The bytes of a, with every NaN the same one."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
 def _interior_equilibria(spec):
