@@ -193,25 +193,18 @@ def _ranking_copy(pts: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray, np.n
     return w, np.einsum("ij,ij->i", w, w, dtype=np.float64), dropped
 
 
-@cache
-def _key(d: int) -> np.ndarray:
-    """The d odd multipliers of _distinct's row key."""
-    key = np.arange(d, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)
-    key.flags.writeable = False
-    return key
-
-
 def _distinct(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """pts with each repeated row kept once, and the index of each row of
     pts among them, or pts itself and None when no row repeats.
 
     Rows are sorted by an exact key, a wrapping integer projection of their
-    bits, and neighbours with equal keys are compared entry by entry, so
-    only rows equal in value share an index. Such rows lie at distance 0
-    from each other, and at the same distance, in every bit, from any other
-    row.
+    bits on odd multipliers, and neighbours with equal keys are compared
+    entry by entry, so only rows equal in value share an index. Such rows
+    lie at distance 0 from each other, and at the same distance, in every
+    bit, from any other row.
     """
-    key = pts.view(np.uint64) @ _key(pts.shape[1])
+    odd = np.arange(pts.shape[1], dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    key = pts.view(np.uint64) @ (odd | np.uint64(1))
     order = np.argsort(key, kind="stable")
     tied = np.flatnonzero(np.diff(key[order]) == 0)
     same = (pts[order[tied]] == pts[order[tied + 1]]).all(axis=1)
