@@ -251,6 +251,26 @@ def test_flat_embedding_is_isometric():
         assert model.inner(a, b) == pytest.approx(fa @ fb, rel=1e-12, abs=1e-12)
 
 
+def _concatenated_flatten(mats, n_amb):
+    """_flatten_real's former form: concatenate the parts, then scale."""
+    arr = np.asarray(mats)
+    flat = arr.reshape(arr.shape[:-2] + (n_amb * n_amb,))
+    return np.sqrt(2.0 * n_amb) * np.concatenate([flat.real, flat.imag], axis=-1)
+
+
+@pytest.mark.parametrize("blocks", [(1, 1, 1), (2, 2, 2), (3, 3, 3)])
+def test_flatten_real_has_the_bits_of_the_concatenated_form(blocks):
+    # whole clouds, JSON-sized blocks of them, and real matrices, whose
+    # imaginary half is zero
+    from flagricci.orbits import _flatten_real
+
+    model = build_model(*blocks)
+    n = model.n_ambient
+    points = sample_orbit(model, model.omega, 130, seed=5).points
+    for mats in [points, points[64:128], np.random.default_rng(5).normal(size=(7, n, n))]:
+        assert _flatten_real(mats, n).tobytes() == _concatenated_flatten(mats, n).tobytes()
+
+
 def test_induced_metric_accepts_any_diagonal_on_su3():
     # with three 1x1 blocks every traceless diagonal is a torus element, so
     # the block-scalar check always passes
