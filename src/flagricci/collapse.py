@@ -51,7 +51,10 @@ def hausdorff(a: OrbitCloud, b: OrbitCloud) -> float:
         raise ValueError("clouds live in different ambient spaces")
     pa = require_finite(a.flat_points, "a.flat_points")
     pb = require_finite(b.flat_points, "b.flat_points")
-    return float(max(_nearest(pa, pb).max(), _nearest(pb, pa).max()))
+    # each cloud is ranked, in both directions, from one prepared copy
+    e = _scale(pa, pb)
+    ca, cb = _prepared(pa, e), _prepared(pb, e)
+    return float(max(_ranked_nearest(ca, cb).max(), _ranked_nearest(cb, ca).max()))
 
 
 def _diagonal(frame, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -217,6 +220,20 @@ def _distinct(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return pts[order[first]], group
 
 
+def _scale(*clouds: np.ndarray) -> int:
+    """The power of two e with the largest |coordinate| of the clouds in
+    [2^(e-1), 2^e): _ranking_copy scales by 2^-e."""
+    return math.frexp(max(max(-c.min(), c.max()) for c in clouds))[1]
+
+
+def _prepared(pts: np.ndarray, e: int) -> tuple:
+    """What _ranked_nearest reads of one cloud: its distinct rows, the
+    index of each row among them (_distinct), and their ranking copy at
+    scale 2^-e with its two squared norms (_ranking_copy)."""
+    rows, group = _distinct(pts)
+    return (rows, group, *_ranking_copy(rows, e))
+
+
 def _nearest(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Each row of a's least distance to a row of b, or, with b None, to
     another row of a; a and b are finite (count, 4 N^2) arrays of flat
@@ -262,13 +279,19 @@ def _nearest(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     larger K. On an orbit cloud e is about 1e-16 of |x|, so the E-term adds
     no candidates; on any other points it only adds candidates.
     """
-    skip_self = b is None
-    a, group = _distinct(a)
-    b = a if skip_self else _distinct(b)[0]
+    if b is None:
+        return _ranked_nearest(_prepared(a, _scale(a)))
+    e = _scale(a, b)
+    return _ranked_nearest(_prepared(a, e), _prepared(b, e))
+
+
+def _ranked_nearest(ca: tuple, cb: tuple | None = None) -> np.ndarray:
+    """_nearest on clouds _prepared at one scale: from ca to cb, or, with
+    cb None, within ca."""
+    skip_self = cb is None
+    a, group, wa, sa, qa = ca
+    b, _, wb, sb, qb = ca if skip_self else cb
     rows, d = a.shape
-    e = math.frexp(max(-a.min(), a.max(), -b.min(), b.max()))[1]
-    wa, sa, qa = _ranking_copy(a, e)
-    wb, sb, qb = (wa, sa, qa) if skip_self else _ranking_copy(b, e)
     half = (0.5 * sb).astype(np.float32)
     na = sa + qa
     nb = na if skip_self else sb + qb

@@ -15,15 +15,26 @@ BLAS kernel. integrate runs one start on Python floats (_float_loop);
 integrate_many runs many in lockstep (_lockstep) on the (3, n) block of the
 live rows, each row with its own step size, controller memory, verdict,
 clean step, stop rule and t_max landing. The lockstep calls the same _step
-on the block and takes the controller's powers through C pow (_cpow), so
-each row equals its single-start run bit for bit; it logs each pass's
-accepted rows and sorts the log into per-row arrays at the end. A batch
-of at most FLOAT_LOOP_ROWS rows runs row by row on the float loop, which is
-faster there. Both entries check the start (_onto_simplex) and the run
-settings (_check_run) before either loop runs, both loops evaluate
+on the block and takes the controller's powers on Python floats, through C
+pow, so each row equals its single-start run bit for bit; it logs each
+pass's accepted rows and sorts the log into per-row arrays at the end. A
+batch of at most FLOAT_LOOP_ROWS rows runs row by row on the float loop,
+which is faster there. Both entries check the start (_onto_simplex) and the
+run settings (_check_run) before either loop runs, both loops evaluate
 fields.point_field(spec), and both stop with IntegrationError after
 MAX_STEPS attempts. A run's settings default to T_MAX, RTOL and ATOL,
 which collapse and the CLI read too.
+
+The pair is "first same as last": _step's last stage g = f(z) is the field
+at the attempt's end point z. When an attempt is accepted and its cleaned
+state equals z with no zero coordinate, that state is z bit for bit, and
+both loops take g as the next step's first stage instead of calling f; a
+clamp or a renormalization that moves z, or a zero that might be -0.0
+made +0.0, makes them call f on the cleaned state. The lockstep applies
+the rule row by row and calls f on the other rows' columns only. So a
+run's n_field_evals counts the field values actually computed: one at the
+start, six per attempted step and one per accepted step that does not take
+g.
 """
 
 from __future__ import annotations
@@ -46,10 +57,11 @@ ATOL = 1e-12
 JACOBIAN_STEP = 1e-6  # relative finite-difference step of jacobian
 LIMIT_TOL = 1e-4  # farthest a final state lies from the equilibrium it goes to
 # integrate_many's largest batch that runs row by row on the float loop. At
-# t_max 50 (best of 5, 2 vCPUs) the lockstep took 7.7, 3.5, 2.1, 1.04, 0.65
-# and 0.34 times the float loop's time on 4, 8, 16, 32, 64 and 128 rows of
-# A(1,1,1), and 7.4, 3.9, 2.05, 1.16, 0.67 and 0.30 times on D(8).
-FLOAT_LOOP_ROWS = 32
+# t_max 50 (best of 5 alternating runs, median of 3 repeats, 2 vCPUs) the
+# lockstep took 3.07, 1.53, 1.06, 0.88 and 0.84 times the float loop's time
+# on 16, 32, 48, 56 and 64 rows of A(1,1,1), and 2.61, 1.65, 1.04, 0.89 and
+# 0.84 times on D(8).
+FLOAT_LOOP_ROWS = 48
 
 # Dormand-Prince 5(4), nonzero entries only: the rows of k2 ... k6, the
 # fifth-order weights of k1, k3 ... k6 and the fourth-order ones of k1,
@@ -70,9 +82,9 @@ def _step(f, y, k1, h):
     """One Dormand-Prince 5(4) attempt of size h from y, where k1 = f(y).
 
     y and k1 are three floats, or three columns or a (3, n) block (h then
-    holds each row's step). Returns the fifth-order state z and the error
-    h (b5 - b4) . k; the last stage is taken at z, so an attempt costs six
-    field values.
+    holds each row's step). Returns the fifth-order state z, the error
+    h (b5 - b4) . k and the last stage g = f(z), in the form f returns; an
+    attempt costs six field values.
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), a6 = _A
     a61, a62, a63, a64, a65 = a6
@@ -96,10 +108,11 @@ def _step(f, y, k1, h):
     z = (y1 + h * (b1 * p1 + b3 * r1 + b4 * s1 + b5 * v1 + b6 * w1),
          y2 + h * (b1 * p2 + b3 * r2 + b4 * s2 + b5 * v2 + b6 * w2),
          y3 + h * (b1 * p3 + b3 * r3 + b4 * s3 + b5 * v3 + b6 * w3))
-    g1, g2, g3 = f(z)
+    g = f(z)
+    g1, g2, g3 = g
     return z, (h * (e1 * p1 + e3 * r1 + e4 * s1 + e5 * v1 + e6 * w1 + e7 * g1),
                h * (e1 * p2 + e3 * r2 + e4 * s2 + e5 * v2 + e6 * w2 + e7 * g2),
-               h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * v3 + e6 * w3 + e7 * g3))
+               h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * v3 + e6 * w3 + e7 * g3)), g
 
 
 class IntegrationError(RuntimeError):
@@ -120,8 +133,9 @@ class Trajectory:
     the renormalization of each accepted step; f_values records cone_form at
     the stored (cleaned) states. eval_states holds the states at the
     requested t_eval times when integrate was given any. n_field_evals counts
-    calls of the field: one at the start, six per attempted step and one
-    more per accepted step.
+    the field values computed: one at the start, six per attempted step and
+    one per accepted step that does not take the attempt's last stage as the
+    next first stage, as the module docstring sets out.
     """
 
     times: np.ndarray
@@ -183,7 +197,6 @@ def _float_loop(f, x0, t_max: float, rtol: float, atol: float, t_eval=None) -> T
             eval_states[pending.pop(0)] = ycur
 
     k1 = f(y)
-    n_evals = 1
     if not all(map(math.isfinite, k1)):
         raise IntegrationError(
             "field not finite at the initial state", t=0.0, state=np.array(y)
@@ -196,7 +209,10 @@ def _float_loop(f, x0, t_max: float, rtol: float, atol: float, t_eval=None) -> T
     if math.sqrt(_sum_squares(*k1)) < EQUILIBRIUM_TOL:
         status = "equilibrium"
 
-    n_acc = n_rej = 0
+    # in the step's bookkeeping min, max and abs are conditional
+    # expressions that pick as they do, also on NaN and inf
+    isfinite, sqrt = math.isfinite, math.sqrt
+    n_acc = n_rej = n_fresh = 0
     if status != "equilibrium":
         s = [atol + rtol * abs(v) for v in y]
         d0 = math.sqrt(_sum_squares(*(v / sv for v, sv in zip(y, s))) / 3)
@@ -206,49 +222,69 @@ def _float_loop(f, x0, t_max: float, rtol: float, atol: float, t_eval=None) -> T
         err_prev = 1.0
 
         while t < t_max:
-            if h < 1e-14 * max(1.0, abs(t)):
+            # t is never negative, so max(1.0, abs(t)) is this
+            if h < 1e-14 * (t if t > 1.0 else 1.0):
                 status = "step_underflow"
                 break
             if n_acc + n_rej >= MAX_STEPS:
                 raise IntegrationError("step budget exhausted", t=t, state=np.array(y))
             # land exactly on t_max and on any pending t_eval time
-            h_try = min(h, t_max - t)
+            rest = t_max - t
+            h_try = rest if rest < h else h
             if pending:
-                h_try = min(h_try, pending[0] - t)
+                rest = pending[0] - t
+                h_try = rest if rest < h_try else h_try
 
-            z, (e1, e2, e3) = _step(f, y, k1, h_try)
-            n_evals += 6
-            if not all(map(math.isfinite, z)):
+            z, (e1, e2, e3), g = _step(f, y, k1, h_try)
+            (y1, y2, y3), (z1, z2, z3) = y, z
+            if not (isfinite(z1) and isfinite(z2) and isfinite(z3)):
                 msg = "non-finite state produced at t = %.6g" % (t + h_try)
                 raise IntegrationError(msg, t=t, state=np.array(y))
 
-            (y1, y2, y3), (z1, z2, z3) = y, z
-            q1 = e1 / (atol + rtol * max(abs(y1), abs(z1)))
-            q2 = e2 / (atol + rtol * max(abs(y2), abs(z2)))
-            q3 = e3 / (atol + rtol * max(abs(y3), abs(z3)))
-            err = math.sqrt(_sum_squares(q1, q2, q3) / 3)
+            # the scale max(|y_i|, |z_i|) of each coordinate; y and z are
+            # finite and atol > 0, so the sign of a zero does not matter
+            a, b = (y1 if y1 > 0.0 else -y1), (z1 if z1 > 0.0 else -z1)
+            q1 = e1 / (atol + rtol * (b if b > a else a))
+            a, b = (y2 if y2 > 0.0 else -y2), (z2 if z2 > 0.0 else -z2)
+            q2 = e2 / (atol + rtol * (b if b > a else a))
+            a, b = (y3 if y3 > 0.0 else -y3), (z3 if z3 > 0.0 else -z3)
+            q3 = e3 / (atol + rtol * (b if b > a else a))
+            err = sqrt((q1 * q1 + q2 * q2 + q3 * q3) / 3)
 
             if err <= 1.0:
                 t += h_try
-                y, residual = _clean_state(*z)
-                k1 = f(y)
-                n_evals += 1
+                y, residual = _clean_state(z1, z2, z3)
+                # first same as last: a cleaned state equal to z with no
+                # zero coordinate is z bit for bit (a zero could be -0.0,
+                # which cleaning makes +0.0), so f(y) is the last stage g
+                if y == z and 0.0 not in z:
+                    k1 = g
+                else:
+                    k1 = f(y)
+                    n_fresh += 1
                 n_acc += 1
                 times.append(t)
                 states.append(y)
                 residuals.append(residual)
                 hsteps.append(h_try)
-                note_eval(t, y)
-                if math.sqrt(_sum_squares(*k1)) < EQUILIBRIUM_TOL:
+                if pending:
+                    note_eval(t, y)
+                c1, c2, c3 = k1
+                if sqrt(c1 * c1 + c2 * c2 + c3 * c3) < EQUILIBRIUM_TOL:
                     status = "equilibrium"
                     break
-                err = max(err, 1e-10)
+                if err < 1e-10:
+                    err = 1e-10
                 fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
-                h = h_try * min(5.0, max(0.2, fac))
+                # min(5.0, max(0.2, fac))
+                h = h_try * (5.0 if fac > 5.0 else fac if fac > 0.2 else 0.2)
                 err_prev = err
             else:
                 n_rej += 1
-                h = h_try * min(1.0, max(0.2, 0.9 * err ** (-1.0 / 5.0)))
+                # min(1.0, max(0.2, fac)): an error estimate that overflowed
+                # to NaN gives 0.2
+                fac = 0.9 * err ** (-1.0 / 5.0)
+                h = h_try * (1.0 if fac > 1.0 else fac if fac > 0.2 else 0.2)
 
     # unreached t_eval times take the final state
     for te in pending:
@@ -264,21 +300,12 @@ def _float_loop(f, x0, t_max: float, rtol: float, atol: float, t_eval=None) -> T
         status=status,
         n_accepted=n_acc,
         n_rejected=n_rej,
-        n_field_evals=n_evals,
+        n_field_evals=1 + 6 * (n_acc + n_rej) + n_fresh,
     )
     if t_eval is not None:
         traj.eval_times = np.array(sorted(eval_states))
         traj.eval_states = np.array([eval_states[te] for te in traj.eval_times])
     return traj
-
-
-def _cpow(x, p) -> np.ndarray:
-    """x ** p on every element of the 1-D float array x, through C pow.
-
-    A Python float's ** is C pow; numpy's array power can differ from it in
-    the last bit (SVML where the CPU has AVX-512).
-    """
-    return np.array([v ** p for v in x.tolist()])
 
 
 def _bounded(lo, fac, hi) -> np.ndarray:
@@ -301,6 +328,7 @@ def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
 
     status = np.full(n, "t_max", dtype=object)
     n_rej = np.zeros(n, dtype=int)
+    n_fresh = np.zeros(n, dtype=int)
     # each pass logs its accepted rows: (row, t, step size, sum residual,
     # state) per row; every row's first record is its start
     log = [(np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n), x0)]
@@ -335,37 +363,63 @@ def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
             # Python floats overflow to inf and nan without a warning; a
             # step whose error estimate does is rejected, as it is there
             with np.errstate(over="ignore", invalid="ignore"):
-                z, e = map(np.array, _step(f, y, k1, h_try))
+                z, e, g = _step(f, y, k1, h_try)
+                z, e = np.array(z), np.array(e)
                 q = e / (atol + rtol * np.maximum(np.abs(y), np.abs(z)))
                 err = np.sqrt(_sum_squares(*q) / 3)
-            finite = np.isfinite(z).all(axis=0)
-            if not finite.all():
-                r = int(np.argmin(finite))
+            if not np.isfinite(z).all():
+                r = int(np.argmin(np.isfinite(z).all(axis=0)))
                 msg = "row %d: non-finite state produced at t = %.6g"
                 msg %= (rows[r], t[r] + h_try[r])
                 raise IntegrationError(msg, t=t[r], state=y[:, r].copy())
             steps += 1
 
-            # every operation below is a no-op on an empty selection
-            ir = np.flatnonzero(~(err <= 1.0))
-            n_rej[rows[ir]] += 1
-            fac = 0.9 * _cpow(err[ir], -1.0 / 5.0)
-            h[ir] = h_try[ir] * _bounded(0.2, fac, 1.0)
+            # the step factors' powers are taken on Python floats, in the
+            # float loop's order of operations: a Python float's ** is C
+            # pow, and numpy's array power can differ from it in the last
+            # bit (SVML where the CPU has AVX-512)
+            ok = err <= 1.0
+            ir = np.flatnonzero(~ok)
+            if len(ir):
+                n_rej[rows[ir]] += 1
+                fac = np.array([0.9 * v ** (-1.0 / 5.0) for v in err[ir].tolist()])
+                h[ir] = h_try[ir] * _bounded(0.2, fac, 1.0)
 
-            ia = np.flatnonzero(err <= 1.0)
-            t[ia] += h_try[ia]
-            ya, residual = _clean_state(*z[:, ia])
+            # every operation below is a no-op on an empty selection; the
+            # accepted rows are selected by a slice, which copies nothing,
+            # when they are all the live rows
+            ia = np.flatnonzero(ok)
+            sel = ia if len(ia) < len(rows) else slice(None)
+            ra = rows[sel]
+            t[sel] += h_try[sel]
+            za = z[:, sel]
+            ya, residual = _clean_state(*za)
             ya = np.array(ya)
-            ka = np.array(f(ya))
-            y[:, ia] = ya
-            k1[:, ia] = ka
-            log.append((rows[ia], t[ia], h_try[ia], residual, ya.T))
+            # the float loop's first-same-as-last rule, row by row: f is
+            # called on the rows whose cleaned state differs from z or has a
+            # zero coordinate, and the others take their column of g
+            fresh = (ya != za) | (za == 0.0)
+            jf = np.flatnonzero(fresh[0] | fresh[1] | fresh[2])
+            if len(jf) == len(ia):
+                ka = np.array(f(ya))
+            else:
+                ka = np.array([c[sel] for c in g])
+                if len(jf):
+                    ka[:, jf] = f(ya[:, jf])
+            n_fresh[ra[jf]] += 1
+            y[:, sel] = ya
+            k1[:, sel] = ka
+            # t[ia] is a copy, which later passes leave as it is
+            log.append((ra, t[ia], h_try[sel], residual, ya.T))
             at_rest = ia[np.sqrt(_sum_squares(*ka)) < EQUILIBRIUM_TOL]
             status[rows[at_rest]] = "equilibrium"
-            ea = np.maximum(err[ia], 1e-10)
-            fac = 0.9 * _cpow(ea, -0.7 / 5.0) * _cpow(err_prev[ia], 0.4 / 5.0)
-            h[ia] = h_try[ia] * _bounded(0.2, fac, 5.0)
-            err_prev[ia] = ea
+            ea = np.maximum(err[sel], 1e-10)
+            fac = np.array([
+                0.9 * a ** (-0.7 / 5.0) * b ** (0.4 / 5.0)
+                for a, b in zip(ea.tolist(), err_prev[sel].tolist())
+            ])
+            h[sel] = h_try[sel] * _bounded(0.2, fac, 5.0)
+            err_prev[sel] = ea
             done = t >= t_max
             done[at_rest] = True
 
@@ -396,7 +450,7 @@ def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
             status=status[r],
             n_accepted=int(m - 1),
             n_rejected=int(n_rej[r]),
-            n_field_evals=int(1 + 6 * (m - 1 + n_rej[r]) + m - 1),
+            n_field_evals=int(1 + 6 * (m - 1 + n_rej[r]) + n_fresh[r]),
         )
         for r, m in enumerate(counts)
     ]

@@ -372,7 +372,7 @@ def check_integrator_order(fast=False) -> str:
         # fixed steps of h to t = 4, each accepted state cleaned as in a run
         y = tuple(x0.tolist())
         for _ in range(round(4.0 / h)):
-            z, _err = flow._step(f, y, f(y), h)
+            z = flow._step(f, y, f(y), h)[0]
             y = flow._clean_state(*z)[0]
         errs.append(float(np.linalg.norm(np.array(y) - ref)))
     assert errs[-1] > 1e-12, "test errors dipped into roundoff: %r" % errs

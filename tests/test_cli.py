@@ -364,7 +364,7 @@ def test_portrait_row_count(tmp_path, capsys):
 def test_portrait_runs_its_cells_in_lockstep_with_the_bytes_of_each_cell(
     tmp_path, capsys, monkeypatch, flag
 ):
-    # 45 in-domain cells, more than FLOAT_LOOP_ROWS: one lockstep ensemble,
+    # 55 in-domain cells, more than FLOAT_LOOP_ROWS: one lockstep ensemble,
     # against the rows the cells give one by one
     real, batches = flow._lockstep, []
 
@@ -374,14 +374,14 @@ def test_portrait_runs_its_cells_in_lockstep_with_the_bytes_of_each_cell(
 
     monkeypatch.setattr(flow, "_lockstep", lockstep)
     path = tmp_path / "p.csv"
-    argv = ["portrait", "--flag", flag, "--grid", "9", "--eq-grid", "10"]
+    argv = ["portrait", "--flag", flag, "--grid", "10", "--eq-grid", "10"]
     rc, _, _ = run(capsys, *argv, "--out", str(path))
     assert rc == 0
-    assert batches == [45] and 45 > flow.FLOAT_LOOP_ROWS
+    assert batches == [55] and 55 > flow.FLOAT_LOOP_ROWS
     spec = parse_flag(flag)
     eqs = flow.find_equilibria(spec, grid_n=10)
     rows = ["u,v,Yu,Yv,in_domain,end_u,end_v,limit"]
-    ticks = np.linspace(0.0, 1.0, 9)
+    ticks = np.linspace(0.0, 1.0, 10)
     for u in ticks:
         for v in ticks:
             if u + v > 1.0 + 1e-12:

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from flagricci import collapse
 from flagricci.collapse import (
     NonRealizableError,
     _distinct,
@@ -264,6 +265,28 @@ def test_hausdorff_is_the_max_min_of_a_full_cdist_scan(scale):
     a, b = replace(a, points=a.points * scale), replace(b, points=b.points * scale)
     d = cdist(a.flat_points, b.flat_points)
     assert hausdorff(a, b) == float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def test_hausdorff_prepares_each_cloud_once(monkeypatch):
+    # both directions rank from one _distinct key and one float32 copy per
+    # cloud, with the bits of the two one-way scans
+    a = small_cloud(1.0, 0.3, count=140, seed=8)
+    b = small_cloud(0.4, 0.9, count=131, seed=9)
+    pa, pb = a.flat_points, b.flat_points
+    want = float(max(_nearest(pa, pb).max(), _nearest(pb, pa).max()))
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for name in ("_distinct", "_ranking_copy"):
+        monkeypatch.setattr(collapse, name, counted(name, getattr(collapse, name)))
+    assert hausdorff(a, b) == want
+    assert sorted(calls) == ["_distinct"] * 2 + ["_ranking_copy"] * 2
 
 
 @pytest.mark.parametrize("where", ["orbit point", "origin"])

@@ -10,6 +10,7 @@ from flagricci.flow import (
     ATOL,
     RTOL,
     IntegrationError,
+    _clean_state,
     _float_loop,
     _lockstep,
     _onto_simplex,
@@ -257,11 +258,78 @@ def test_rejects_non_finite_start(bad):
         integrate(A111, np.array([0.2, bad, 0.5]))
 
 
+def _counted(f):
+    """f, and a one-item list counting the points f is called on: one per
+    call on three floats, the column length per call on three columns."""
+    calls = [0]
+
+    def counted(x):
+        calls[0] += np.size(x[0])
+        return f(x)
+
+    return counted, calls
+
+
+# two interior starts, the second with states that cleaning renormalizes;
+# a start on a face (an exact 0); and two near a vertex with a coordinate
+# below CLAMP_TOL, one of them subnormal
+REPLAY_STARTS = [
+    [0.2, 0.3, 0.5],
+    [0.1, 0.25, 0.65],
+    [0.3, 0.7, 0.0],
+    [0.998, 0.002, 3e-15],
+    [0.999, 0.001, 5e-324],
+]
+
+
 def test_field_eval_count_adaptive():
-    traj = integrate(A111, np.array([0.2, 0.3, 0.5]), t_max=50.0)
+    f, calls = _counted(point_field(A111))
+    traj = _float_loop(f, np.array([0.2, 0.3, 0.5]), 50.0, RTOL, ATOL)
     acc, rej = traj.n_accepted, traj.n_rejected
     assert rej > 0
-    assert traj.n_field_evals == 1 + 6 * (acc + rej) + acc
+    assert traj.n_field_evals == calls[0]
+    # one call at the start and six per attempt, and one per accepted state
+    # that is not the attempt's own end point bit for bit
+    assert 1 + 6 * (acc + rej) <= traj.n_field_evals < 1 + 6 * (acc + rej) + acc
+
+
+@pytest.mark.parametrize("spec", [A111, make_flag("D", 8)], ids=lambda spec: spec.label)
+def test_n_field_evals_counts_the_points_the_field_is_called_on(spec):
+    starts = _onto_simplex(np.array(REPLAY_STARTS))
+    for x in starts:
+        f, calls = _counted(point_field(spec))
+        assert _float_loop(f, x, 30.0, RTOL, ATOL).n_field_evals == calls[0]
+    # a lockstep call evaluates the field on a column per live row
+    f, calls = _counted(point_field(spec))
+    rows = _lockstep(f, starts, 30.0, RTOL, ATOL)
+    assert sum(row.n_field_evals for row in rows) == calls[0]
+
+
+def _assert_replays(f, traj):
+    # each stored state is _clean_state of one fresh attempt from the state
+    # before it, with the slope taken there: a stale slope handed on from an
+    # uncleaned state would show in the bits
+    states = traj.states.tolist()
+    for prev, h, state in zip(states, traj.step_sizes[1:].tolist(), states[1:]):
+        y = tuple(prev)
+        z = _step(f, y, f(y), h)[0]
+        assert np.array(_clean_state(*z)[0]).tobytes() == np.array(state).tobytes()
+
+
+@pytest.mark.parametrize("spec", [A111, make_flag("D", 8)], ids=lambda spec: spec.label)
+def test_every_stored_state_replays_from_the_one_before(spec):
+    f = point_field(spec)
+    starts = _onto_simplex(np.array(REPLAY_STARTS))
+    for x in starts:
+        traj = integrate(spec, x, t_max=30.0)
+        assert traj.n_accepted > 0
+        _assert_replays(f, traj)
+    # steps shortened to land on t_eval times
+    traj = integrate(spec, starts[0], t_max=30.0, t_eval=[0.25, 1.0, 2.5, 7.0])
+    assert set(traj.eval_times.tolist()) <= set(traj.times.tolist())
+    _assert_replays(f, traj)
+    for row in _lockstep(f, starts, 30.0, RTOL, ATOL):
+        _assert_replays(f, row)
 
 
 @pytest.mark.parametrize(
@@ -363,7 +431,7 @@ def _dopri_by_hand(f, y, h):
     z = [y[i] + h * weighted(DP_B5, ks, i) for i in range(3)]
     ks.append(list(f(z)))
     err = [b5 - b4 for b5, b4 in zip(DP_B5, DP_B4)]
-    return z, [h * weighted(err, ks, i) for i in range(3)]
+    return z, [h * weighted(err, ks, i) for i in range(3)], ks[-1]
 
 
 def _renormalized(z):
@@ -377,12 +445,11 @@ def test_step_is_the_tableau_by_hand(spec):
     f = point_field(spec)
     for x0, h in zip(rng.dirichlet(np.ones(3), 6), rng.uniform(0.02, 0.2, 6).tolist()):
         y = tuple(x0.tolist())
-        z, err = _dopri_by_hand(f, y, h)
-        assert [list(v) for v in _step(f, y, f(y), h)] == [z, err]
+        assert [list(v) for v in _step(f, y, f(y), h)] == list(_dopri_by_hand(f, y, h))
         # the first accepted state of an adaptive run
         traj = integrate(spec, x0, t_max=5.0)
         start = traj.states[0].tolist()
-        z, _ = _dopri_by_hand(f, start, float(traj.step_sizes[1]))
+        z = _dopri_by_hand(f, start, float(traj.step_sizes[1]))[0]
         assert traj.states[1].tolist() == _renormalized(z)
 
 
@@ -393,14 +460,15 @@ def test_step_is_bit_equal_on_floats_columns_and_blocks(spec):
     y = rng.dirichlet(np.ones(3), 40)
     h = rng.uniform(1e-4, 0.5, 40)
     cols = tuple(y.T)
-    z_cols, e_cols = _step(f, cols, f(cols), h)
-    z_block, e_block = map(np.array, _step(f, y.T, np.array(f(cols)), h))
+    on_cols = _step(f, cols, f(cols), h)
+    on_block = [np.array(v) for v in _step(f, y.T, np.array(f(cols)), h)]
     for i in range(len(y)):
         yi = tuple(y[i].tolist())
+        # the state, the error and the last stage
         want = np.array(_step(f, yi, f(yi), float(h[i])))
-        got = np.array([[c[i] for c in z_cols], [c[i] for c in e_cols]])
+        got = np.array([[c[i] for c in v] for v in on_cols])
         assert got.tobytes() == want.tobytes()
-        assert np.array([z_block[:, i], e_block[:, i]]).tobytes() == want.tobytes()
+        assert np.array([v[:, i] for v in on_block]).tobytes() == want.tobytes()
 
 
 # --- the Newton search against its five-call form ----------------------------
