@@ -26,7 +26,7 @@ from .fields import CONE_TOL, cone_form, require_finite
 from .flags import FlagSpec
 from .flow import ATOL, RTOL, Trajectory, integrate
 from .orbits import LieModel, OrbitCloud, sample_orbit
-from .realize import realizing_frame
+from .realize import _realizing_frame, realizing_frame
 
 # rows that _nearest ranks at once: its float32 block is 1 MiB for a
 # 2000-point cloud
@@ -418,7 +418,8 @@ def collapse_verdict(model: LieModel, x_limit) -> CollapseVerdict:
         return CollapseVerdict(x_limit, kernel, "non_realizable", witness)
     data = None
     if float(cone_form(x_limit)) <= KERNEL_TOL:
-        data = {"tau": realizing_frame(x_limit, tol=KERNEL_TOL)}
+        # x_limit is checked finite above, so its frame skips the check
+        data = {"tau": _realizing_frame(x_limit, KERNEL_TOL)}
     return CollapseVerdict(x_limit, kernel, "realizable", data)
 
 

@@ -8,10 +8,14 @@ plane x1 + x2 + x3 = 1.
 
 The cubic is written once, in coefficient form (_cubic), and evaluated on
 arrays (ricci_field) and, through point_field, on Python floats or column
-arrays (the integrators' field). Every operation in it is an elementwise
-add, subtract or multiply, each correctly rounded, so a point gives the same
-bits on every path: alone as a 1-D array, as a row of a batch, as three
-floats or as a row of three columns.
+arrays (the float loop's field). block_field is its one other form: the
+same operations in the same order on a (3, n) block, one numpy call per
+operation for all three coordinates (the lockstep's field), pinned to
+point_field bit for bit by test_block_field_has_the_bits_of_point_field.
+Every operation is an elementwise add, subtract or multiply, each correctly
+rounded, so a point gives the same bits on every path: alone as a 1-D
+array, as a row of a batch, as three floats, as a row of three columns or
+as a column of a block.
 """
 
 from __future__ import annotations
@@ -59,9 +63,11 @@ def _cubic_coefficients(spec: FlagSpec):
 
 
 def _cubic(a, b, x1, x2, x3):
-    # The one written form of the cubic, for arrays, numpy scalars, Python
-    # floats and columns. The order of every operation fixes the result
-    # bits: the squares are d * d, and b_i x_j x_k multiplies left to right.
+    # The written form of the cubic, for arrays, numpy scalars, Python
+    # floats and columns; block_field repeats it on (3, n) blocks, and
+    # test_block_field_has_the_bits_of_point_field pins the two together.
+    # The order of every operation fixes the result bits: the squares are
+    # d * d, and b_i x_j x_k multiplies left to right.
     d23, d31, d12 = x2 - x3, x3 - x1, x1 - x2
     return (
         -x1 * (a[0] * (x1 * x1 - d23 * d23) + b[0] * x2 * x3),
@@ -109,6 +115,37 @@ def point_field(spec: FlagSpec):
         r1, r2, r3 = _cubic(a, b, x1, x2, x3)
         total = r1 + r2 + r3
         return (r1 - total * x1, r2 - total * x2, r3 - total * x3)
+
+    return f
+
+
+# the rows that block_field takes for each coordinate's partners: x_j then
+# x_k of its b_i x_j x_k term, for i = 1, 2, 3
+_PARTNERS = np.array([1, 0, 0, 2, 2, 1])
+
+
+def block_field(spec: FlagSpec):
+    """Projected field X on a (3, n) block of n points, as a function.
+
+    The returned f takes a (3, n) float array, a point per column, and
+    returns X in the same form. Each column equals point_field(spec) on that
+    point bit for bit: the operations of _cubic and of point_field's
+    projection in the same order, each made by one numpy call over all
+    three coordinates. Row i's partners x_j, x_k come from one take. The
+    difference x_j - x_k is x3 - x1 negated in row 2, which rounds to the
+    same magnitude, so its square has _cubic's bits.
+    """
+    a, b = _cubic_coefficients(spec)
+    a = np.array(a, dtype=float)[:, None]
+    b = np.array(b, dtype=float)[:, None]
+
+    def f(x):
+        pq = x.take(_PARTNERS, axis=0)
+        p, q = pq[:3], pq[3:]
+        d = p - q
+        r = -x * (a * (x * x - d * d) + b * p * q)
+        total = r[0] + r[1] + r[2]
+        return r - total * x
 
     return f
 

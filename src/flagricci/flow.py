@@ -7,34 +7,37 @@ renormalized to unit sum, which with the factored field keeps coordinate
 faces invariant exactly. A run stops early once the field norm
 sqrt(k1*k1 + k2*k2 + k3*k3) falls below EQUILIBRIUM_TOL.
 
-One attempt is written once, in _step, for three floats, three columns or
-a (3, n) block: the stage inputs, the new state and the error estimate are
+Each loop owns its kernel. integrate runs one start on Python floats
+(_float_loop), and each attempt is _step on three floats with the field
+fields.point_field(spec). integrate_many runs many starts in lockstep
+(_lockstep) on the (3, n) block of the live rows, each row with its own
+step size, controller memory, verdict, clean step, stop rule and t_max
+landing; each attempt is _block_step on the block with the field
+fields.block_field(spec), and _block_clean cleans the accepted rows. In
+both kernels the stage inputs, the new state and the error estimate are
 left-to-right float sums over the tableau's nonzero coefficients, with no
 numpy contraction or BLAS call, so the result bits do not depend on the
-BLAS kernel. integrate runs one start on Python floats (_float_loop);
-integrate_many runs many in lockstep (_lockstep) on the (3, n) block of the
-live rows, each row with its own step size, controller memory, verdict,
-clean step, stop rule and t_max landing. The lockstep calls the same _step
-on the block and takes the controller's powers on Python floats, through C
+BLAS kernel; the block forms make the float forms' operations in the same
+order, one numpy call per operation over every coordinate of every row.
+The lockstep takes the controller's powers on Python floats, through C
 pow, so each row equals its single-start run bit for bit; it logs each
 pass's accepted rows and sorts the log into per-row arrays at the end. A
 batch of at most FLOAT_LOOP_ROWS rows runs row by row on the float loop,
 which is faster there. Both entries check the start (_onto_simplex) and the
-run settings (_check_run) before either loop runs, both loops evaluate
-fields.point_field(spec), and both stop with IntegrationError after
-MAX_STEPS attempts. A run's settings default to T_MAX, RTOL and ATOL,
-which collapse and the CLI read too.
+run settings (_check_run) before either loop runs, and both loops stop
+with IntegrationError after MAX_STEPS attempts. A run's settings default to
+T_MAX, RTOL and ATOL, which collapse and the CLI read too.
 
-The pair is "first same as last": _step's last stage g = f(z) is the field
-at the attempt's end point z. When an attempt is accepted and its cleaned
-state equals z with no zero coordinate, that state is z bit for bit, and
-both loops take g as the next step's first stage instead of calling f; a
-clamp or a renormalization that moves z, or a zero that might be -0.0
-made +0.0, makes them call f on the cleaned state. The lockstep applies
-the rule row by row and calls f on the other rows' columns only. So a
-run's n_field_evals counts the field values actually computed: one at the
-start, six per attempted step and one per accepted step that does not take
-g.
+The pair is "first same as last": the kernel's last stage g = f(z) is the
+field at the attempt's end point z. When an attempt is accepted and its
+cleaned state equals z, and z holds no -0.0, that state is z bit for bit
+(cleaning makes -0.0 into +0.0 and never makes a -0.0), and both loops take
+g as the next step's first stage instead of calling f; a clamp or a
+renormalization that moves z, or a -0.0 in z, makes them call f on the
+cleaned state. The lockstep applies the rule row by row and calls f on the
+other rows' columns only. So a run's n_field_evals counts the field values
+actually computed: one at the start, six per attempted step and one per
+accepted step that does not take g.
 """
 
 from __future__ import annotations
@@ -44,7 +47,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import cone_form, point_field, reduced_field, require_finite, ricci_field
+from .fields import (
+    block_field,
+    cone_form,
+    point_field,
+    reduced_field,
+    require_finite,
+    ricci_field,
+)
 from .flags import FlagSpec
 
 CLAMP_TOL = 1e-14
@@ -57,11 +67,11 @@ ATOL = 1e-12
 JACOBIAN_STEP = 1e-6  # relative finite-difference step of jacobian
 LIMIT_TOL = 1e-4  # farthest a final state lies from the equilibrium it goes to
 # integrate_many's largest batch that runs row by row on the float loop. At
-# t_max 50 (best of 5 alternating runs, median of 3 repeats, 2 vCPUs) the
-# lockstep took 3.07, 1.53, 1.06, 0.88 and 0.84 times the float loop's time
-# on 16, 32, 48, 56 and 64 rows of A(1,1,1), and 2.61, 1.65, 1.04, 0.89 and
-# 0.84 times on D(8).
-FLOAT_LOOP_ROWS = 48
+# t_max 50 (CPU time, best of 5 alternating runs, median of 3 repeats,
+# 2 vCPUs) the lockstep took 2.05, 0.98, 0.78, 0.68 and 0.59 times the float
+# loop's time on 16, 32, 48, 56 and 64 rows of A(1,1,1), and 1.95, 1.08,
+# 0.76, 0.64 and 0.60 times on D(8).
+FLOAT_LOOP_ROWS = 32
 
 # Dormand-Prince 5(4), nonzero entries only: the rows of k2 ... k6, the
 # fifth-order weights of k1, k3 ... k6 and the fourth-order ones of k1,
@@ -81,10 +91,9 @@ _ERR = tuple(b5 - b4 for b5, b4 in zip(_B5 + (0.0,), _B4))
 def _step(f, y, k1, h):
     """One Dormand-Prince 5(4) attempt of size h from y, where k1 = f(y).
 
-    y and k1 are three floats, or three columns or a (3, n) block (h then
-    holds each row's step). Returns the fifth-order state z, the error
-    h (b5 - b4) . k and the last stage g = f(z), in the form f returns; an
-    attempt costs six field values.
+    y and k1 are three floats, and f is fields.point_field(spec). Returns
+    the fifth-order state z, the error h (b5 - b4) . k and the last stage
+    g = f(z), each as three floats; an attempt costs six field values.
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), a6 = _A
     a61, a62, a63, a64, a65 = a6
@@ -113,6 +122,33 @@ def _step(f, y, k1, h):
     return z, (h * (e1 * p1 + e3 * r1 + e4 * s1 + e5 * v1 + e6 * w1 + e7 * g1),
                h * (e1 * p2 + e3 * r2 + e4 * s2 + e5 * v2 + e6 * w2 + e7 * g2),
                h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * v3 + e6 * w3 + e7 * g3)), g
+
+
+def _wsum(coefs, ks):
+    # c1 k1 + c2 k2 + ..., left to right, as _step writes its sums
+    s = coefs[0] * ks[0]
+    for c, k in zip(coefs[1:], ks[1:]):
+        s += c * k
+    return s
+
+
+def _block_step(f, y, k1, h):
+    """_step on (3, n) blocks y and k1 = f(y) of n rows, h (n,) their steps.
+
+    f is fields.block_field(spec). The same sums in the same order as _step,
+    each term made by one numpy call over every coordinate of every row, so
+    each column of z, the error and g = f(z) has the bits of _step on that
+    row.
+    """
+    k = [k1]
+    for row in _A:
+        k.append(f(y + h * _wsum(row, k)))
+    # k2 has no weight in z or in the error, whose last weight is g's
+    k = k[:1] + k[2:]
+    z = y + h * _wsum(_B5, k)
+    g = f(z)
+    k.append(g)
+    return z, h * _wsum(_ERR, k), g
 
 
 class IntegrationError(RuntimeError):
@@ -171,6 +207,24 @@ def _clean_state(y1, y2, y3):
 
 def _sum_squares(q1, q2, q3):
     return q1 * q1 + q2 * q2 + q3 * q3
+
+
+def _block_clean(z):
+    """_clean_state on a (3, n) block, one numpy call per operation."""
+    y = z - z * (np.abs(z) < CLAMP_TOL)
+    total = y[0] + y[1] + y[2]
+    return y / total, np.abs(total - 1.0)
+
+
+def _block_sum_squares(q):
+    """_sum_squares of each column of the (3, n) block q."""
+    q = q * q
+    return q[0] + q[1] + q[2]
+
+
+def _has_minus_zero(v):
+    # -0.0 == 0.0, so only its sign bit tells it apart
+    return any(c == 0.0 and math.copysign(1.0, c) < 0.0 for c in v)
 
 
 def _float_loop(f, x0, t_max: float, rtol: float, atol: float, t_eval=None) -> Trajectory:
@@ -254,10 +308,10 @@ def _float_loop(f, x0, t_max: float, rtol: float, atol: float, t_eval=None) -> T
             if err <= 1.0:
                 t += h_try
                 y, residual = _clean_state(z1, z2, z3)
-                # first same as last: a cleaned state equal to z with no
-                # zero coordinate is z bit for bit (a zero could be -0.0,
-                # which cleaning makes +0.0), so f(y) is the last stage g
-                if y == z and 0.0 not in z:
+                # first same as last: a cleaned state equal to z is z bit for
+                # bit unless z holds a -0.0, which cleaning makes +0.0; then
+                # f(y) is the last stage g
+                if y == z and (0.0 not in z or not _has_minus_zero(z)):
                     k1 = g
                 else:
                     k1 = f(y)
@@ -318,13 +372,14 @@ def _bounded(lo, fac, hi) -> np.ndarray:
 def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
     """_float_loop's adaptive step on every row of the (n, 3) array x0.
 
-    f is fields.point_field(spec). The live rows' states and fields are
-    (3, n) blocks, and each operation is the float loop's, taken elementwise,
-    so row i ends exactly as _float_loop(f, x0[i], ...) would.
+    f is fields.block_field(spec). The live rows' states and fields are
+    (3, n) blocks, stepped by _block_step and cleaned by _block_clean, and
+    each operation is the float loop's, taken elementwise, so row i ends
+    exactly as _float_loop(point_field(spec), x0[i], ...) would.
     """
     n = len(x0)
     y = x0.T.copy()
-    k1 = np.array(f(y))
+    k1 = f(y)
 
     status = np.full(n, "t_max", dtype=object)
     n_rej = np.zeros(n, dtype=int)
@@ -333,11 +388,11 @@ def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
     # state) per row; every row's first record is its start
     log = [(np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n), x0)]
 
-    stopped = np.sqrt(_sum_squares(*k1)) < EQUILIBRIUM_TOL
+    stopped = np.sqrt(_block_sum_squares(k1)) < EQUILIBRIUM_TOL
     status[stopped] = "equilibrium"
     s = atol + rtol * np.abs(y)
-    d0 = np.sqrt(_sum_squares(*(y / s)) / 3)
-    d1 = np.sqrt(_sum_squares(*(k1 / s)) / 3)
+    d0 = np.sqrt(_block_sum_squares(y / s) / 3)
+    d1 = np.sqrt(_block_sum_squares(k1 / s) / 3)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(d1 > 1e-12, 0.01 * d0 / d1, 1e-6)
     h = np.minimum(np.maximum(h, 1e-10), t_max)
@@ -363,10 +418,9 @@ def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
             # Python floats overflow to inf and nan without a warning; a
             # step whose error estimate does is rejected, as it is there
             with np.errstate(over="ignore", invalid="ignore"):
-                z, e, g = _step(f, y, k1, h_try)
-                z, e = np.array(z), np.array(e)
+                z, e, g = _block_step(f, y, k1, h_try)
                 q = e / (atol + rtol * np.maximum(np.abs(y), np.abs(z)))
-                err = np.sqrt(_sum_squares(*q) / 3)
+                err = np.sqrt(_block_sum_squares(q) / 3)
             if not np.isfinite(z).all():
                 r = int(np.argmin(np.isfinite(z).all(axis=0)))
                 msg = "row %d: non-finite state produced at t = %.6g"
@@ -393,17 +447,16 @@ def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
             ra = rows[sel]
             t[sel] += h_try[sel]
             za = z[:, sel]
-            ya, residual = _clean_state(*za)
-            ya = np.array(ya)
-            # the float loop's first-same-as-last rule, row by row: f is
-            # called on the rows whose cleaned state differs from z or has a
-            # zero coordinate, and the others take their column of g
-            fresh = (ya != za) | (za == 0.0)
-            jf = np.flatnonzero(fresh[0] | fresh[1] | fresh[2])
+            ya, residual = _block_clean(za)
+            # the float loop's first-same-as-last rule, row by row: a row
+            # takes its column of g when its cleaned state is z bit for bit
+            # (equal to z, with no -0.0 in z), and f is called on the other
+            # rows' columns only
+            jf = np.flatnonzero((ya.view(np.int64) != za.view(np.int64)).any(axis=0))
             if len(jf) == len(ia):
-                ka = np.array(f(ya))
+                ka = f(ya)
             else:
-                ka = np.array([c[sel] for c in g])
+                ka = g[:, sel]
                 if len(jf):
                     ka[:, jf] = f(ya[:, jf])
             n_fresh[ra[jf]] += 1
@@ -411,7 +464,7 @@ def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
             k1[:, sel] = ka
             # t[ia] is a copy, which later passes leave as it is
             log.append((ra, t[ia], h_try[sel], residual, ya.T))
-            at_rest = ia[np.sqrt(_sum_squares(*ka)) < EQUILIBRIUM_TOL]
+            at_rest = ia[np.sqrt(_block_sum_squares(ka)) < EQUILIBRIUM_TOL]
             status[rows[at_rest]] = "equilibrium"
             ea = np.maximum(err[sel], 1e-10)
             fac = np.array([
@@ -531,10 +584,10 @@ def integrate_many(
         raise ValueError("starts must be an (N, 3) array, got shape %r" % (x0.shape,))
     _check_run(t_max, rtol, atol)
     x0 = _onto_simplex(x0)
-    f = point_field(spec)
     if len(x0) <= FLOAT_LOOP_ROWS:
+        f = point_field(spec)
         return [_float_loop(f, x, t_max, rtol, atol) for x in x0]
-    return _lockstep(f, x0, t_max, rtol, atol)
+    return _lockstep(block_field(spec), x0, t_max, rtol, atol)
 
 
 # --- equilibria --------------------------------------------------------------

@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,15 @@ class LieModel:
         self.dims = tuple(len(b) for b in self.summand_bases)
         self.isotropy_basis = self._build_isotropy()
         self.omega = self._build_omega()
+
+    @cached_property
+    def summand_stack(self) -> np.ndarray:
+        """The summand bases stacked in order, one (sum(dims), N, N) array.
+
+        Built on first use: induced_metric reads it, and models that never
+        induce a metric do not hold a second copy of their bases.
+        """
+        return np.array([b for bas in self.summand_bases for b in bas])
 
     def _build_isotropy(self):
         out = []
@@ -138,14 +148,16 @@ def induced_metric(model: LieModel, frame) -> np.ndarray:
     zero across summands. Raises ValueError when the isotypic structure is
     violated beyond METRIC_TOL.
     """
-    basis = [b for bas in model.summand_bases for b in bas]
+    basis = model.summand_stack
     dims = model.dims
     namb = model.n_ambient
     g = np.zeros((len(basis), len(basis)))
     for h in frame:
-        hm = 1j * np.diag(h)
-        brackets = [x @ hm - hm @ x for x in basis]
-        v = _flatten_real(brackets, namb)
+        # [X, i diag(h)] of every basis element at once: X @ D scales X's
+        # columns by D's diagonal and D @ X its rows. A basis entry is 0,
+        # +-1 or +-i, so each product is exact, as in the matrix products
+        d = 1j * np.asarray(h)
+        v = _flatten_real(basis * d - d[:, None] * basis, namb)
         g += v @ v.T
 
     # basis elements all have <X, X> = 4N and are mutually orthogonal

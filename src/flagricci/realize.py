@@ -180,7 +180,11 @@ def realized_coeffs(x, tol: float = PSD_TOL) -> tuple[float, float, float]:
     x with a coordinate in [-tol, 0), or -0.0, taken as 0.0. A coordinate
     below -tol, a non-finite one and any shape but (3,) raise ValueError.
     """
-    x = require_finite(x)
+    return _nonnegative_coeffs(require_finite(x), tol)
+
+
+def _nonnegative_coeffs(x, tol):
+    # realized_coeffs of a float array x already checked finite
     if x.shape != (3,):
         raise ValueError("coefficients must be a 3-vector, got shape %r" % (x.shape,))
     x1, x2, x3 = x.tolist()
@@ -200,7 +204,12 @@ def realizing_frame(x, tol: float = PSD_TOL) -> np.ndarray:
     of coeffs_to_psd(x), taken from x1, x2 and (x3 - x1 - x2) / 2 with no
     matrix built.
     """
-    x1, x2, x3 = realized_coeffs(x, tol)
+    return _realizing_frame(require_finite(x), tol)
+
+
+def _realizing_frame(x, tol):
+    """realizing_frame of a float array x that its caller has checked finite."""
+    x1, x2, x3 = _nonnegative_coeffs(x, tol)
     try:
         # (x3 - x1 - x2) / 2 is the symmetric part of [[., x3 - x1], [-x2, .]],
         # whose entries are finite: x1 and x3 are nonnegative
@@ -283,8 +292,12 @@ def sample_cone(rng, count: int) -> np.ndarray:
     out = np.empty((count, 3))
     have = 0
     while have < count:
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=2 * (count - have) + 8)
-        pts = np.array([circle_point(t) for t in theta])
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=2 * (count - have) + 8).tolist()
+        # circle_point of every angle in one broadcast, with its operations
+        # and its math.cos and math.sin, so each point has circle_point's bits
+        cos = np.array([math.cos(t) for t in theta])[:, None]
+        sin = np.array([math.sin(t) for t in theta])[:, None]
+        pts = SIMPLEX_CENTROID + _DISK_RADIUS * (cos * _E1 + sin * _E2)
         keep = pts.min(axis=1) >= CONE_FLOOR
         pts = pts[keep]
         take = min(len(pts), count - have)

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from flagricci import collapse
+from flagricci import collapse, realize
 from flagricci.collapse import (
     NonRealizableError,
     _distinct,
@@ -19,7 +19,7 @@ from flagricci.collapse import (
     orbit_distance,
     sampling_resolution,
 )
-from flagricci.fields import cone_flux
+from flagricci.fields import cone_flux, require_finite
 from flagricci.flags import make_flag
 from flagricci.orbits import build_model, sample_orbit
 from flagricci.realize import disk_membership, realizing_frame
@@ -482,6 +482,25 @@ def test_collapse_verdict_names_its_argument():
     # one finiteness check, made by collapse_verdict, names x_limit
     with pytest.raises(ValueError, match=r"^x_limit\[0\] = nan is not finite$"):
         collapse_verdict(MODEL3, np.array([np.nan, 0.5, 0.5]))
+    # realizing_frame, called alone, names x
+    with pytest.raises(ValueError, match=r"^x\[0\] = nan is not finite$"):
+        realizing_frame(np.array([np.nan, 0.5, 0.5]))
+
+
+def test_a_realizable_verdict_checks_its_point_once(monkeypatch):
+    checks = []
+
+    def counted(x, name="x"):
+        checks.append(name)
+        return require_finite(x, name)
+
+    monkeypatch.setattr(collapse, "require_finite", counted)
+    monkeypatch.setattr(realize, "require_finite", counted)
+    x = np.array([0.0, 0.5, 0.5])
+    verdict = collapse_verdict(MODEL3, x)
+    assert verdict.verdict == "realizable"
+    assert checks == ["x_limit"]
+    assert verdict.witness["tau"].tobytes() == realizing_frame(x, collapse.KERNEL_TOL).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from flagricci.fields import (
     cone_flux_closed_form,
     cone_form,
     cone_form_grad,
+    block_field,
     point_field,
     projected_field,
     reduced_field,
@@ -188,9 +189,9 @@ def test_cubic_homogeneity():
     ids=lambda s: s.label,
 )
 def test_point_field_matches_projected_field_bitwise(spec):
-    # the integrators' field must equal numpy's 1-D point path in every bit,
-    # signed zeros included, on floats and on columns; and a row of a 2-D
-    # batch must equal the same point passed alone
+    # the integrators' fields must equal numpy's 1-D point path in every
+    # bit, signed zeros included, on floats, on columns and on a (3, n)
+    # block; and a row of a 2-D batch must equal the same point passed alone
     rng = np.random.default_rng(17)
     pts = list(rng.dirichlet(np.ones(3), size=2000))
     pts += list(rng.uniform(0.0, 3.0, size=(500, 3)))
@@ -203,6 +204,7 @@ def test_point_field_matches_projected_field_bitwise(spec):
     alone = np.array(alone)
     batch = np.array(pts)
     assert np.column_stack(f(batch.T)).tobytes() == alone.tobytes()
+    assert block_field(spec)(batch.T.copy()).T.tobytes() == alone.tobytes()
     assert projected_field(spec, batch).tobytes() == alone.tobytes()
     uv = batch[:, :2]
     uv_alone = np.array([reduced_field(spec, p) for p in uv])

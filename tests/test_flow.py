@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from flagricci import flow
-from flagricci.fields import cone_form, point_field, projected_field, reduced_field
+from flagricci.fields import (
+    block_field,
+    cone_form,
+    point_field,
+    projected_field,
+    reduced_field,
+)
 from flagricci.flags import make_flag, parse_flag
 from flagricci.flow import (
     ATOL,
     RTOL,
     IntegrationError,
+    _block_step,
     _clean_state,
     _float_loop,
     _lockstep,
@@ -300,9 +307,64 @@ def test_n_field_evals_counts_the_points_the_field_is_called_on(spec):
         f, calls = _counted(point_field(spec))
         assert _float_loop(f, x, 30.0, RTOL, ATOL).n_field_evals == calls[0]
     # a lockstep call evaluates the field on a column per live row
-    f, calls = _counted(point_field(spec))
+    f, calls = _counted(block_field(spec))
     rows = _lockstep(f, starts, 30.0, RTOL, ATOL)
     assert sum(row.n_field_evals for row in rows) == calls[0]
+
+
+def _fresh_bound(traj):
+    # the field count when every accepted step calls f on its cleaned state
+    return 1 + 6 * (traj.n_accepted + traj.n_rejected) + traj.n_accepted
+
+
+@pytest.mark.parametrize("spec", [A111, make_flag("D", 8)], ids=lambda spec: spec.label)
+def test_a_face_row_takes_the_last_stage(spec):
+    # every state of a face start keeps its exact zero, and a cleaned state
+    # that is z bit for bit takes g there as in the interior
+    face = _onto_simplex(np.array([[0.3, 0.7, 0.0], [0.0, 0.45, 0.55]]))
+    many = _lockstep(block_field(spec), face, 30.0, RTOL, ATOL)
+    for x, row in zip(face, many):
+        f, calls = _counted(point_field(spec))
+        traj = _float_loop(f, x, 30.0, RTOL, ATOL)
+        assert 0.0 in traj.final_state
+        assert traj.n_field_evals == calls[0] < _fresh_bound(traj)
+        assert row.n_field_evals == traj.n_field_evals
+
+
+def _minus_zeros(z):
+    # z with each zero coordinate made -0.0, which compares equal to 0.0
+    if isinstance(z, tuple):
+        return tuple(-0.0 if v == 0.0 else v for v in z)
+    return np.where(z == 0.0, -0.0, z)
+
+
+def test_a_minus_zero_in_z_calls_the_field(monkeypatch):
+    # the cleaned state of a z that holds -0.0 equals z but holds +0.0, so
+    # it is not z bit for bit, and both loops call f on it at every
+    # accepted step of a face start
+    face = _onto_simplex(np.array([[0.3, 0.7, 0.0], [0.0, 0.45, 0.55]]))
+    want = [integrate(A111, x, t_max=30.0).states for x in face]
+    step, block_step = flow._step, flow._block_step
+
+    def signed_step(*args):
+        z, e, g = step(*args)
+        return _minus_zeros(z), e, g
+
+    def signed_block_step(*args):
+        z, e, g = block_step(*args)
+        return _minus_zeros(z), e, g
+
+    monkeypatch.setattr(flow, "_step", signed_step)
+    monkeypatch.setattr(flow, "_block_step", signed_block_step)
+    many = _lockstep(block_field(A111), face, 30.0, RTOL, ATOL)
+    for x, row, states in zip(face, many, want):
+        f, calls = _counted(point_field(A111))
+        traj = _float_loop(f, x, 30.0, RTOL, ATOL)
+        assert traj.n_accepted > 0
+        assert traj.n_field_evals == calls[0] == _fresh_bound(traj)
+        assert row.n_field_evals == traj.n_field_evals
+        # the states are those of the unpatched run
+        assert traj.states.tobytes() == row.states.tobytes() == states.tobytes()
 
 
 def _assert_replays(f, traj):
@@ -328,7 +390,7 @@ def test_every_stored_state_replays_from_the_one_before(spec):
     traj = integrate(spec, starts[0], t_max=30.0, t_eval=[0.25, 1.0, 2.5, 7.0])
     assert set(traj.eval_times.tolist()) <= set(traj.times.tolist())
     _assert_replays(f, traj)
-    for row in _lockstep(f, starts, 30.0, RTOL, ATOL):
+    for row in _lockstep(block_field(spec), starts, 30.0, RTOL, ATOL):
         _assert_replays(f, row)
 
 
@@ -344,7 +406,7 @@ def test_integrate_many_rows_equal_single_runs(spec):
     starts = list(sample_disk(rng, 4)) + [circle_point(a) for a in (0.4, 2.5)]
     starts += [[0.3, 0.7, 0.0], [0.0, 0.0, 1.0]]
     # eight rows go to integrate_many's float loop, so call the lockstep itself
-    batch = _lockstep(point_field(spec), _onto_simplex(np.array(starts)), 30.0, RTOL, ATOL)
+    batch = _lockstep(block_field(spec), _onto_simplex(np.array(starts)), 30.0, RTOL, ATOL)
     singles = [integrate(spec, x0, t_max=30.0) for x0 in starts]
     assert {traj.status for traj in singles} == {"t_max", "equilibrium"}
     assert singles[-1].status == "equilibrium" and singles[-1].n_accepted == 0
@@ -365,7 +427,7 @@ def test_lockstep_step_budget_names_the_row(monkeypatch):
     monkeypatch.setattr(flow, "MAX_STEPS", 3)
     starts = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [0.3, 0.3, 0.4]])
     with pytest.raises(IntegrationError, match=r"row 1: step budget exhausted") as info:
-        _lockstep(point_field(A111), starts, 30.0, 1e-9, 1e-12)
+        _lockstep(block_field(A111), starts, 30.0, 1e-9, 1e-12)
     assert info.value.t > 0
 
 
@@ -377,7 +439,7 @@ def test_lockstep_rejects_a_step_whose_error_estimate_overflows():
     x = [0.41658936562113774, 0.3333967726618085, 0.25001386171705375]
     single = integrate(spec, x, t_max=300.0)
     assert single.status == "equilibrium" and single.n_rejected == 4
-    rows = _lockstep(point_field(spec), _onto_simplex(np.array([x] * 2)), 300.0, RTOL, ATOL)
+    rows = _lockstep(block_field(spec), _onto_simplex(np.array([x] * 2)), 300.0, RTOL, ATOL)
     for row in rows:
         assert (row.status, row.n_rejected) == (single.status, single.n_rejected)
         for name in ("times", "states", "step_sizes"):
@@ -455,19 +517,18 @@ def test_step_is_the_tableau_by_hand(spec):
 
 @pytest.mark.parametrize("spec", STEP_FAMILIES, ids=lambda spec: spec.label)
 def test_step_is_bit_equal_on_floats_columns_and_blocks(spec):
+    # _block_step with the block field, each row with its own step, against
+    # the float _step with point_field on each row
     rng = np.random.default_rng(13)
-    f = point_field(spec)
+    f, fb = point_field(spec), block_field(spec)
     y = rng.dirichlet(np.ones(3), 40)
     h = rng.uniform(1e-4, 0.5, 40)
-    cols = tuple(y.T)
-    on_cols = _step(f, cols, f(cols), h)
-    on_block = [np.array(v) for v in _step(f, y.T, np.array(f(cols)), h)]
+    block = y.T.copy()
+    on_block = _block_step(fb, block, fb(block), h)
     for i in range(len(y)):
         yi = tuple(y[i].tolist())
         # the state, the error and the last stage
         want = np.array(_step(f, yi, f(yi), float(h[i])))
-        got = np.array([[c[i] for c in v] for v in on_cols])
-        assert got.tobytes() == want.tobytes()
         assert np.array([v[:, i] for v in on_block]).tobytes() == want.tobytes()
 
 

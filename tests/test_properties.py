@@ -23,23 +23,38 @@ from flagricci.cli import load_config, parse_point  # noqa: E402
 from flagricci.collapse import hausdorff, is_subalgebra, orbit_distance  # noqa: E402
 from flagricci.fields import (  # noqa: E402
     _cubic_coefficients,
+    block_field,
     cone_form,
     point_field,
     ricci_field,
 )
 from flagricci.flags import FlagSpec, make_flag, parse_flag  # noqa: E402
-from flagricci.flow import FLOAT_LOOP_ROWS, _step, integrate, integrate_many  # noqa: E402
-from flagricci.orbits import build_model, induced_metric, sample_orbit  # noqa: E402
+from flagricci.flow import (  # noqa: E402
+    FLOAT_LOOP_ROWS,
+    _block_step,
+    _step,
+    integrate,
+    integrate_many,
+)
+from flagricci.orbits import (  # noqa: E402
+    _flatten_real,
+    build_model,
+    induced_metric,
+    sample_orbit,
+)
 from flagricci.realize import (  # noqa: E402
     _E1,
     _E2,
     PSD_TOL,
+    CONE_FLOOR,
     _split,
+    circle_point,
     coeffs_to_psd,
     frame_metric,
     is_psd,
     psd_to_coeffs,
     realizing_frame,
+    sample_cone,
     sym_sqrt,
 )
 
@@ -237,6 +252,28 @@ def test_cone_characterization(x, t):
         assert (f <= 0.0) == is_psd(coeffs_to_psd(x))
 
 
+def _sample_cone_per_point(rng, count):
+    """sample_cone as it was first written: one circle_point call per angle."""
+    out = np.empty((count, 3))
+    have = 0
+    while have < count:
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=2 * (count - have) + 8)
+        pts = np.array([circle_point(t) for t in theta])
+        pts = pts[pts.min(axis=1) >= CONE_FLOOR]
+        take = min(len(pts), count - have)
+        out[have : have + take] = pts[:take]
+        have += take
+    return out * rng.uniform(0.25, 2.0, size=count)[:, None]
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32), count=st.integers(1, 300))
+def test_sample_cone_has_the_bits_of_the_per_point_form(seed, count):
+    got = sample_cone(np.random.default_rng(seed), count)
+    want = _sample_cone_per_point(np.random.default_rng(seed), count)
+    assert got.tobytes() == want.tobytes()
+
+
 def _realizing_frame_eigenvectors(x, tol=PSD_TOL):
     """realizing_frame as realize computed it, on the eigenvector form."""
     if np.min(x) < -tol:
@@ -288,6 +325,35 @@ def test_frame_is_a_torus_frame_that_induces_the_frame_metric(blocks, tau):
     want = frame_metric(tau)
     got = induced_metric(model, frame)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def _induced_gram(model, frame):
+    """induced_metric's Gram matrix as it was first written: each basis
+    element bracketed with i diag(h) by two matrix products."""
+    basis = [b for bas in model.summand_bases for b in bas]
+    g = np.zeros((len(basis), len(basis)))
+    for h in frame:
+        hm = 1j * np.diag(h)
+        v = _flatten_real([x @ hm - hm @ x for x in basis], model.n_ambient)
+        g += v @ v.T
+    return g
+
+
+def _metric_of_gram(model, g):
+    # induced_metric's coefficients from its Gram matrix
+    dims = np.array(model.dims)
+    offs = np.cumsum([0, *model.dims])
+    traces = [np.trace(g[o : o + d, o : o + d]) for o, d in zip(offs, model.dims)]
+    return np.array(traces) / (dims * (4.0 * model.n_ambient))
+
+
+@settings(max_examples=20)
+@given(blocks=_BLOCKS, tau=_TAU, scale=st.floats(-6.0, 6.0).map(lambda p: 10.0**p))
+def test_induced_metric_has_the_bits_of_the_per_element_brackets(blocks, tau, scale):
+    model = build_model(*blocks)
+    frame = model.frame(scale * tau)
+    want = _metric_of_gram(model, _induced_gram(model, frame))
+    assert induced_metric(model, frame).tobytes() == want.tobytes()
 
 
 @settings(max_examples=15)
@@ -421,27 +487,47 @@ _STEPS = st.one_of(
 @settings(max_examples=30)
 @given(spec=_CATALOGUE, rows=st.lists(st.tuples(_NEAR_VERTEX, _STEPS), min_size=1, max_size=6))
 def test_step_has_the_bits_of_the_float_step_on_columns_and_blocks(spec, rows):
-    # each row's attempt on Python floats against the same attempt made on
-    # three columns and on a (3, n) block, each row with its own step size;
-    # the largest steps overflow to inf and nan, which the loops reject
-    f = point_field(spec)
+    # each row's attempt on Python floats against the same attempt made by
+    # _block_step with the block field on a (3, n) block, each row with its
+    # own step size; the largest steps overflow to inf and nan, which the
+    # loops reject
+    f, fb = point_field(spec), block_field(spec)
     want = []
     for y, h in rows:
         z, err, g = _step(f, y, f(y), h)
         want.append(z + err + g)
     block = np.array([y for y, _ in rows]).T
     h = np.array([h for _, h in rows])
-    columns = tuple(block.copy())
     with np.errstate(all="ignore"):
-        z, err, g = _step(f, columns, f(columns), h)
-        got_columns = np.array(z + err + g)
-        z, err, g = _step(f, block, np.array(f(block)), h)
-        got_block = np.array(z + err + g)
+        got = np.concatenate(_block_step(fb, block, fb(block), h))
     # the sign of a NaN is the hardware's choice, which numpy's vector
     # loops make otherwise than Python's float arithmetic
-    want = _one_nan(np.array(want).T)
-    assert _one_nan(got_columns) == want
-    assert _one_nan(got_block) == want
+    assert _one_nan(got) == _one_nan(np.array(want).T)
+
+
+# a coordinate of a block field input: a signed zero, a tiny one near a
+# vertex, an ordinary one, or one so large that the cubic overflows
+_COORDINATE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(-320.0, 0.0).map(lambda p: 10.0**p),
+    st.floats(-1.0, 1.0),
+    st.floats(100.0, 308.0).map(lambda p: 10.0**p),
+    st.floats(100.0, 308.0).map(lambda p: -(10.0**p)),
+)
+
+
+@settings(max_examples=40)
+@given(
+    spec=_CATALOGUE,
+    points=st.lists(st.tuples(*[_COORDINATE] * 3), min_size=1, max_size=8),
+)
+def test_block_field_has_the_bits_of_point_field(spec, points):
+    # each column of the block field against point_field on its three floats
+    f, fb = point_field(spec), block_field(spec)
+    want = np.array([f(x) for x in points]).T
+    with np.errstate(all="ignore"):
+        got = fb(np.array(points).T)
+    assert _one_nan(got) == _one_nan(want)
 
 
 def _one_nan(a):
