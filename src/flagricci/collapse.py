@@ -519,7 +519,12 @@ def collapse_run(
     def frame_at(x):
         return model.frame(realizing_frame(x, tol=KERNEL_TOL))
 
-    limit_frame = frame_at(x_limit)
+    # the verdict carries the limit's frame when x_limit is on the disk; off
+    # it, frame_at leaves realizing_frame to realize it or raise its error
+    if verdict.witness is not None:
+        limit_frame = model.frame(verdict.witness["tau"])
+    else:
+        limit_frame = frame_at(x_limit)
     resolution = sampling_resolution(sample_orbit(model, limit_frame, count, seed))
     times = traj.eval_times
     states = traj.eval_states

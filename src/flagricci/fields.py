@@ -16,6 +16,9 @@ Every operation is an elementwise add, subtract or multiply, each correctly
 rounded, so a point gives the same bits on every path: alone as a 1-D
 array, as a row of a batch, as three floats, as a row of three columns or
 as a column of a block.
+
+_cubic_jacobian is the cubic's exact Jacobian in the same coefficient form,
+from which flow.jacobian builds the reduced field's.
 """
 
 from __future__ import annotations
@@ -73,6 +76,31 @@ def _cubic(a, b, x1, x2, x3):
         -x1 * (a[0] * (x1 * x1 - d23 * d23) + b[0] * x2 * x3),
         -x2 * (a[1] * (x2 * x2 - d31 * d31) + b[1] * x1 * x3),
         -x3 * (a[2] * (x3 * x3 - d12 * d12) + b[2] * x1 * x2),
+    )
+
+
+def _cubic_jacobian(a, b, x1, x2, x3):
+    # The rows dR_i/dx of _cubic, i = 1, 2, 3. With (j, k) the partners of
+    # _cubic's d = x_j - x_k: dR_i/dx_i = -a_i (3 x_i^2 - d^2) - b_i x_j x_k,
+    # dR_i/dx_j = x_i (2 a_i d - b_i x_k), dR_i/dx_k = -x_i (2 a_i d + b_i x_j).
+    # Only +, - and * are used, so Fractions give the exact rational rows.
+    d23, d31, d12 = x2 - x3, x3 - x1, x1 - x2
+    return (
+        (
+            -a[0] * (3 * x1 * x1 - d23 * d23) - b[0] * x2 * x3,
+            x1 * (2 * a[0] * d23 - b[0] * x3),
+            -x1 * (2 * a[0] * d23 + b[0] * x2),
+        ),
+        (
+            -x2 * (2 * a[1] * d31 + b[1] * x3),
+            -a[1] * (3 * x2 * x2 - d31 * d31) - b[1] * x3 * x1,
+            x2 * (2 * a[1] * d31 - b[1] * x1),
+        ),
+        (
+            x3 * (2 * a[2] * d12 - b[2] * x2),
+            -x3 * (2 * a[2] * d12 + b[2] * x1),
+            -a[2] * (3 * x3 * x3 - d12 * d12) - b[2] * x1 * x2,
+        ),
     )
 
 

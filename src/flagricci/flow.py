@@ -48,6 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    _cubic,
+    _cubic_coefficients,
+    _cubic_jacobian,
     block_field,
     cone_form,
     point_field,
@@ -64,7 +67,6 @@ MAX_STEPS = 500_000  # attempted steps per start before a run gives up
 T_MAX = 50.0
 RTOL = 1e-9
 ATOL = 1e-12
-JACOBIAN_STEP = 1e-6  # relative finite-difference step of jacobian
 LIMIT_TOL = 1e-4  # farthest a final state lies from the equilibrium it goes to
 # integrate_many's largest batch that runs row by row on the float loop. At
 # t_max 50 (CPU time, best of 5 alternating runs, median of 3 repeats,
@@ -616,45 +618,39 @@ def _in_closed_domain(uv, slack=1e-12) -> bool:
     return u >= -slack and v >= -slack and u + v <= 1.0 + slack
 
 
-def _probe(f, p):
-    """f(p) and jacobian(f, p) from one call of f on the (5, 2) stack of p
-    and its probes; each quotient is formed as from five single calls."""
-    p = np.asarray(p, dtype=float)
-    steps = [JACOBIAN_STEP * max(1.0, abs(p[i])) for i in range(2)]
-    pts = np.array([p] * 5)
-    pts[[1, 2, 3, 4], [0, 0, 1, 1]] += [steps[0], -steps[0], steps[1], -steps[1]]
-    vals = f(pts)
-    cols = []
-    for i, step in enumerate(steps):
-        fwd, bwd = 2 * i + 1, 2 * i + 2
-        if _in_closed_domain(pts[fwd]) and _in_closed_domain(pts[bwd]):
-            cols.append((vals[fwd] - vals[bwd]) / (2.0 * step))
-        elif _in_closed_domain(pts[fwd]):
-            cols.append((vals[fwd] - vals[0]) / step)
-        else:
-            cols.append((vals[0] - vals[bwd]) / step)
-    return vals[0], np.column_stack(cols)
+def jacobian(spec: FlagSpec, uv) -> np.ndarray:
+    """Exact Jacobian of reduced_field at uv = (u, v), a 2x2 array.
 
-
-def jacobian(f, p) -> np.ndarray:
-    """Finite-difference Jacobian of a planar field at p.
-
-    Central differences with relative step JACOBIAN_STEP; one-sided when a
-    probe would leave the closed triangle {u >= 0, v >= 0, u + v <= 1}. f
-    must be vectorized over a leading axis: it is called once, on a (5, 2)
-    stack of points, and row k of its result must be f of row k.
+    reduced_field is Y = (R1 - s u, R2 - s v) with s = R1 + R2 + R3 at x =
+    (u, v, 1 - u - v), so d/du is d/dx1 - d/dx3 and d/dv is d/dx2 - d/dx3 of
+    the rows fields._cubic_jacobian gives. Only +, - and * are used: uv of
+    two floats gives a float array, uv of two fractions.Fraction the exact
+    rational Jacobian.
     """
-    return _probe(f, p)[1]
+    a, b = _cubic_coefficients(spec)
+    u, v = uv
+    x = (u, v, 1 - u - v)
+    r1, r2, r3 = _cubic(a, b, *x)
+    s = r1 + r2 + r3
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = _cubic_jacobian(a, b, *x)
+    r1u, r1v = r11 - r13, r12 - r13
+    r2u, r2v = r21 - r23, r22 - r23
+    su = r1u + r2u + (r31 - r33)
+    sv = r1v + r2v + (r32 - r33)
+    return np.array([
+        [r1u - su * u - s, r1v - sv * u],
+        [r2u - su * v, r2v - sv * v - s],
+    ])
 
 
-def _newton_root(f, seed, tol, max_iter=60):
+def _newton_root(spec, seed, tol, max_iter=60):
     p = np.asarray(seed, dtype=float).copy()
     for _ in range(max_iter):
-        val, jac = _probe(f, p)
+        val = reduced_field(spec, p)
         if float(np.linalg.norm(val)) <= tol:
             return p
         try:
-            delta = np.linalg.solve(jac, -val)
+            delta = np.linalg.solve(jacobian(spec, p), -val)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(delta)):
@@ -690,32 +686,31 @@ def find_equilibria(
 ) -> list[Equilibrium]:
     """Newton search over a barycentric seed grid of the closed triangle.
 
-    Each iteration makes one reduced_field call, on the point and its four
-    Jacobian probes stacked. Roots are deduplicated at distance 1e-6 and
-    validated as Einstein points: the unprojected field must be proportional
-    to the point; a root that fails raises ValueError, as newton_tol is too
-    loose. newton_tol must be finite and positive.
+    Each iteration makes one reduced_field call and, unless the point has
+    converged, one Newton step solved with the exact jacobian. Roots are
+    deduplicated at distance 1e-6 and validated as Einstein points: the
+    unprojected field must be proportional to the point; a root that fails
+    raises ValueError, as newton_tol is too loose. Each root's stability
+    comes from the eigenvalues of the exact jacobian there. newton_tol must
+    be finite and positive.
     """
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
     if not 0.0 < newton_tol < math.inf:
         raise ValueError("newton_tol must be finite and positive, got %r" % newton_tol)
 
-    def fy(uv):
-        return reduced_field(spec, uv)
-
     roots = []
     denom = grid_n - 1
     for i in range(grid_n):
         for j in range(grid_n - i):
-            root = _newton_root(fy, (i / denom, j / denom), newton_tol)
+            root = _newton_root(spec, (i / denom, j / denom), newton_tol)
             if root is None or not _in_closed_domain(root, 1e-9):
                 continue
             if all(np.linalg.norm(root - r) > 1e-6 for r in roots):
                 roots.append(root)
 
     out = []
-    for root in sorted(roots, key=lambda r: (r[0], r[1])):
+    for root in roots:
         x = np.array([root[0], root[1], 1.0 - root[0] - root[1]])
         x[np.abs(x) <= 1e-10] = 0.0
         x = x / x.sum()
@@ -727,9 +722,11 @@ def find_equilibria(
                 "Newton root %r fails the Einstein check: residual %.3e at newton_tol = %r"
                 % (x.tolist(), res, newton_tol)
             )
-        eig = np.linalg.eigvals(jacobian(fy, x[:2]))
+        eig = np.linalg.eigvals(jacobian(spec, x[:2]))
         out.append(Equilibrium(x, lam, _stability(eig), _location(x)))
-    return out
+    # ordered by the points to 6 decimals, the scale at which roots are told
+    # apart, so that noise in their last bits does not reorder them
+    return sorted(out, key=lambda e: np.round(e.point, 6).tolist())
 
 
 def classify_limit(traj: Trajectory, equilibria):

@@ -588,6 +588,24 @@ def test_collapse_run_rejects_point_off_disk():
         )
 
 
+def test_collapse_run_realizes_the_limit_once(monkeypatch):
+    # the verdict's frame at x_limit is the limit frame; realize's entry
+    # and collapse's own name for _realizing_frame are both counted
+    calls = []
+
+    def counting(x, tol):
+        calls.append(np.array(x, dtype=float))
+        return real(x, tol)
+
+    real = realize._realizing_frame
+    monkeypatch.setattr(realize, "_realizing_frame", counting)
+    monkeypatch.setattr(collapse, "_realizing_frame", counting)
+    times = [0.0, 1.0, 2.0, 4.0, 8.0]
+    run = collapse_run(A111, MODEL3, np.array([0.42, 0.40, 0.18]), times=times, count=200)
+    assert sum(np.array_equal(x, run.x_limit) for x in calls) == 1
+    assert len(calls) == 1 + len(times)
+
+
 @pytest.mark.parametrize("count", [1, 0, -3])
 def test_collapse_run_needs_two_points_for_a_resolution(count):
     # one point has no nearest neighbour: its resolution would be inf and

@@ -1,15 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from flagricci import flow
 from flagricci.fields import (
+    _cubic,
+    _cubic_coefficients,
     block_field,
     cone_form,
     point_field,
     projected_field,
-    reduced_field,
 )
 from flagricci.flags import make_flag, parse_flag
 from flagricci.flow import (
@@ -164,12 +166,6 @@ def test_trajectory_metadata():
     assert np.max(traj.sum_residuals) < 1e-12
 
 
-def test_jacobian_of_linear_field():
-    a = np.array([[2.0, -1.0], [0.5, 3.0]])
-    jac = jacobian(lambda p: p @ a.T, np.array([0.3, 0.3]))
-    assert np.allclose(jac, a, rtol=0, atol=1e-8)
-
-
 def test_equilibria_of_symmetric_flag():
     eqs = find_equilibria(A111, grid_n=20)
     pts = np.array([e.point for e in eqs])
@@ -214,7 +210,10 @@ def test_non_symmetric_flag_einstein_point():
     assert eqs[i].einstein_constant == pytest.approx(-0.6, rel=1e-10)
 
 
-@pytest.mark.parametrize("flag", ["A:1,1,1", "A:3,2,1", "A:1,4,2", "D:5", "D:8", "E"])
+@pytest.mark.parametrize(
+    "flag",
+    ["A:1,1,1", "A:2,1,1", "A:3,2,1", "A:1,4,2", "A:7,1,3", "D:4", "D:5", "D:8", "D:20", "E"],
+)
 def test_phase_portrait_contract(flag):
     eqs = find_equilibria(parse_flag(flag), grid_n=10)
 
@@ -532,78 +531,82 @@ def test_step_is_bit_equal_on_floats_columns_and_blocks(spec):
         assert np.array([v[:, i] for v in on_block]).tobytes() == want.tobytes()
 
 
-# --- the Newton search against its five-call form ----------------------------
+# --- the exact Jacobian and the Newton search against closed forms -----------
 
 
-def _jacobian_five_calls(f, p):
-    # jacobian as it was before its probes were stacked: one f call per probe
-    p = np.asarray(p, dtype=float)
-    cols = []
-    for i in range(2):
-        step = flow.JACOBIAN_STEP * max(1.0, abs(p[i]))
-        fwd = p.copy()
-        fwd[i] += step
-        bwd = p.copy()
-        bwd[i] -= step
-        if flow._in_closed_domain(fwd) and flow._in_closed_domain(bwd):
-            cols.append((f(fwd) - f(bwd)) / (2.0 * step))
-        elif flow._in_closed_domain(fwd):
-            cols.append((f(fwd) - f(p)) / step)
-        else:
-            cols.append((f(p) - f(bwd)) / step)
-    return np.column_stack(cols)
-
-
-def _newton_root_five_calls(f, seed, tol, max_iter=60):
-    # _newton_root as it was: f at the point, then the five-call Jacobian
-    p = np.asarray(seed, dtype=float).copy()
-    for _ in range(max_iter):
-        val = f(p)
-        if float(np.linalg.norm(val)) <= tol:
-            return p
-        jac = _jacobian_five_calls(f, p)
-        try:
-            delta = np.linalg.solve(jac, -val)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)):
-            return None
-        if float(np.linalg.norm(delta)) > 10.0:
-            return None
-        p = p + delta
-    return None
-
-
-# interior; on an edge or the hypotenuse, where one probe leaves the triangle;
-# at each vertex, where a column is one-sided or both probes leave; outside
+# interior; on an edge or the hypotenuse; at each vertex; outside the triangle
 JACOBIAN_POINTS = [
-    (0.3, 0.2),
-    (1 / 3, 1 / 3),
-    (0.0, 0.4),
-    (0.4, 0.0),
-    (0.6, 0.4),
-    (0.0, 0.0),
-    (1.0, 0.0),
-    (0.0, 1.0),
-    (-0.0, 0.5),
-    (-0.2, 0.7),
-    (1.5, -2.5),
+    (Fraction(3, 10), Fraction(1, 5)),
+    (Fraction(1, 3), Fraction(1, 3)),
+    (Fraction(0), Fraction(2, 5)),
+    (Fraction(2, 5), Fraction(0)),
+    (Fraction(3, 5), Fraction(2, 5)),
+    (Fraction(0), Fraction(0)),
+    (Fraction(1), Fraction(0)),
+    (Fraction(0), Fraction(1)),
+    (Fraction(-1, 5), Fraction(7, 10)),
+    (Fraction(3, 2), Fraction(-5, 2)),
 ]
 
 
 @pytest.mark.parametrize("spec", STEP_FAMILIES, ids=lambda spec: spec.label)
-def test_jacobian_and_newton_root_have_the_bits_of_the_five_call_form(spec):
-    def fy(uv):
-        return reduced_field(spec, uv)
-
+def test_jacobian_is_the_exact_jacobian_of_the_reduced_field(spec):
+    sp = pytest.importorskip("sympy")
+    # the reduced field written out from the cubic's formula,
+    # R_i = -x_i (a_i (x_i^2 - (x_j - x_k)^2) + b_i x_j x_k), and
+    # differentiated by sympy
+    u, v = sp.symbols("u v")
+    a, b = _cubic_coefficients(spec)
+    x = (u, v, 1 - u - v)
+    r = [
+        -x[i] * (a[i] * (x[i] ** 2 - (x[j] - x[k]) ** 2) + b[i] * x[j] * x[k])
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    ]
+    total = r[0] + r[1] + r[2]
+    want = sp.Matrix([r[0] - total * u, r[1] - total * v]).jacobian([u, v])
     for p in JACOBIAN_POINTS:
-        want = _jacobian_five_calls(fy, np.array(p))
-        assert jacobian(fy, np.array(p)).tobytes() == want.tobytes(), p
-        got = flow._newton_root(fy, p, 1e-12)
-        want = _newton_root_five_calls(fy, p, 1e-12)
-        assert (got is None) == (want is None), p
-        if want is not None:
-            assert got.tobytes() == want.tobytes(), p
+        exact = [
+            [Fraction(int(c.p), int(c.q)) for c in row]
+            for row in want.subs({u: p[0], v: p[1]}).tolist()
+        ]
+        assert jacobian(spec, p).tolist() == exact, p
+        # on floats, the same formula to rounding
+        got = jacobian(spec, np.array([float(c) for c in p]))
+        assert got.dtype == float
+        scale = max(1.0, max(abs(float(c)) for row in exact for c in row))
+        assert np.allclose(got, np.array(exact, dtype=float), rtol=0, atol=1e-13 * scale), p
+
+
+def _closed_form_equilibria(spec):
+    """The 10 equilibria in Fractions, each with its location.
+
+    With (a, b) the cubic's coefficients: the vertices e_k, the edge
+    midpoints, the Kaehler points x_k = 1/2 with x_i : x_j = b_i : b_j, and
+    the normal point b / sum b.
+    """
+    _, b = _cubic_coefficients(spec)
+    zero, half = Fraction(0), Fraction(1, 2)
+    out = []
+    for k in range(3):
+        i, j = [m for m in range(3) if m != k]
+        vertex, midpoint, kaehler = [zero] * 3, [half] * 3, [half] * 3
+        vertex[k], midpoint[k] = Fraction(1), zero
+        kaehler[i] = Fraction(b[i], 2 * (b[i] + b[j]))
+        kaehler[j] = Fraction(b[j], 2 * (b[i] + b[j]))
+        out += [(vertex, "vertex"), (midpoint, "face"), (kaehler, "interior")]
+    out.append(([Fraction(c, sum(b)) for c in b], "interior"))
+    return out
+
+
+def _exact_stability(spec, x):
+    # the eigenvalues' signs from the exact Jacobian's determinant and trace
+    (p, q), (r, s) = jacobian(spec, x[:2]).tolist()
+    det, trace = p * s - q * r, p + s
+    if det < 0:
+        return "saddle"
+    if det == 0 or trace == 0:
+        return "degenerate"
+    return "sink" if trace < 0 else "source"
 
 
 # every catalogue member the Grounding checks exactly, each at one seed grid
@@ -619,15 +622,30 @@ EQUILIBRIA_CASES = list(zip(STEP_FAMILIES, (10, 15, 20, 25, 30))) + [
 @pytest.mark.parametrize(
     "spec,grid_n", EQUILIBRIA_CASES, ids=lambda c: getattr(c, "label", str(c))
 )
-def test_find_equilibria_has_the_bits_of_the_five_call_search(spec, grid_n, monkeypatch):
-    def as_bytes(eqs):
-        return [(e.point.tobytes(), repr(e.as_dict())) for e in eqs]
-
-    got = as_bytes(find_equilibria(spec, grid_n=grid_n))
-    monkeypatch.setattr(flow, "jacobian", _jacobian_five_calls)
-    monkeypatch.setattr(flow, "_newton_root", _newton_root_five_calls)
-    assert got == as_bytes(find_equilibria(spec, grid_n=grid_n))
-    assert len(got) == 10
+def test_find_equilibria_matches_the_closed_form_equilibria(spec, grid_n):
+    a, b = _cubic_coefficients(spec)
+    exact = []
+    for x, location in _closed_form_equilibria(spec):
+        # R(x) = lambda x, exactly
+        r = _cubic(a, b, *x)
+        lam = sum(ri * xi for ri, xi in zip(r, x)) / sum(xi * xi for xi in x)
+        assert list(r) == [lam * xi for xi in x], x
+        exact.append((x, location, lam))
+    eqs = find_equilibria(spec, grid_n=grid_n)
+    assert len(eqs) == 10
+    hit = set()
+    for e in eqs:
+        d, k = min(
+            (float(np.max(np.abs(e.point - np.array(x, dtype=float)))), k)
+            for k, (x, location, _) in enumerate(exact)
+            if location == e.location
+        )
+        assert d <= 1e-11, (e.point, e.location)
+        hit.add(k)
+        x, _, lam = exact[k]
+        assert e.einstein_constant == pytest.approx(float(lam), rel=0, abs=1e-11)
+        assert e.stability == _exact_stability(spec, x), (e.point, e.stability)
+    assert len(hit) == 10
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, 0.0])

@@ -25,13 +25,21 @@ products of eigenvectors: reconstruction and linearity went from 3.6e-15
 to 1.8e-15.
 
 equilibria_A321.json pins the Newton search's 17-digit roots and Einstein
-constants at the default grid of 30. It was written before the search
-evaluated each iteration's point and probes in one stacked field call, and
-that change kept every byte.
+constants at the default grid of 30. It and the limit column of
+portrait_D8.csv were last written when the search's finite-difference
+Jacobian became the exact one. Matched equilibrium to equilibrium, 6 of
+the 10 in equilibria_A321.json moved, each point and Einstein constant by
+at most 5.4e-14, with the same stability and location; the list also
+took a new order: the equilibria are now sorted by their points to 6
+decimals, where the raw roots were sorted before, so that points sharing
+a coordinate (three on x1 = 0, three with x1 = 1/2) were ordered by noise
+in its last bits. portrait_D8.csv moved in 8 of 36 rows, only in the limit column's
+equilibrium labels, each coordinate by at most 4.5e-16.
 
 To regenerate a CSV or JSON file, run the command of its case with
 `--out tests/golden/<name>`; any change in these bytes must be deliberate.
-A mismatch reports how many rows changed and the largest change per column,
+A mismatch is sized by csv_changes (rows changed, largest change per column)
+or json_changes (numbers changed, largest change), by the file's suffix,
 and test_golden_flow_is_accurate holds the flow files to an independent
 solution, so a regeneration cannot hide a loss of accuracy.
 
@@ -40,7 +48,9 @@ depend on the platform's libm and numpy's SIMD paths; it was written on
 x86-64 Linux (glibc, AVX-512).
 """
 
+import json
 import math
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -120,13 +130,63 @@ def csv_changes(new: bytes, old: bytes) -> str:
     )
 
 
+def _leaves(doc, path="$"):
+    # (path, value) of every number, string, bool and null of a JSON document
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, "%s.%s" % (path, key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _leaves(value, "%s[%d]" % (path, i))
+    else:
+        yield path, doc
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def json_changes(new: bytes, old: bytes) -> str:
+    """How the JSON text new differs from old: numbers changed, largest change.
+
+    The documents are compared leaf by leaf in order. A number against nan
+    counts as an infinite change; a changed string, bool or null is counted
+    apart, and a change of keys or lengths is reported at its first path.
+    """
+    new_leaves = dict(_leaves(json.loads(new)))
+    old_leaves = dict(_leaves(json.loads(old)))
+    if list(new_leaves) != list(old_leaves):
+        first = next(p for p in zip_longest(new_leaves, old_leaves) if p[0] != p[1])
+        return "structure changed: %s, golden %s" % first
+    numbers = others = 0
+    changes = []
+    for a, b in zip(new_leaves.values(), old_leaves.values()):
+        if _is_number(a) and _is_number(b):
+            numbers += 1
+            if repr(a) != repr(b):
+                changes.append(abs(a - b))
+        elif repr(a) != repr(b):
+            others += 1
+    worst = max((math.inf if math.isnan(d) else d for d in changes), default=0.0)
+    summary = "%d of %d numbers changed, largest absolute change %.3g" % (
+        len(changes),
+        numbers,
+        worst,
+    )
+    return "%s; %d other values changed" % (summary, others)
+
+
+# how a mismatch is sized, by the file's suffix
+CHANGES = {".csv": csv_changes, ".json": json_changes}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path, capsys):
     out = tmp_path / name
     assert main(CASES[name] + ["--out", str(out)]) == 0
     capsys.readouterr()
     got, want = out.read_bytes(), (GOLDEN / name).read_bytes()
-    assert got == want, csv_changes(got, want)
+    assert got == want, CHANGES[Path(name).suffix](got, want)
 
 
 def test_csv_changes_names_rows_and_columns():
@@ -137,6 +197,17 @@ def test_csv_changes_names_rows_and_columns():
     )
     assert csv_changes(old, old).startswith("0 of 3 rows changed")
     assert csv_changes(old + b"3,1,d\n", old).startswith("header or row count changed")
+
+
+def test_json_changes_counts_numbers_and_the_largest_change():
+    old = b'[{"point": [0.5, 0.25], "lambda": -1.0, "kind": "sink"}, {"point": [NaN]}]'
+    new = b'[{"point": [0.5, 0.2501], "lambda": -1.5, "kind": "saddle"}, {"point": [1.0]}]'
+    assert json_changes(new, old) == (
+        "3 of 4 numbers changed, largest absolute change inf; 1 other values changed"
+    )
+    assert json_changes(old, old).startswith("0 of 4 numbers changed")
+    longer = old.replace(b"0.25]", b"0.25, 0.0]")
+    assert json_changes(longer, old) == "structure changed: $[0].point[2], golden $[0].lambda"
 
 
 # flow_E.csv runs at the default rtol 1e-9 and lies 2.15e-11 from the
