@@ -34,6 +34,7 @@ from .flow import (
     ATOL,
     RTOL,
     T_MAX,
+    IntegrationError,
     classify_limit,
     find_equilibria,
     integrate,
@@ -175,13 +176,20 @@ def _require(args, *names):
 def cmd_field(args) -> int:
     spec = parse_flag(args.flag)
     x = parse_point(args.point)
+    # a finite point can overflow: an error, as in realize, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, proj, f, grad = (
+            ricci_field(spec, x), projected_field(spec, x), cone_form(x), cone_form_grad(x)
+        )
+    if not all(np.isfinite(v).all() for v in (r, proj, f, grad)):
+        raise ValueError("the field at %r overflows the float range" % (x.tolist(),))
     lines = [
         "flag = %s" % spec.label,
         "x = %s" % fmt_vec(x),
-        "R = %s" % fmt_vec(ricci_field(spec, x)),
-        "X = %s" % fmt_vec(projected_field(spec, x)),
-        "F = %s" % fmt(cone_form(x)),
-        "grad_F = %s" % fmt_vec(cone_form_grad(x)),
+        "R = %s" % fmt_vec(r),
+        "X = %s" % fmt_vec(proj),
+        "F = %s" % fmt(f),
+        "grad_F = %s" % fmt_vec(grad),
     ]
     print("\n".join(lines))
     return 0
@@ -449,7 +457,7 @@ def main(argv=None) -> int:
         # quietly, and point stdout at devnull so the final flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, IntegrationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

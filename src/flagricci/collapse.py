@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import CONE_TOL, cone_form, require_finite
 from .flags import FlagSpec
-from .flow import ATOL, RTOL, Trajectory, integrate
+from .flow import ATOL, RTOL, integrate
 from .orbits import LieModel, OrbitCloud, sample_orbit
 from .realize import _realizing_frame, realizing_frame
 
@@ -441,7 +441,6 @@ class CollapseRun:
     resolution: float
     x_limit: np.ndarray
     verdict: CollapseVerdict
-    trajectory: Trajectory
 
     def profile_ok(self) -> bool:
         """Distances non-increasing within PROFILE_ALLOWANCE times the first,
@@ -529,4 +528,4 @@ def collapse_run(
     times = traj.eval_times
     states = traj.eval_states
     distances = np.array([orbit_distance(frame_at(x), limit_frame) for x in states])
-    return CollapseRun(times, states, distances, resolution, x_limit, verdict, traj)
+    return CollapseRun(times, states, distances, resolution, x_limit, verdict)

@@ -44,24 +44,18 @@ def require_finite(x, name: str = "x") -> np.ndarray:
     return x
 
 
-def _family_abc(spec: FlagSpec):
-    # family E shares the (1,1,1) cubic of family A
-    if spec.family == "E":
-        return 1, 1, 1
-    return spec.params
-
-
 def _cubic_coefficients(spec: FlagSpec):
     """(a, b) with R_i = -x_i (a_i (x_i^2 - (x_j - x_k)^2) + b_i x_j x_k).
 
-    Family A/E with parameters (m, n, p): a = (p, n, m),
-    b = (2(m+n), 2(m+p), 2(n+p)); family D(l): a = (l-2, l-2, 2),
-    b = (2l, 2l, 4(l-2)).
+    Family A with parameters (m, n, p): a = (p, n, m),
+    b = (2(m+n), 2(m+p), 2(n+p)); family E shares the cubic of A(1,1,1);
+    family D(l): a = (l-2, l-2, 2), b = (2l, 2l, 4(l-2)). This is the one
+    family rule of the field layer.
     """
     if spec.family == "D":
         (ell,) = spec.params
         return (ell - 2, ell - 2, 2), (2 * ell, 2 * ell, 4 * (ell - 2))
-    m, n, p = _family_abc(spec)
+    m, n, p = spec.params if spec.family == "A" else (1, 1, 1)
     return (p, n, m), (2 * (m + n), 2 * (m + p), 2 * (n + p))
 
 
@@ -225,18 +219,14 @@ def cone_flux(spec: FlagSpec, x) -> np.ndarray:
 
 
 def cone_flux_closed_form(spec: FlagSpec, x) -> np.ndarray:
-    """Closed form that cone_flux takes on {F = 0}.
+    """Closed form that cone_flux takes on {F = 0}: -8 x1 x2 x3 (a . x).
 
-    Family A/E: -8 x1 x2 x3 (p x1 + n x2 + m x3); family D with parameter l:
-    -8 x1 x2 x3 ((l-2)(x1 + x2) + 2 x3). Both are nonpositive on the first
-    orthant and vanish only where some coordinate does.
+    a is the cubic's first coefficient triple (_cubic_coefficients), so
+    family A/E gives -8 x1 x2 x3 (p x1 + n x2 + m x3) and family D(l)
+    -8 x1 x2 x3 ((l-2) x1 + (l-2) x2 + 2 x3). It is nonpositive on the
+    first orthant and vanishes only where some coordinate does.
     """
+    a, _ = _cubic_coefficients(spec)
     x = np.asarray(x, dtype=float)
     x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    if spec.family == "D":
-        (ell,) = spec.params
-        lin = (ell - 2) * (x1 + x2) + 2 * x3
-    else:
-        m, n, p = _family_abc(spec)
-        lin = p * x1 + n * x2 + m * x3
-    return -8.0 * x1 * x2 * x3 * lin
+    return -8.0 * x1 * x2 * x3 * (a[0] * x1 + a[1] * x2 + a[2] * x3)

@@ -31,7 +31,11 @@ class FlagSpec:
 
 
 def make_flag(family: str, params=()) -> FlagSpec:
-    """Build a FlagSpec, validating the family label and parameters."""
+    """Build a FlagSpec, validating the family label and parameters.
+
+    Parameters whose cubic coefficients (fields._cubic_coefficients) are
+    beyond the float range are rejected.
+    """
     if isinstance(params, int):
         params = (params,)
     params = tuple(int(v) for v in params)
@@ -41,7 +45,7 @@ def make_flag(family: str, params=()) -> FlagSpec:
         m, n, p = params
         if min(m, n, p) < 1:
             raise ValueError("family A block sizes must be positive, got %r" % (params,))
-        return FlagSpec("A", params, (2 * m * n, 2 * m * p, 2 * n * p))
+        return _in_float_range(FlagSpec("A", params, (2 * m * n, 2 * m * p, 2 * n * p)))
     if family == "D":
         if len(params) != 1:
             raise ValueError("family D takes a single parameter l")
@@ -49,12 +53,25 @@ def make_flag(family: str, params=()) -> FlagSpec:
         if ell < 4:
             raise ValueError("family D needs l >= 4, got %d" % ell)
         d = 2 * (ell - 1)
-        return FlagSpec("D", params, (d, d, (ell - 1) * (ell - 2)))
+        return _in_float_range(FlagSpec("D", params, (d, d, (ell - 1) * (ell - 2))))
     if family == "E":
         if params:
             raise ValueError("family E takes no parameters")
         return FlagSpec("E", (), (16, 16, 16))
     raise ValueError("unknown family %r (expected 'A', 'D' or 'E')" % (family,))
+
+
+def _in_float_range(spec: FlagSpec) -> FlagSpec:
+    # fields imports this module, so its family rule is imported here
+    from .fields import _cubic_coefficients
+
+    try:
+        for c in sum(_cubic_coefficients(spec), ()):
+            float(c)
+    except OverflowError:
+        msg = "family %s parameters %r give a cubic coefficient beyond the float range"
+        raise ValueError(msg % (spec.family, spec.params)) from None
+    return spec
 
 
 def parse_flag(text: str) -> FlagSpec:

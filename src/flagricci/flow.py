@@ -26,7 +26,8 @@ batch of at most FLOAT_LOOP_ROWS rows runs row by row on the float loop,
 which is faster there. Both entries check the start (_onto_simplex) and the
 run settings (_check_run) before either loop runs, and both loops stop
 with IntegrationError after MAX_STEPS attempts. A run's settings default to
-T_MAX, RTOL and ATOL, which collapse and the CLI read too.
+T_MAX, RTOL and ATOL, which collapse and the CLI read too. Both loops start
+a run by _start, on each start's floats, and record it by _record.
 
 The pair is "first same as last": the kernel's last stage g = f(z) is the
 field at the attempt's end point z. When an attempt is accepted and its
@@ -36,8 +37,8 @@ g as the next step's first stage instead of calling f; a clamp or a
 renormalization that moves z, or a -0.0 in z, makes them call f on the
 cleaned state. The lockstep applies the rule row by row and calls f on the
 other rows' columns only. So a run's n_field_evals counts the field values
-actually computed: one at the start, six per attempted step and one per
-accepted step that does not take g.
+actually computed: 1 + 6 (accepted + rejected) + fresh, one at the start,
+six per attempted step and one per accepted step that does not take g.
 """
 
 from __future__ import annotations
@@ -171,9 +172,7 @@ class Trajectory:
     the renormalization of each accepted step; f_values records cone_form at
     the stored (cleaned) states. eval_states holds the states at the
     requested t_eval times when integrate was given any. n_field_evals counts
-    the field values computed: one at the start, six per attempted step and
-    one per accepted step that does not take the attempt's last stage as the
-    next first stage, as the module docstring sets out.
+    the field values computed, as _record and the module docstring set out.
     """
 
     times: np.ndarray
@@ -229,6 +228,52 @@ def _has_minus_zero(v):
     return any(c == 0.0 and math.copysign(1.0, c) < 0.0 for c in v)
 
 
+def _start(y, k1, t_max, rtol, atol, row=None):
+    """The first step size from the start y, three floats with k1 = f(y).
+
+    IntegrationError, naming a lockstep's row, if k1 is not finite; None if
+    |k1| < EQUILIBRIUM_TOL. Else 0.01 d0 / d1 (1e-6 if d1 <= 1e-12), d0 and
+    d1 the RMS of y and k1 over atol + rtol |y|, put in [1e-10, t_max].
+    """
+    if not all(map(math.isfinite, k1)):
+        msg = "field not finite at the initial state"
+        if row is not None:
+            msg = "row %d: %s" % (row, msg)
+        raise IntegrationError(msg, t=0.0, state=np.array(y))
+    if math.sqrt(_sum_squares(*k1)) < EQUILIBRIUM_TOL:
+        return None
+    s = [atol + rtol * abs(v) for v in y]
+    d0 = math.sqrt(_sum_squares(*(v / sv for v, sv in zip(y, s))) / 3)
+    d1 = math.sqrt(_sum_squares(*(v / sv for v, sv in zip(k1, s))) / 3)
+    h = 0.01 * d0 / d1 if d1 > 1e-12 else 1e-6
+    # d0 = d1 = inf give a NaN h, which max(1e-10, h) takes to the floor
+    return min(max(1e-10, h), t_max)
+
+
+def _record(times, states, residuals, step_sizes, status, n_rejected, n_fresh, evals=None):
+    """A run's Trajectory from its records, one per stored state, start first.
+
+    n_fresh counts the accepted steps that called f instead of taking g, and
+    evals maps each t_eval time to its state when the run was given any.
+    """
+    states, n_accepted = np.asarray(states), len(times) - 1
+    traj = Trajectory(
+        times=np.asarray(times),
+        states=states,
+        f_values=cone_form(states),
+        sum_residuals=np.asarray(residuals),
+        step_sizes=np.asarray(step_sizes),
+        status=status,
+        n_accepted=n_accepted,
+        n_rejected=int(n_rejected),
+        n_field_evals=int(1 + 6 * (n_accepted + n_rejected) + n_fresh),
+    )
+    if evals is not None:
+        traj.eval_times = np.array(sorted(evals))
+        traj.eval_states = np.array([evals[te] for te in traj.eval_times])
+    return traj
+
+
 def _float_loop(f, x0, t_max: float, rtol: float, atol: float, t_eval=None) -> Trajectory:
     """integrate's adaptive loop on Python floats, from x0 to t_max.
 
@@ -246,35 +291,23 @@ def _float_loop(f, x0, t_max: float, rtol: float, atol: float, t_eval=None) -> T
         pending = sorted(float(te) for te in t_eval)
         if not all(0 <= te < math.inf for te in pending):
             raise ValueError("t_eval times must be finite and nonnegative")
-    eval_states: dict[float, tuple] = {}
+    eval_states: dict[float, tuple] | None = None if t_eval is None else {}
 
     def note_eval(tcur, ycur):
         while pending and pending[0] <= tcur + 1e-13:
             eval_states[pending.pop(0)] = ycur
 
     k1 = f(y)
-    if not all(map(math.isfinite, k1)):
-        raise IntegrationError(
-            "field not finite at the initial state", t=0.0, state=np.array(y)
-        )
-
+    h = _start(y, k1, t_max, rtol, atol)
     times, states, residuals, hsteps = [0.0], [y], [0.0], [0.0]
     note_eval(0.0, y)
-
-    status = "t_max"
-    if math.sqrt(_sum_squares(*k1)) < EQUILIBRIUM_TOL:
-        status = "equilibrium"
 
     # in the step's bookkeeping min, max and abs are conditional
     # expressions that pick as they do, also on NaN and inf
     isfinite, sqrt = math.isfinite, math.sqrt
     n_acc = n_rej = n_fresh = 0
-    if status != "equilibrium":
-        s = [atol + rtol * abs(v) for v in y]
-        d0 = math.sqrt(_sum_squares(*(v / sv for v, sv in zip(y, s))) / 3)
-        d1 = math.sqrt(_sum_squares(*(v / sv for v, sv in zip(k1, s))) / 3)
-        h = 0.01 * d0 / d1 if d1 > 1e-12 else 1e-6
-        h = min(max(h, 1e-10), t_max)
+    status = "t_max" if h is not None else "equilibrium"
+    if h is not None:
         err_prev = 1.0
 
         while t < t_max:
@@ -346,22 +379,7 @@ def _float_loop(f, x0, t_max: float, rtol: float, atol: float, t_eval=None) -> T
     for te in pending:
         eval_states[te] = y
 
-    states = np.array(states)
-    traj = Trajectory(
-        times=np.array(times),
-        states=states,
-        f_values=cone_form(states),
-        sum_residuals=np.array(residuals),
-        step_sizes=np.array(hsteps),
-        status=status,
-        n_accepted=n_acc,
-        n_rejected=n_rej,
-        n_field_evals=1 + 6 * (n_acc + n_rej) + n_fresh,
-    )
-    if t_eval is not None:
-        traj.eval_times = np.array(sorted(eval_states))
-        traj.eval_states = np.array([eval_states[te] for te in traj.eval_times])
-    return traj
+    return _record(times, states, residuals, hsteps, status, n_rej, n_fresh, eval_states)
 
 
 def _bounded(lo, fac, hi) -> np.ndarray:
@@ -382,6 +400,8 @@ def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
     n = len(x0)
     y = x0.T.copy()
     k1 = f(y)
+    starts = enumerate(zip(x0.tolist(), k1.T.tolist()))
+    hs = [_start(yr, kr, t_max, rtol, atol, row=r) for r, (yr, kr) in starts]
 
     status = np.full(n, "t_max", dtype=object)
     n_rej = np.zeros(n, dtype=int)
@@ -390,18 +410,11 @@ def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
     # state) per row; every row's first record is its start
     log = [(np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n), x0)]
 
-    stopped = np.sqrt(_block_sum_squares(k1)) < EQUILIBRIUM_TOL
-    status[stopped] = "equilibrium"
-    s = atol + rtol * np.abs(y)
-    d0 = np.sqrt(_block_sum_squares(y / s) / 3)
-    d1 = np.sqrt(_block_sum_squares(k1 / s) / 3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(d1 > 1e-12, 0.01 * d0 / d1, 1e-6)
-    h = np.minimum(np.maximum(h, 1e-10), t_max)
-
     # the live rows: their indices into x0 and their own loop state
-    live = ~stopped
-    rows, y, k1, h = np.flatnonzero(live), y[:, live], k1[:, live], h[live]
+    live = np.array([h is not None for h in hs], dtype=bool)
+    status[~live] = "equilibrium"
+    rows, y, k1 = np.flatnonzero(live), y[:, live], k1[:, live]
+    h = np.array([v for v in hs if v is not None], dtype=float)
     t, err_prev = np.zeros(len(rows)), np.ones(len(rows))
     steps = 0
 
@@ -496,18 +509,8 @@ def _lockstep(f, x0, t_max, rtol, atol) -> list[Trajectory]:
         pieces[:] = np.split(np.concatenate(pieces)[order], cuts)
     times, step_sizes, residuals, states = cols
     return [
-        Trajectory(
-            times=times[r],
-            states=states[r],
-            f_values=cone_form(states[r]),
-            sum_residuals=residuals[r],
-            step_sizes=step_sizes[r],
-            status=status[r],
-            n_accepted=int(m - 1),
-            n_rejected=int(n_rej[r]),
-            n_field_evals=int(1 + 6 * (m - 1 + n_rej[r]) + n_fresh[r]),
-        )
-        for r, m in enumerate(counts)
+        _record(times[r], states[r], residuals[r], step_sizes[r], status[r], n_rej[r], n_fresh[r])
+        for r in range(n)
     ]
 
 

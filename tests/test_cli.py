@@ -208,14 +208,40 @@ def test_realize_mu_inverse_is_the_square_of_tau(capsys):
         assert json.loads(out)["mu_inverse"] == want
 
 
-@pytest.mark.parametrize("command", [["realize"]])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["realize", "--point", "1e308,1e308,1e308"],
+        ["field", "--flag", "A:1,2,3", "--point", "1e103,1,1"],
+    ],
+)
 def test_a_point_that_overflows_is_an_error(capsys, command):
-    # F of (1e308, 1e308, 1e308) is -3e616, and realize reports F: one
-    # error line, no warning, no NaN
-    rc, out, err = run(capsys, *command, "--point", "1e308,1e308,1e308")
+    # F of (1e308, 1e308, 1e308) is -3e616, and realize reports F; R of
+    # (1e103, 1, 1) is about -1e309, where field printed R = (-inf, ...).
+    # Each gives one error line, no warning, no NaN
+    rc, out, err = run(capsys, *command)
     assert (rc, out) == (2, "")
     assert err.count("\n") == 1
     assert re.fullmatch(r"error: .* overflows the float range\n", err)
+
+
+def test_a_flow_that_leaves_the_float_range_is_an_error(capsys):
+    # the field of A(10**200, 1, 1) sends the first stage beyond the float
+    # range: an IntegrationError, reported in one line
+    flag = "A:1%s,1,1" % ("0" * 200)
+    rc, out, err = run(capsys, "flow", "--flag", flag, "--point", "0.2,0.3,0.5")
+    assert (rc, out) == (2, "")
+    assert re.fullmatch(r"error: non-finite state produced at t = \S+\n", err)
+
+
+@pytest.mark.parametrize("command", [["flow", "--point", "0.2,0.3,0.5"], ["equilibria"]])
+def test_a_flag_whose_cubic_coefficients_overflow_is_an_error(capsys, command):
+    flag = "A:1%s,1,1" % ("0" * 400)
+    rc, out, err = run(capsys, command[0], "--flag", flag, *command[1:])
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1
+    assert re.fullmatch(r"error: family A parameters \(10+, 1, 1\) give a cubic "
+                        r"coefficient beyond the float range\n", err)
 
 
 def test_orbit_of_a_point_whose_sums_overflow_is_twice_the_quarter_point(capsys):

@@ -57,3 +57,18 @@ def test_parse_rejects_garbage():
     for text in ("A", "A:1,1", "D:", "D:x", "E:1", "F:2", "A:1,1,1,1", ""):
         with pytest.raises(ValueError):
             parse_flag(text)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("A", (10**400, 1, 1)), ("A", (1, 10**308, 10**308)), ("D", (10**308,))],
+    ids=["A-huge-m", "A-sum-overflows", "D-huge-l"],
+)
+def test_parameters_whose_cubic_coefficients_overflow_are_rejected(family, params):
+    message = r"^family %s parameters \(.*\) give a cubic coefficient beyond the float range$"
+    with pytest.raises(ValueError, match=message % family):
+        make_flag(family, params)
+
+
+def test_large_parameters_within_the_float_range_are_accepted():
+    assert make_flag("A", (10**300, 1, 1)).params == (10**300, 1, 1)

@@ -13,7 +13,7 @@ from flagricci.fields import (
     point_field,
     projected_field,
 )
-from flagricci.flags import make_flag, parse_flag
+from flagricci.flags import FlagSpec, make_flag, parse_flag
 from flagricci.flow import (
     ATOL,
     RTOL,
@@ -155,6 +155,36 @@ def test_integration_error_on_nan():
 
     with pytest.raises(IntegrationError):
         _float_loop(bad, np.array([0.2, 0.3, 0.5]), 1.0, 1e-9, 1e-12)
+
+
+def test_lockstep_names_the_row_whose_initial_field_is_not_finite():
+    def bad(y):
+        # the field is NaN at the second start only
+        out = y.copy()
+        out[:, 1] = math.nan
+        return out
+
+    starts = np.array([[0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.5, 0.3, 0.2]])
+    message = r"^row 1: field not finite at the initial state$"
+    with pytest.raises(IntegrationError, match=message) as info:
+        _lockstep(bad, starts, 1.0, 1e-9, 1e-12)
+    assert info.value.t == 0.0
+    assert info.value.state.tolist() == [0.3, 0.3, 0.4]
+
+
+def test_a_nan_first_step_goes_to_the_floor_in_both_loops():
+    # with atol 1e-300 and rtol 0, d0 and d1 of the start rule overflow to
+    # inf and 0.01 d0 / d1 is NaN; the floor 1e-10 takes its place, and
+    # both loops reject six steps and stop, with no warning
+    starts = np.array([[0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.3, 0.7, 0.0]])
+    singles = [integrate(A111, x, t_max=1.0, rtol=0.0, atol=1e-300) for x in starts]
+    rows = _lockstep(block_field(A111), starts, 1.0, 0.0, 1e-300)
+    for row, single in zip(rows, singles):
+        assert (single.status, single.n_accepted, single.n_rejected) == ("step_underflow", 0, 6)
+        assert (row.status, row.n_rejected, row.n_field_evals) == (
+            single.status, single.n_rejected, single.n_field_evals
+        )
+        assert row.states.tobytes() == single.states.tobytes()
 
 
 def test_trajectory_metadata():
@@ -646,6 +676,47 @@ def test_find_equilibria_matches_the_closed_form_equilibria(spec, grid_n):
         assert e.einstein_constant == pytest.approx(float(lam), rel=0, abs=1e-11)
         assert e.stability == _exact_stability(spec, x), (e.point, e.stability)
     assert len(hit) == 10
+
+
+# the families A and D with sympy symbols for parameters, then the catalogue
+COMPLETENESS_CASES = ["A", "D"] + [spec for spec, _ in EQUILIBRIA_CASES]
+
+
+@pytest.mark.parametrize(
+    "case", COMPLETENESS_CASES, ids=lambda c: "symbolic-" + c if isinstance(c, str) else c.label
+)
+def test_the_ten_closed_form_equilibria_are_all_of_them(case):
+    # X = R - (sum R) x vanishes on the simplex exactly where R = lambda x.
+    # R_i = x_i q_i with q_i a quadratic form, so an interior zero is a
+    # common point of the conics q1 = q2 and q2 = q3. They share no
+    # component, so by Bezout they meet in at most 4 points of the
+    # projective plane, and the 4 distinct interior closed forms are all of
+    # them. On the face x_k = 0, q_i = q_j is (a_i + a_j)(x_i^2 - x_j^2) = 0,
+    # which leaves the midpoint; the vertices are the other 3 zeros.
+    sp = pytest.importorskip("sympy")
+    spec = case
+    if isinstance(case, str):
+        params = sp.symbols("m n p") if case == "A" else (sp.Symbol("ell"),)
+        spec = FlagSpec(case, params, (0, 0, 0))
+    x = sp.symbols("x1 x2 x3")
+    a, b = _cubic_coefficients(spec)
+    q = [sp.cancel(ri / xi) for ri, xi in zip(_cubic(a, b, *x), x)]
+    conics = [sp.expand(q[0] - q[1]), sp.expand(q[1] - q[2])]
+    assert all(sp.Poly(c, *x).total_degree() == 2 for c in conics)
+    # a shared component would be a common factor of positive degree in x
+    assert not sp.gcd(*conics).free_symbols & set(x)
+    for k in range(3):
+        i, j = [m for m in range(3) if m != k]
+        on_face = sp.expand((q[i] - q[j]).subs(x[k], 0))
+        assert sp.expand(on_face + (a[i] + a[j]) * (x[i] ** 2 - x[j] ** 2)) == 0
+    if isinstance(case, str):
+        return
+    assert all(a[i] + a[j] > 0 for i in range(3) for j in range(i))
+    interior = [p for p, location in _closed_form_equilibria(spec) if location == "interior"]
+    assert len({tuple(p) for p in interior}) == 4
+    for p in interior:
+        assert all(c > 0 for c in p) and sum(p) == 1
+        assert [c.subs(dict(zip(x, p))) for c in conics] == [0, 0]
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, 0.0])
