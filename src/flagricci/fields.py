@@ -15,7 +15,8 @@ point_field bit for bit by test_block_field_has_the_bits_of_point_field.
 Every operation is an elementwise add, subtract or multiply, each correctly
 rounded, so a point gives the same bits on every path: alone as a 1-D
 array, as a row of a batch, as three floats, as a row of three columns or
-as a column of a block.
+as a column of a block. The one difference is the sign of a zero X where R
+is three -0.0, which numpy's sum and point_field's take apart (point_field).
 
 _cubic_jacobian is the cubic's exact Jacobian in the same coefficient form,
 from which flow.jacobian builds the reduced field's.
@@ -125,8 +126,11 @@ def point_field(spec: FlagSpec):
     of three 1-D float arrays of one length, and returns X in the same form.
     Each point's X equals projected_field(spec, x) there bit for bit: the
     same cubic in the same order of operations, and the sum of R taken left
-    to right, as numpy sums three elements. On one point it skips numpy's
-    per-call overhead, which dominates there.
+    to right, as numpy sums three elements. The one exception is an R of
+    three -0.0, as at a face midpoint x_i = x_k: numpy's sum starts from
+    +0.0 and gives +0.0, this one -0.0, so the two X are zeros of opposite
+    signs. On one point it skips numpy's per-call overhead, which dominates
+    there.
     """
     a, b = _cubic_coefficients(spec)
     a = tuple(float(c) for c in a)

@@ -18,7 +18,10 @@ both kernels the stage inputs, the new state and the error estimate are
 left-to-right float sums over the tableau's nonzero coefficients, with no
 numpy contraction or BLAS call, so the result bits do not depend on the
 BLAS kernel; the block forms make the float forms' operations in the same
-order, one numpy call per operation over every coordinate of every row.
+order, one numpy call per operation over every coordinate of every row;
+each of _block_step's weighted sums is one multiply and one np.add.reduce
+over the outer axis of a (k, 3, n) stack of stages, which adds them left to
+right.
 The lockstep takes the controller's powers on Python floats, through C
 pow, so each row equals its single-start run bit for bit; it logs each
 pass's accepted rows and sorts the log into per-row arrays at the end. A
@@ -55,7 +58,6 @@ from .fields import (
     block_field,
     cone_form,
     point_field,
-    reduced_field,
     require_finite,
     ricci_field,
 )
@@ -70,10 +72,11 @@ RTOL = 1e-9
 ATOL = 1e-12
 LIMIT_TOL = 1e-4  # farthest a final state lies from the equilibrium it goes to
 # integrate_many's largest batch that runs row by row on the float loop. At
-# t_max 50 (CPU time, best of 5 alternating runs, median of 3 repeats,
-# 2 vCPUs) the lockstep took 2.05, 0.98, 0.78, 0.68 and 0.59 times the float
-# loop's time on 16, 32, 48, 56 and 64 rows of A(1,1,1), and 1.95, 1.08,
-# 0.76, 0.64 and 0.60 times on D(8).
+# t_max 50 (CPU time, best of 5 alternating runs, median of 5 repeats,
+# 2 vCPUs) the lockstep took 1.83, 1.21, 1.12, 0.91, 0.71 and 0.59 times the
+# float loop's time on 16, 24, 28, 32, 48 and 64 rows of A(1,1,1), and 1.78,
+# 1.20, 1.09, 1.04, 0.71 and 0.57 times on D(8): the two break even near 30
+# rows, within this measurement's noise of 32.
 FLOAT_LOOP_ROWS = 32
 
 # Dormand-Prince 5(4), nonzero entries only: the rows of k2 ... k6, the
@@ -127,31 +130,33 @@ def _step(f, y, k1, h):
                h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * v3 + e6 * w3 + e7 * g3)), g
 
 
-def _wsum(coefs, ks):
-    # c1 k1 + c2 k2 + ..., left to right, as _step writes its sums
-    s = coefs[0] * ks[0]
-    for c, k in zip(coefs[1:], ks[1:]):
-        s += c * k
-    return s
+# the tableau's weights as (k, 1, 1) columns, each to weight a (k, 3, n)
+# stack of stages
+_A_COLS = tuple(np.array(row)[:, None, None] for row in _A)
+_B5_COL = np.array(_B5)[:, None, None]
+_ERR_COL = np.array(_ERR)[:, None, None]
 
 
 def _block_step(f, y, k1, h):
     """_step on (3, n) blocks y and k1 = f(y) of n rows, h (n,) their steps.
 
-    f is fields.block_field(spec). The same sums in the same order as _step,
-    each term made by one numpy call over every coordinate of every row, so
-    each column of z, the error and g = f(z) has the bits of _step on that
-    row.
+    f is fields.block_field(spec). The stages k1 ... k6, g share one
+    (7, 3, n) array, and each weighted sum is one multiply by the weight
+    column and one np.add.reduce over the stage axis. That reduction runs
+    over the outer axis, so it adds the weighted stages left to right,
+    elementwise, as _step writes its sums; each column of z, the error and
+    g = f(z) has the bits of _step on that row.
     """
-    k = [k1]
-    for row in _A:
-        k.append(f(y + h * _wsum(row, k)))
-    # k2 has no weight in z or in the error, whose last weight is g's
-    k = k[:1] + k[2:]
-    z = y + h * _wsum(_B5, k)
-    g = f(z)
-    k.append(g)
-    return z, h * _wsum(_ERR, k), g
+    k = np.empty((7,) + y.shape)
+    k[0] = k1
+    for i, a in enumerate(_A_COLS, 1):
+        k[i] = f(y + h * np.add.reduce(a * k[:i], axis=0))
+    # k2 has no weight in z or in the error: k1 takes its slot, so that
+    # k[1:6] holds k1, k3 ... k6 and k[1:] the error's stages, g last
+    k[1] = k1
+    z = y + h * np.add.reduce(_B5_COL * k[1:6], axis=0)
+    k[6] = g = f(z)
+    return z, h * np.add.reduce(_ERR_COL * k[1:], axis=0), g
 
 
 class IntegrationError(RuntimeError):
@@ -646,12 +651,22 @@ def jacobian(spec: FlagSpec, uv) -> np.ndarray:
     ])
 
 
-def _newton_root(spec, seed, tol, max_iter=60):
-    p = np.asarray(seed, dtype=float).copy()
+def _newton_root(f, spec, seed, tol, max_iter=60):
+    # Newton's method on the reduced field (u, v) -> the first two
+    # components of f(u, v, 1 - u - v), f = point_field(spec): on three
+    # floats that is reduced_field bit for bit, up to the sign of a zero
+    # residual, whose norm is 0 either way
+    p = np.array(seed, dtype=float)
     for _ in range(max_iter):
-        val = reduced_field(spec, p)
-        if float(np.linalg.norm(val)) <= tol:
+        u, v = p.tolist()
+        y1, y2, _ = f((u, v, 1.0 - u - v))
+        val = np.array((y1, y2))
+        norm = float(np.linalg.norm(val))
+        if norm <= tol:
             return p
+        if not math.isfinite(norm):
+            msg = "the equilibrium search on %s overflows the float range"
+            raise ValueError(msg % spec.label)
         try:
             delta = np.linalg.solve(jacobian(spec, p), -val)
         except np.linalg.LinAlgError:
@@ -689,28 +704,35 @@ def find_equilibria(
 ) -> list[Equilibrium]:
     """Newton search over a barycentric seed grid of the closed triangle.
 
-    Each iteration makes one reduced_field call and, unless the point has
-    converged, one Newton step solved with the exact jacobian. Roots are
-    deduplicated at distance 1e-6 and validated as Einstein points: the
-    unprojected field must be proportional to the point; a root that fails
-    raises ValueError, as newton_tol is too loose. Each root's stability
-    comes from the eigenvalues of the exact jacobian there. newton_tol must
-    be finite and positive.
+    Each iteration evaluates the reduced field on three Python floats
+    through fields.point_field, with reduced_field's bits, and, unless the
+    point has converged, makes one Newton step solved with the exact
+    jacobian. Roots are deduplicated at distance 1e-6 and validated as
+    Einstein points: the unprojected field must be proportional to the
+    point; a root that fails raises ValueError, as newton_tol is too loose.
+    Each root's stability comes from the eigenvalues of the exact jacobian
+    there. newton_tol must be finite and positive. A field whose norm
+    overflows the float range on the search's path raises ValueError
+    naming the flag.
     """
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
     if not 0.0 < newton_tol < math.inf:
         raise ValueError("newton_tol must be finite and positive, got %r" % newton_tol)
 
+    f = point_field(spec)
     roots = []
     denom = grid_n - 1
-    for i in range(grid_n):
-        for j in range(grid_n - i):
-            root = _newton_root(spec, (i / denom, j / denom), newton_tol)
-            if root is None or not _in_closed_domain(root, 1e-9):
-                continue
-            if all(np.linalg.norm(root - r) > 1e-6 for r in roots):
-                roots.append(root)
+    # a field too large to square makes norm's dot overflow to inf, which
+    # _newton_root raises on in place of numpy's warning
+    with np.errstate(over="ignore"):
+        for i in range(grid_n):
+            for j in range(grid_n - i):
+                root = _newton_root(f, spec, (i / denom, j / denom), newton_tol)
+                if root is None or not _in_closed_domain(root, 1e-9):
+                    continue
+                if all(np.linalg.norm(root - r) > 1e-6 for r in roots):
+                    roots.append(root)
 
     out = []
     for root in roots:

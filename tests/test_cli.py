@@ -156,6 +156,16 @@ def test_equilibria_fails_loudly_on_a_newton_tol_too_loose_to_refine_a_root(caps
     assert err.endswith("at newton_tol = 1e-06\n")
 
 
+def test_equilibria_fails_loudly_where_the_search_overflows(capsys):
+    # m = 10^200 printed 7 of the 10 equilibria and numpy's overflow
+    # warning, with exit 0
+    flag = "A:%d,1,1" % 10**200
+    rc, out, err = run(capsys, "equilibria", "--flag", flag)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: the equilibrium search on %s overflows the float range\n" % flag
+
+
 def test_realize_json(capsys):
     rc, out, _ = run(capsys, "realize", "--point", "1/2,1/2,0")
     assert rc == 0

@@ -12,6 +12,7 @@ from flagricci.fields import (
     cone_form,
     point_field,
     projected_field,
+    reduced_field,
 )
 from flagricci.flags import FlagSpec, make_flag, parse_flag
 from flagricci.flow import (
@@ -34,6 +35,7 @@ from flagricci.realize import circle_point, sample_disk
 
 A111 = make_flag("A", (1, 1, 1))
 A211 = make_flag("A", (2, 1, 1))
+CATALOGUE = ["A:1,1,1", "A:2,1,1", "A:3,2,1", "A:1,4,2", "A:7,1,3", "D:4", "D:5", "D:8", "D:20", "E"]
 
 
 def test_equilibrium_start_stays_put():
@@ -240,10 +242,7 @@ def test_non_symmetric_flag_einstein_point():
     assert eqs[i].einstein_constant == pytest.approx(-0.6, rel=1e-10)
 
 
-@pytest.mark.parametrize(
-    "flag",
-    ["A:1,1,1", "A:2,1,1", "A:3,2,1", "A:1,4,2", "A:7,1,3", "D:4", "D:5", "D:8", "D:20", "E"],
-)
+@pytest.mark.parametrize("flag", CATALOGUE)
 def test_phase_portrait_contract(flag):
     eqs = find_equilibria(parse_flag(flag), grid_n=10)
 
@@ -449,6 +448,77 @@ def test_integrate_many_rows_equal_single_runs(spec):
     # a small batch runs on the float loop and gives the same bytes
     for row, single in zip(integrate_many(spec, np.array(starts), t_max=30.0), singles):
         assert row.states.tobytes() == single.states.tobytes()
+
+
+def test_lockstep_rows_keep_their_bits_as_the_batch_shrinks_to_one_row(monkeypatch):
+    # the face rows stop one by one and the interior row runs on alone, so
+    # the stage sums reduce (k, 3, n) stacks down to n = 1
+    starts = np.array([[0.2, 0.3, 0.5], [0.6, 0.4, 0.0], [0.0, 0.45, 0.55], [0.52, 0.0, 0.48]])
+    live, block_step = [], flow._block_step
+
+    def counted_block_step(f, y, k1, h):
+        live.append(y.shape[1])
+        return block_step(f, y, k1, h)
+
+    monkeypatch.setattr(flow, "_block_step", counted_block_step)
+    rows = _lockstep(block_field(A111), starts, 30.0, RTOL, ATOL)
+    assert live[0] == 4 and live[-1] == 1 and set(live) == {1, 2, 3, 4}
+    for x, row in zip(starts, rows):
+        single = integrate(A111, x, t_max=30.0)
+        assert (row.status, row.n_field_evals) == (single.status, single.n_field_evals)
+        for name in ("times", "states", "step_sizes"):
+            assert getattr(row, name).tobytes() == getattr(single, name).tobytes(), name
+
+
+def _face_flow_error(spec, traj, k):
+    """Largest error of traj's x_i on the face x_k = 0 against the exact flow.
+
+    With (i, j) the other two coordinates, s = (2 x_i - 1)^2 obeys
+    ds/dt = -c s (1 - s), c = a_i + a_j of _cubic_coefficients, so
+    s(t) = s0 e^{-ct} / (1 - s0 + s0 e^{-ct}), and x_i = (1 +- sqrt(s)) / 2
+    keeps the side of 1/2 it starts on.
+    """
+    i, j = [m for m in range(3) if m != k]
+    a, _ = _cubic_coefficients(spec)
+    c = a[i] + a[j]
+    assert not traj.states[:, k].any()
+    w0 = 2.0 * traj.states[0, i] - 1.0
+    s0 = w0 * w0
+    worst = 0.0
+    for t, x in zip(traj.times.tolist(), traj.states[:, i].tolist()):
+        e = math.exp(-c * t)
+        exact = (1.0 + math.copysign(math.sqrt(s0 * e / (1.0 - s0 + s0 * e)), w0)) / 2.0
+        worst = max(worst, abs(x - exact))
+    return worst
+
+
+# The face flows' global error is proportional to rtol: the largest over
+# all three faces of the ten members, 11 starts on each, was 0.26 rtol at
+# every rtol from 1e-6 to 1e-10 (at 1e-11 the atol of 1e-12 takes over).
+FACE_ERROR_C = 0.3
+
+
+@pytest.mark.parametrize("flag", CATALOGUE)
+def test_face_rows_follow_the_closed_form_face_flow(flag):
+    # the lockstep on a batch of face starts, and integrate on one start of
+    # each face at a tighter rtol, against the exact solution
+    spec = parse_flag(flag)
+    per_face = flow.FLOAT_LOOP_ROWS // 3 + 1
+    starts, faces = [], []
+    for k in range(3):
+        i, j = [m for m in range(3) if m != k]
+        for xi in ((np.arange(per_face) + 0.3) / per_face).tolist():
+            x = [0.0, 0.0, 0.0]
+            x[i], x[j] = xi, 1.0 - xi
+            starts.append(x)
+            faces.append(k)
+    assert len(starts) > flow.FLOAT_LOOP_ROWS
+    rows = integrate_many(spec, np.array(starts), t_max=20.0, rtol=1e-6)
+    for k, row in zip(faces, rows):
+        assert _face_flow_error(spec, row, k) <= FACE_ERROR_C * 1e-6
+    for k in range(3):
+        single = integrate(spec, starts[k * per_face + 1], t_max=20.0, rtol=1e-9)
+        assert _face_flow_error(spec, single, k) <= FACE_ERROR_C * 1e-9
 
 
 def test_lockstep_step_budget_names_the_row(monkeypatch):
@@ -719,6 +789,34 @@ def test_the_ten_closed_form_equilibria_are_all_of_them(case):
         assert [c.subs(dict(zip(x, p))) for c in conics] == [0, 0]
 
 
+@pytest.mark.parametrize("flag", CATALOGUE)
+def test_point_field_on_three_floats_has_the_bits_of_reduced_field(flag):
+    # the equilibrium search takes the reduced field at (u, v) as the first
+    # two components of point_field on (u, v, 1.0 - u - v): random points
+    # in and, as Newton iterates wander, out of the triangle, its edges and
+    # vertices, and coordinates that are -0.0
+    spec = parse_flag(flag)
+    rng = np.random.default_rng(29)
+    uv = rng.dirichlet(np.ones(3), size=300)[:, :2].tolist()
+    uv += rng.uniform(-2.0, 3.0, size=(100, 2)).tolist()
+    for s in np.linspace(0.0, 1.0, 13).tolist() + rng.uniform(size=8).tolist():
+        uv += [(s, 0.0), (0.0, s), (s, 1.0 - s), (-0.0, s), (s, -0.0)]
+    uv += [(-0.0, -0.0), (-0.0, 1.0), (1.0, -0.0)]
+    f, zeros = point_field(spec), 0
+    for u, v in uv:
+        got, want = np.array(f((u, v, 1.0 - u - v))[:2]), reduced_field(spec, (u, v))
+        r = _cubic(*_cubic_coefficients(spec), u, v, 1.0 - u - v)
+        if all(c == 0.0 and np.signbit(c) for c in r):
+            # R is -0.0 three times, as at a face midpoint x_i = x_k: numpy
+            # sums it to +0.0 and point_field to -0.0, so the two give zeros
+            # of opposite signs; the residual's norm is 0 either way
+            zeros += 1
+            assert got.tolist() == want.tolist() == [0.0, 0.0], (u, v)
+            continue
+        assert got.tobytes() == want.tobytes(), (u, v)
+    assert zeros > 0
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, 0.0])
 def test_find_equilibria_rejects_a_newton_tol_that_is_not_finite_and_positive(tol):
     with pytest.raises(ValueError, match="^newton_tol must be finite and positive"):
@@ -731,3 +829,12 @@ def test_find_equilibria_raises_on_a_root_that_a_loose_newton_tol_leaves_unrefin
     message = r"^Newton root \[.*\] fails the Einstein check: residual .* at newton_tol = %r$"
     with pytest.raises(ValueError, match=message % tol):
         find_equilibria(make_flag("A", (3, 2, 1)), newton_tol=tol)
+
+
+def test_find_equilibria_raises_where_the_search_overflows():
+    # at m = 10^200 the residual's norm overflows: the search dropped 3 of
+    # the 10 equilibria with numpy's overflow warning, which the suite's
+    # warning filter would turn into an error here
+    m = 10**200
+    with pytest.raises(ValueError, match="^the equilibrium search on A:%d,1,1 overflows" % m):
+        find_equilibria(make_flag("A", (m, 1, 1)))

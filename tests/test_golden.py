@@ -50,6 +50,9 @@ x86-64 Linux (glibc, AVX-512).
 
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import zip_longest
 from pathlib import Path
 
@@ -240,3 +243,84 @@ def test_golden_flow_is_accurate(name):
 def test_verify_fast_stdout_matches_golden(capsys):
     assert main(["verify", "--fast"]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "verify_fast.txt").read_bytes()
+
+
+# Kernels a child process can be made to take on an AVX-512 machine:
+# OpenBLAS's AVX2 and SSE3 kernels, and numpy's SIMD loops without AVX2 or
+# AVX-512. Each reruns every golden command in one child process.
+KERNELS = {
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "no-avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+# the golden commands in a child: argv[1] the cases as JSON, argv[2] the
+# directory for their files and for verify --fast's stdout
+_CHILD = """
+import contextlib, io, json, sys
+from pathlib import Path
+from flagricci.cli import main
+cases, out = json.loads(sys.argv[1]), Path(sys.argv[2])
+for name, argv in cases.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", str(out / name)]) == 0, name
+text = io.StringIO()
+with contextlib.redirect_stdout(text):
+    assert main(["verify", "--fast"]) == 0
+(out / "verify_fast.txt").write_bytes(text.getvalue().encode())
+"""
+
+
+@pytest.fixture(scope="module")
+def kernel_outputs(tmp_path_factory):
+    """The directory of each kernel's golden files, the children run side by side."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for kernel, env in KERNELS.items():
+        out = tmp_path_factory.mktemp(kernel)
+        argv = [sys.executable, "-c", _CHILD, json.dumps(CASES), str(out)]
+        env = dict(os.environ, PYTHONPATH=path, **env)
+        runs[kernel] = out, subprocess.Popen(argv, env=env, stderr=subprocess.PIPE)
+    for out, proc in runs.values():
+        _, err = proc.communicate(timeout=120)
+        # not an AssertionError, which the known failures expect
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, proc.args, stderr=err)
+    return {kernel: out for kernel, (out, _) in runs.items()}
+
+
+# Known failures, each a float residual or root that BLAS or numpy's SIMD
+# loops round differently: the Newton search's solve and norm on the
+# OpenBLAS kernels, and in verify --fast the metric factorization and
+# Ad-invariance lines (Haswell), those and the metric homogeneity and convex
+# hull lines (Prescott), and the Ad-invariance line without AVX2
+KNOWN_KERNEL_FAILURES = {
+    ("haswell", "equilibria_A321.json"),
+    ("prescott", "equilibria_A321.json"),
+    ("haswell", "verify_fast.txt"),
+    ("prescott", "verify_fast.txt"),
+    ("no-avx2", "verify_fast.txt"),
+}
+
+
+@pytest.mark.parametrize(
+    "kernel,name",
+    [
+        pytest.param(
+            kernel,
+            name,
+            marks=[pytest.mark.xfail(strict=True, raises=AssertionError)]
+            if (kernel, name) in KNOWN_KERNEL_FAILURES
+            else [],
+        )
+        for kernel in KERNELS
+        for name in sorted(CASES) + ["verify_fast.txt"]
+    ],
+)
+def test_golden_bytes_on_every_kernel(kernel, name, kernel_outputs):
+    got, want = (kernel_outputs[kernel] / name).read_bytes(), (GOLDEN / name).read_bytes()
+    if name == "verify_fast.txt":
+        assert got == want
+    else:
+        assert got == want, CHANGES[Path(name).suffix](got, want)
