@@ -71,6 +71,8 @@ T_MAX = 50.0
 RTOL = 1e-9
 ATOL = 1e-12
 LIMIT_TOL = 1e-4  # farthest a final state lies from the equilibrium it goes to
+# equilibria of every flag here: 3 vertices, 3 on the faces and 4 interior
+EQUILIBRIUM_COUNT = 10
 # integrate_many's largest batch that runs row by row on the float loop. At
 # t_max 50 (CPU time, best of 5 alternating runs, median of 5 repeats,
 # 2 vCPUs) the lockstep took 1.83, 1.21, 1.12, 0.91, 0.71 and 0.59 times the
@@ -713,7 +715,9 @@ def find_equilibria(
     Each root's stability comes from the eigenvalues of the exact jacobian
     there. newton_tol must be finite and positive. A field whose norm
     overflows the float range on the search's path raises ValueError
-    naming the flag.
+    naming the flag, and so does a search that finds any number of
+    equilibria but EQUILIBRIUM_COUNT, as where the field is too large for
+    newton_tol to be reached.
     """
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
@@ -749,6 +753,9 @@ def find_equilibria(
             )
         eig = np.linalg.eigvals(jacobian(spec, x[:2]))
         out.append(Equilibrium(x, lam, _stability(eig), _location(x)))
+    if len(out) != EQUILIBRIUM_COUNT:
+        msg = "the equilibrium search on %s found %d of the %d equilibria"
+        raise ValueError(msg % (spec.label, len(out), EQUILIBRIUM_COUNT))
     # ordered by the points to 6 decimals, the scale at which roots are told
     # apart, so that noise in their last bits does not reorder them
     return sorted(out, key=lambda e: np.round(e.point, 6).tolist())

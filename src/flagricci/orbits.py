@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import require_finite
+from .realize import gram
 
 # largest off-block residual of induced_metric's Gram matrix, relative to its
 # largest entry (at least 1)
@@ -71,13 +72,20 @@ class LieModel:
         self.omega = self._build_omega()
 
     @cached_property
-    def summand_stack(self) -> np.ndarray:
-        """The summand bases stacked in order, one (sum(dims), N, N) array.
+    def bracket_signs(self) -> np.ndarray:
+        """The (sum(dims), 2N^2) signs, in {-1, 0, 1}, of the summand bases'
+        brackets with a diagonal.
 
-        Built on first use: induced_metric reads it, and models that never
-        induce a metric do not hold a second copy of their bases.
+        [X, i diag(h)] has the entries i X_jk (h_k - h_j), and a basis entry
+        X_jk is 0, +-1 or +-i, so the real coordinates (_flatten_real) of
+        the bracket of basis element b are bracket_signs[b] times
+        sqrt(2N) (h_k - h_j) at both the real and the imaginary coordinate
+        of entry (j, k). Built on first use: induced_metric reads it.
         """
-        return np.array([b for bas in self.summand_bases for b in bas])
+        flat = np.array([b for bas in self.summand_bases for b in bas])
+        flat = flat.reshape(len(flat), -1)
+        # the real coordinates of i X: Re(i X) = -Im X, Im(i X) = Re X
+        return np.concatenate([-flat.imag, flat.real], axis=-1)
 
     def _build_isotropy(self):
         out = []
@@ -146,30 +154,46 @@ def induced_metric(model: LieModel, frame) -> np.ndarray:
     Computes the full Gram matrix of the bracket images of the summand bases
     and checks it is block-scalar: x_i times the basis Gram on summand i,
     zero across summands. Raises ValueError when the isotypic structure is
-    violated beyond METRIC_TOL.
+    violated beyond METRIC_TOL. A stack of frames (..., 2, N) gives the
+    stack (..., 3) of their coefficients, and raises if any frame fails.
+
+    There is no BLAS call. A bracket's real coordinates are the signs of
+    model.bracket_signs times sqrt(2N) (h_k - h_j): each is one rounded
+    difference, scaled, with the bits of the matrix products [X, i diag(h)].
+    Each frame row's Gram matrix is realize.gram of those coordinates,
+    accumulated over the coordinate axis, and the rows' Gram matrices are
+    added in order. So a stack of F frames holds (F, B, 2N^2) coordinates
+    and (F, B, B) Gram matrices, B = sum(dims), and nothing larger.
     """
-    basis = model.summand_stack
+    frame = np.asarray(frame, dtype=float)
+    signs = model.bracket_signs
     dims = model.dims
     namb = model.n_ambient
-    g = np.zeros((len(basis), len(basis)))
-    for h in frame:
-        # [X, i diag(h)] of every basis element at once: X @ D scales X's
-        # columns by D's diagonal and D @ X its rows. A basis entry is 0,
-        # +-1 or +-i, so each product is exact, as in the matrix products
-        d = 1j * np.asarray(h)
-        v = _flatten_real(basis * d - d[:, None] * basis, namb)
-        g += v @ v.T
+    scale = np.sqrt(2.0 * namb)
+    g = np.zeros(frame.shape[:-2] + (len(signs), len(signs)))
+    for k in range(frame.shape[-2]):
+        h = frame[..., k, :]
+        w = scale * (h[..., None, :] - h[..., :, None])
+        w = w.reshape(h.shape[:-1] + (namb * namb,))
+        g += gram(signs * np.concatenate([w, w], axis=-1)[..., None, :])
 
-    # basis elements all have <X, X> = 4N and are mutually orthogonal
+    # basis elements all have <X, X> = 4N and are mutually orthogonal;
+    # each trace is numpy's sum of the block's diagonal, frame by frame
     norm2 = 4.0 * namb
     offs = np.cumsum([0, *dims])
-    traces = [np.trace(g[o : o + d, o : o + d]) for o, d in zip(offs, dims)]
-    coeffs = np.array(traces) / (np.array(dims) * norm2)
-    resid = np.max(np.abs(g - np.diag(np.repeat(coeffs * norm2, dims))))
-    if resid > METRIC_TOL * max(1.0, np.max(np.abs(g))):
+    traces = [
+        np.trace(g[..., o : o + d, o : o + d], axis1=-2, axis2=-1) for o, d in zip(offs, dims)
+    ]
+    coeffs = np.stack(traces, axis=-1) / (np.array(dims) * norm2)
+    dev = np.abs(g)
+    diag = np.arange(len(signs))
+    dev[..., diag, diag] = np.abs(g[..., diag, diag] - np.repeat(coeffs * norm2, dims, axis=-1))
+    resid = dev.max(axis=(-2, -1))
+    bad = resid > METRIC_TOL * np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
+    if np.any(bad):
         raise ValueError(
             "induced metric is not block-scalar on the summands "
-            "(residual %.3e); frame is not a torus pair for this model" % resid
+            "(residual %.3e); frame is not a torus pair for this model" % resid[bad][0]
         )
     return coeffs
 

@@ -12,6 +12,12 @@ are parametrized by their Gram matrix: x = (Y00, Y11, Y00 + Y11 + 2 Y01)
 for Y = frame frame^T, the linear map psd_to_coeffs, and the admissible
 coefficient vectors are exactly the first orthant part of {F <= 0} (see
 fields.cone_form).
+The linear maps gram, frame_metric, psd_to_coeffs and coeffs_to_psd take
+one point or a stack of points over leading axes, as fields maps a trailing
+axis of length 3: a frame (2, k) or frames (..., 2, k). A point and a stack
+take one code path, with no BLAS call: every sum is elementwise products
+added left to right (_sum_of_products), so each point of a stack has the
+bits of its own call, on every BLAS kernel.
 realizing_frame inverts the correspondence through the symmetric square
 root, in closed form: a 2x2 PSD matrix Y with eigenvalues lo <= hi has
 
@@ -20,9 +26,9 @@ root, in closed form: a 2x2 PSD matrix Y with eigenvalues lo <= hi has
 the polynomial in Y that takes lo and hi to their roots. It is computed on
 Python floats from the two eigenvalues alone, with no BLAS call, so its
 bits do not depend on the BLAS kernel, and it is symmetric by construction.
-is_psd, sym_sqrt, realizing_frame and rank1_decompose all read one eigen
-split, _split; rank1_decompose's projectors come from its unit vector, so
-no eigenvector is formed.
+is_psd, sym_sqrt, realizing_frame and rank1_decompose take one point and
+all read one eigen split, _split; rank1_decompose's projectors come from
+its unit vector, so no eigenvector is formed.
 """
 
 from __future__ import annotations
@@ -48,37 +54,65 @@ _E2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
 _DISK_RADIUS = 1.0 / math.sqrt(6.0)
 
 
+def _sum_of_products(p, q) -> np.ndarray:
+    """Sum over the last axis of p * q, broadcast, added left to right.
+
+    Each term is one elementwise product and each addition one elementwise
+    add onto a running total that starts at 0.0, so every entry of the
+    result is the same sum in the same order, whatever the leading axes:
+    no BLAS call and no pairwise reduction.
+    """
+    total = np.zeros(np.broadcast_shapes(p.shape, q.shape)[:-1])
+    for c in range(p.shape[-1]):
+        total += p[..., c] * q[..., c]
+    return total
+
+
 def gram(frame) -> np.ndarray:
-    """Gram matrix frame @ frame.T; invariant under right-orthogonal moves."""
+    """Gram matrix frame @ frame.T; invariant under right-orthogonal moves.
+
+    A stack of frames (..., r, k) gives the stack (..., r, r) of their
+    Gram matrices.
+    """
     frame = np.atleast_2d(np.asarray(frame, dtype=float))
-    return frame @ frame.T
+    return _sum_of_products(frame[..., :, None, :], frame[..., None, :, :])
 
 
 def frame_metric(frame) -> np.ndarray:
-    """Metric coefficients (x1, x2, x3) induced by a 2 x k frame."""
+    """Metric coefficients (x1, x2, x3) induced by a 2 x k frame.
+
+    A stack of frames (..., 2, k) gives the stack (..., 3) of their
+    coefficients.
+    """
     frame = np.atleast_2d(np.asarray(frame, dtype=float))
-    if frame.shape[0] != 2:
+    if frame.shape[-2] != 2:
         raise ValueError("frame must have two rows, got shape %r" % (frame.shape,))
-    l1, l2 = frame[0], frame[1]
-    l3 = l1 + l2
-    return np.array([l1 @ l1, l2 @ l2, l3 @ l3])
+    l1, l2 = frame[..., 0, :], frame[..., 1, :]
+    rows = np.stack([l1, l2, l1 + l2], axis=-2)
+    return _sum_of_products(rows, rows)
 
 
 def psd_to_coeffs(y) -> np.ndarray:
-    """Linear map from a symmetric 2x2 matrix to metric coefficients."""
+    """Linear map from a symmetric 2x2 matrix to metric coefficients.
+
+    A stack (..., 2, 2) gives the stack (..., 3).
+    """
     y = np.asarray(y, dtype=float)
-    return np.array([y[0, 0], y[1, 1], y[0, 0] + y[1, 1] + 2.0 * y[0, 1]])
+    y00, y11 = y[..., 0, 0], y[..., 1, 1]
+    return np.stack([y00, y11, y00 + y11 + 2.0 * y[..., 0, 1]], axis=-1)
 
 
 def coeffs_to_psd(x) -> np.ndarray:
     """Inverse of psd_to_coeffs: [[x1, s], [s, x2]] with s = (x3-x1-x2)/2.
 
     The result is positive semidefinite exactly when x lies in the first
-    orthant with cone_form(x) <= 0 (its determinant is -F(x)/4).
+    orthant with cone_form(x) <= 0 (its determinant is -F(x)/4). A stack
+    (..., 3) gives the stack (..., 2, 2).
     """
     x = np.asarray(x, dtype=float)
-    s = (x[2] - x[0] - x[1]) / 2.0
-    return np.array([[x[0], s], [s, x[1]]])
+    x1, x2 = x[..., 0], x[..., 1]
+    s = (x[..., 2] - x1 - x2) / 2.0
+    return np.stack([np.stack([x1, s], axis=-1), np.stack([s, x2], axis=-1)], axis=-2)
 
 
 def _split(a, b, c0, c1):

@@ -4,6 +4,14 @@ Each check returns a one-line detail string on success and raises
 AssertionError with a diagnostic on failure. run_all collects results; the
 CLI `verify` command prints one line per check and exits nonzero if any
 fail. fast=True shrinks sample counts for a quick smoke run.
+
+The checks of realize's linear maps and of orbits.induced_metric draw their
+samples as stacks, in the order a loop over samples draws them, and call
+each stacked map once; the maps on the float path (is_psd, sym_sqrt,
+realizing_frame, rank1_decompose) run point by point. Their matrix
+products (_matmul, _cmatmul), and the Ad-invariance check's unitaries and
+brackets, are elementwise sums in a fixed order with no BLAS call, so the
+digits they print do not depend on the BLAS kernel or numpy's SIMD paths.
 """
 
 from __future__ import annotations
@@ -38,7 +46,8 @@ def check_flux_identity_a(fast=False) -> str:
     # exact vanishing at the three tangency points (a coordinate is zero)
     for x in ([0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]):
         spec = flags.make_flag("A", (3, 2, 1))
-        assert float(fields.cone_flux(spec, x)) == 0.0
+        flux = float(fields.cone_flux(spec, x))
+        assert flux == 0.0, "flux at tangency point %r is %.3e, not 0" % (x, flux)
     return "A params %s, %d points each, max rel err %.2e" % (
         _A_PARAMS,
         n_pts,
@@ -134,10 +143,36 @@ def check_projected_field(fast=False) -> str:
     worst = float(np.abs(xp.sum(axis=-1)).max())
     assert worst <= 1e-12, "projected field not tangent: %.3e" % worst
     for v in np.eye(3):
-        assert np.all(fields.projected_field(spec, v) == 0.0)
+        xv = fields.projected_field(spec, v)
+        assert np.all(xv == 0.0), "X at vertex %r is %r, not 0" % (v, xv)
     e = fields.projected_field(flags.make_flag("A", (1, 1, 1)), [0.25, 0.25, 0.5])
     assert np.all(e == 0.0), "Einstein point not an exact zero"
     return "sum X = 0 (max |sum| %.2e), vertices and (1/4,1/4,1/2) exact zeros" % worst
+
+
+def _matmul(p, q):
+    """p @ q for stacks of real matrices, with no BLAS call: the products over
+    the inner index, elementwise, added left to right."""
+    return realize._sum_of_products(p[..., :, None, :], np.swapaxes(q, -1, -2)[..., None, :, :])
+
+
+def _cmatmul(p, q):
+    """p @ q for complex matrices held as (real, imaginary) pairs of stacks."""
+    (pr, pi), (qr, qi) = p, q
+    return _matmul(pr, qr) - _matmul(pi, qi), _matmul(pr, qi) + _matmul(pi, qr)
+
+
+def _psd_samples(rng, n):
+    """a a^T for n standard normal 2x2 matrices a."""
+    a = rng.standard_normal((n, 2, 2))
+    return _matmul(a, np.swapaxes(a, -1, -2))
+
+
+def _worst_rel(lhs, rhs, ref):
+    """Largest over samples of max |lhs - rhs| / max(1, max ref), each taken
+    over a sample's own trailing axes."""
+    axes = tuple(range(1, lhs.ndim))
+    return float((np.abs(lhs - rhs).max(axis=axes) / np.maximum(1.0, ref.max(axis=axes))).max())
 
 
 def check_factorization(fast=False) -> str:
@@ -146,39 +181,36 @@ def check_factorization(fast=False) -> str:
     worst = 0.0
     for k in (1, 2, 3, 5):
         frames = rng.standard_normal((n, 2, k))
-        for fr in frames:
-            lhs = realize.frame_metric(fr)
-            rhs = realize.psd_to_coeffs(realize.gram(fr))
-            worst = max(worst, float(np.abs(lhs - rhs).max() / max(1.0, np.abs(rhs).max())))
-    assert worst <= 1e-12, "factorization rel err %.3e" % worst
+        lhs = realize.frame_metric(frames)
+        rhs = realize.psd_to_coeffs(realize.gram(frames))
+        worst = max(worst, _worst_rel(lhs, rhs, np.abs(rhs)))
+    assert worst <= 1e-12, "factorization rel err %.3e exceeds 1e-12" % worst
     return "frame metric = linear map of Gram, k in {1,2,3,5}, max rel %.2e" % worst
 
 
 def check_metric_homogeneity(fast=False) -> str:
     rng = _rng(108)
     n = 50 if fast else 200
-    worst = 0.0
+    frames, scales = [], []
     for _ in range(n):
-        fr = rng.standard_normal((2, 3))
-        c = float(rng.uniform(0.1, 4.0))
-        lhs = realize.frame_metric(c * fr)
-        rhs = c * c * realize.frame_metric(fr)
-        worst = max(worst, float(np.abs(lhs - rhs).max() / max(1.0, rhs.max())))
-    assert worst <= 1e-12
+        frames.append(rng.standard_normal((2, 3)))
+        scales.append(float(rng.uniform(0.1, 4.0)))
+    frames, c = np.array(frames), np.array(scales)
+    lhs = realize.frame_metric(c[:, None, None] * frames)
+    rhs = (c * c)[:, None] * realize.frame_metric(frames)
+    worst = _worst_rel(lhs, rhs, rhs)
+    assert worst <= 1e-12, "metric homogeneity rel err %.3e exceeds 1e-12" % worst
     return "frame scaling by c scales coefficients by c^2, max rel %.2e" % worst
 
 
 def check_section_property(fast=False) -> str:
     rng = _rng(109)
     n = 100 if fast else 500
-    worst = 0.0
-    for _ in range(n):
-        a = rng.standard_normal((2, 2))
-        x = realize.psd_to_coeffs(a @ a.T)
-        fr = realize.realizing_frame(x)
-        back = realize.frame_metric(fr)
-        worst = max(worst, float(np.abs(back - x).max() / max(1.0, np.abs(x).max())))
-    assert worst <= 1e-9, "section property rel err %.3e" % worst
+    x = realize.psd_to_coeffs(_psd_samples(rng, n))
+    # the square root runs point by point, as it is the map under test
+    back = realize.frame_metric(np.array([realize.realizing_frame(p) for p in x]))
+    worst = _worst_rel(back, x, np.abs(x))
+    assert worst <= 1e-9, "section property rel err %.3e exceeds 1e-9" % worst
     return "metric(realizing_frame(x)) = x on %d cone points, max rel %.2e" % (n, worst)
 
 
@@ -186,36 +218,36 @@ def check_cone_characterization(fast=False) -> str:
     n_side = 40 if fast else 100
     ijk = [(i, j, n_side - i - j) for i in range(n_side + 1) for j in range(n_side + 1 - i)]
     grid = np.array(ijk, dtype=float) / n_side
-    count = 0
+    f = fields.cone_form(grid)
+    off = np.abs(f) > 1e-9
+    grid, f = grid[off], f[off].tolist()
     # the PSD test runs point by point, as it is the map under test
-    for x, f in zip(grid, fields.cone_form(grid).tolist()):
-        if abs(f) > 1e-9:
-            psd = realize.is_psd(realize.coeffs_to_psd(x), tol=1e-9)
-            assert (f <= 0) == psd, "mismatch at %r (F=%.3e, psd=%s)" % (x, f, psd)
-            count += 1
-    return "F <= 0 iff PSD on %d first-orthant grid points" % count
+    for x, fx, y in zip(grid, f, realize.coeffs_to_psd(grid)):
+        psd = realize.is_psd(y, tol=1e-9)
+        assert (fx <= 0) == psd, "mismatch at %r (F=%.3e, psd=%s)" % (x, fx, psd)
+    return "F <= 0 iff PSD on %d first-orthant grid points" % len(grid)
 
 
 def check_convex_hull(fast=False) -> str:
     rng = _rng(110)
     n = 100 if fast else 500
-    worst_rec = worst_lin = worst_face = 0.0
-    for _ in range(n):
-        a = rng.standard_normal((2, 2))
-        y = a @ a.T
-        terms = realize.rank1_decompose(y)
-        rec = sum(w * m for w, m in terms)
-        worst_rec = max(worst_rec, float(np.abs(rec - y).max()))
-        lin = sum(w * realize.psd_to_coeffs(m) for w, m in terms)
-        worst_lin = max(
-            worst_lin, float(np.abs(lin - realize.psd_to_coeffs(y)).max())
-        )
-        for _, m in terms:
-            fr = float(fields.cone_form(realize.psd_to_coeffs(m)))
-            worst_face = max(worst_face, abs(fr))
-    assert worst_rec <= 1e-10
-    assert worst_lin <= 1e-10
-    assert worst_face <= 1e-10, "rank-1 image off the cone surface: %.3e" % worst_face
+    y = _psd_samples(rng, n)
+    # each sample's rank-1 terms, padded with zero terms to two; the split
+    # runs point by point, as it is the map under test
+    w, m = np.zeros((2, n)), np.zeros((2, n, 2, 2))
+    for i, yi in enumerate(y):
+        for j, (wj, mj) in enumerate(realize.rank1_decompose(yi)):
+            w[j, i], m[j, i] = wj, mj
+    rec = w[0, :, None, None] * m[0] + w[1, :, None, None] * m[1]
+    worst_rec = float(np.abs(rec - y).max())
+    coeffs = realize.psd_to_coeffs(m)
+    lin = w[0, :, None] * coeffs[0] + w[1, :, None] * coeffs[1]
+    worst_lin = float(np.abs(lin - realize.psd_to_coeffs(y)).max())
+    worst_face = float(np.abs(fields.cone_form(coeffs[w > 0.0])).max())
+    assert worst_rec <= 1e-10, "rank-1 reconstruction err %.3e exceeds 1e-10" % worst_rec
+    assert worst_lin <= 1e-10, "rank-1 linearity err %.3e exceeds 1e-10" % worst_lin
+    msg = "rank-1 image off the cone surface: |F| %.3e exceeds 1e-10"
+    assert worst_face <= 1e-10, msg % worst_face
     return (
         "rank-1 splits: reconstruction %.1e, linearity %.1e, faces on cone %.1e"
         % (worst_rec, worst_lin, worst_face)
@@ -225,13 +257,11 @@ def check_convex_hull(fast=False) -> str:
 def check_sqrt_roundtrip(fast=False) -> str:
     rng = _rng(111)
     n = 100 if fast else 400
-    worst = 0.0
-    for _ in range(n):
-        a = rng.standard_normal((2, 2))
-        y = a @ a.T
-        s = realize.sym_sqrt(y)
-        worst = max(worst, float(np.abs(s @ s - y).max() / max(1.0, np.abs(y).max())))
-    assert worst <= 1e-9
+    y = _psd_samples(rng, n)
+    # the square root runs point by point, as it is the map under test
+    s = np.array([realize.sym_sqrt(p) for p in y])
+    worst = _worst_rel(_matmul(s, s), y, np.abs(y))
+    assert worst <= 1e-9, "sqrt(Y)^2 rel err %.3e exceeds 1e-9" % worst
     try:
         realize.sym_sqrt(np.array([[-1.0, 0.0], [0.0, 1.0]]))
         raise AssertionError("indefinite matrix accepted")
@@ -249,40 +279,78 @@ def check_oracle_equivalence(fast=False) -> str:
     worst = 0.0
     for blocks in [(1, 1, 1), (2, 1, 1)]:
         model = orbits.build_model(*blocks)
-        for _ in range(n):
-            c = rng.standard_normal((2, 2))
-            lhs = orbits.induced_metric(model, model.frame(c))
-            rhs = realize.frame_metric(c)
-            worst = max(worst, float(np.abs(lhs - rhs).max() / max(1.0, rhs.max())))
-    assert worst <= 1e-8, "induced metric vs frame metric rel %.3e" % worst
+        tau = rng.standard_normal((n, 2, 2))
+        lhs = orbits.induced_metric(model, np.array([model.frame(t) for t in tau]))
+        rhs = realize.frame_metric(tau)
+        worst = max(worst, _worst_rel(lhs, rhs, rhs))
+    assert worst <= 1e-8, "induced metric vs frame metric rel %.3e exceeds 1e-8" % worst
     return "induced = frame metric on su(3), su(4) x %d pairs, max rel %.2e" % (n, worst)
+
+
+def _unit_phases(rng, shape):
+    """Unit complex numbers (a + ib) / |a + ib| of standard normal a, b, as a
+    (real, imaginary) pair: +, *, / and sqrt only."""
+    z = rng.standard_normal((2,) + shape)
+    r = np.sqrt(z[0] * z[0] + z[1] * z[1])
+    return z[0] / r, z[1] / r
+
+
+def _unitaries(rng, n, count):
+    """(count, n, n) unitaries as (real, imaginary) pairs: a diagonal of unit
+    phases times one Givens rotation per coordinate pair, each of the form
+    [[c, -conj(e) s], [e s, c]] with c + is and e unit phases. Built with
+    +, -, *, / and sqrt alone, so their bits do not depend on BLAS or on
+    numpy's SIMD paths."""
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    dr, di = _unit_phases(rng, (count, n))
+    cos, sin = _unit_phases(rng, (count, len(pairs)))
+    er, ei = _unit_phases(rng, (count, len(pairs)))
+    eye = np.arange(n)
+    ur, ui = np.zeros((count, n, n)), np.zeros((count, n, n))
+    ur[:, eye, eye], ui[:, eye, eye] = dr, di
+    for k, (p, q) in enumerate(pairs):
+        gr, gi = np.zeros((count, n, n)), np.zeros((count, n, n))
+        gr[:, eye, eye] = 1.0
+        c, s = cos[:, k], sin[:, k]
+        gr[:, p, p] = gr[:, q, q] = c
+        gr[:, p, q], gi[:, p, q] = -er[:, k] * s, ei[:, k] * s
+        gr[:, q, p], gi[:, q, p] = er[:, k] * s, ei[:, k] * s
+        ur, ui = _cmatmul((ur, ui), (gr, gi))
+    return ur, ui
 
 
 def check_ad_invariance(fast=False) -> str:
     rng = _rng(113)
     model = orbits.build_model(1, 1, 1)
     n = 3 if fast else 10
-    us = orbits.haar_unitaries(np.random.default_rng(7), 3, n)
-    basis = [b for bas in model.summand_bases for b in bas]
+    namb = model.n_ambient
+    scale = np.sqrt(2.0 * namb)
+    ur, ui = _unitaries(np.random.default_rng(7), namb, n)
+    u = ur[:, None], ui[:, None]
+    uh = np.swapaxes(u[0], -1, -2), -np.swapaxes(u[1], -1, -2)
+    basis = np.array([b for bas in model.summand_bases for b in bas])
+    # one frame per unitary; its two i diag(h) have no real part
+    h = np.array([model.frame(t) for t in rng.standard_normal((n, 2, 2))])
+    hs = np.zeros(h.shape + (namb,)), h[..., None] * np.eye(namb)
 
-    def bracket_gram(mats, hs):
-        g = np.zeros((len(mats), len(mats)))
-        for hm in hs:
-            br = [x @ hm - hm @ x for x in mats]
-            v = orbits._flatten_real(br, model.n_ambient)
-            g += v @ v.T
+    def bracket_gram(xs, hs):
+        # per unitary, the Gram matrix of the real coordinates of [x, h]
+        # over the basis elements x, summed over the frame's two h
+        g = 0.0
+        for k in range(2):
+            hk = hs[0][:, k, None], hs[1][:, k, None]
+            (xr, xi), (yr, yi) = _cmatmul(xs, hk), _cmatmul(hk, xs)
+            re, im = (d.reshape(d.shape[:-2] + (-1,)) for d in (xr - yr, xi - yi))
+            g = g + realize.gram(scale * np.concatenate([re, im], axis=-1))
         return g
 
-    worst = 0.0
-    for u in us:
-        hs = [1j * np.diag(h) for h in model.frame(rng.standard_normal((2, 2)))]
-        uh = u.conj().T
-        g0 = bracket_gram(basis, hs)
-        g1 = bracket_gram([u @ x @ uh for x in basis], [u @ hm @ uh for hm in hs])
-        worst = max(
-            worst, float(np.abs(g0 - g1).max() / max(1.0, np.abs(g0).max()))
-        )
-    assert worst <= 1e-8
+    g0 = bracket_gram((basis.real, basis.imag), hs)
+    g1 = bracket_gram(
+        _cmatmul(_cmatmul(u, (basis.real, basis.imag)), uh),
+        _cmatmul(_cmatmul(u, hs), uh),
+    )
+    worst = _worst_rel(g0, g1, np.abs(g0))
+    assert worst <= 1e-8, "Ad-invariance rel err %.3e exceeds 1e-8" % worst
     return "metric Gram invariant under conjugated frames, max rel %.2e" % worst
 
 
@@ -295,9 +363,10 @@ def check_hausdorff_pseudometric(fast=False) -> str:
         # one seed for all three: the same Haar samples under every frame
         clouds.append(orbits.sample_orbit(model, frame, 60 if fast else 150, 7))
     a, b, c3 = clouds
-    assert clp.hausdorff(a, a) == 0.0
-    dab = clp.hausdorff(a, b)
-    assert abs(dab - clp.hausdorff(b, a)) <= 1e-12
+    daa = clp.hausdorff(a, a)
+    assert daa == 0.0, "d(a, a) = %.3e, not 0" % daa
+    dab, dba = clp.hausdorff(a, b), clp.hausdorff(b, a)
+    assert abs(dab - dba) <= 1e-12, "d(a, b) - d(b, a) = %.3e exceeds 1e-12" % (dab - dba)
     dac, dcb = clp.hausdorff(a, c3), clp.hausdorff(c3, b)
     assert dab <= dac + dcb + 1e-12, "triangle inequality violated"
     # the sampled distance lies between the exact orbit distance and the
@@ -333,13 +402,14 @@ def check_collapse_verdicts(fast=False) -> str:
     for x in mids:
         v = clp.collapse_verdict(model, x)
         assert v.verdict == "realizable", "midpoint %r -> %s" % (x, v.verdict)
-        assert v.witness is not None and "tau" in v.witness
+        assert v.witness is not None and "tau" in v.witness, "midpoint %r: no tau" % (x,)
     for x in np.eye(3):
         v = clp.collapse_verdict(model, x)
         assert v.verdict == "non_realizable", "vertex %r -> %s" % (x, v.verdict)
-        assert v.witness is not None and v.witness["residual"] > 1e-7
+        resid = None if v.witness is None else v.witness["residual"]
+        assert resid is not None and resid > 1e-7, "vertex %r: witness residual %r" % (x, resid)
     v = clp.collapse_verdict(model, np.array([1.0, 1.0, 1.0]) / 3)
-    assert v.verdict == "no_collapse"
+    assert v.verdict == "no_collapse", "centroid -> %s" % v.verdict
     return "midpoints realizable, vertices non-realizable with witnesses"
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flagricci import flow
+from flagricci import flow, realize, verify
 from flagricci.cli import atomic_write, fmt, load_config, main, parse_point
 from flagricci.fields import reduced_field
 from flagricci.flags import parse_flag
@@ -164,6 +164,14 @@ def test_equilibria_fails_loudly_where_the_search_overflows(capsys):
     assert rc == 2
     assert out == ""
     assert err == "error: the equilibrium search on %s overflows the float range\n" % flag
+
+
+def test_equilibria_fails_loudly_where_the_search_finds_fewer_than_all_ten(capsys):
+    # m = 10^6 printed 9 of the 10 equilibria, with exit 0
+    rc, out, err = run(capsys, "equilibria", "--flag", "A:1000000,1,1")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: the equilibrium search on A:1000000,1,1 found 9 of the 10 equilibria\n"
 
 
 def test_realize_json(capsys):
@@ -571,6 +579,40 @@ def test_verify_fast_passes(capsys):
     lines = [l for l in out.strip().splitlines() if l.startswith("[")]
     assert len(lines) == 20
     assert all(l.startswith("[PASS]") for l in lines)
+
+
+def _off_by(fn, eps):
+    """fn with every result moved by eps: scaled where a list of (weight,
+    term) pairs, shifted elsewhere."""
+    def off(*args):
+        out = fn(*args)
+        if isinstance(out, list):
+            return [((1.0 + eps) * w, m) for w, m in out]
+        return out + eps
+    return off
+
+
+@pytest.mark.parametrize(
+    "name, check, message",
+    [
+        ("frame_metric", "check_metric_homogeneity",
+         r"metric homogeneity rel err \d\.\d{3}e-\d\d exceeds 1e-12"),
+        ("rank1_decompose", "check_convex_hull",
+         r"rank-1 reconstruction err \d\.\d{3}e-\d\d exceeds 1e-10"),
+        ("sym_sqrt", "check_sqrt_roundtrip",
+         r"sqrt\(Y\)\^2 rel err \d\.\d{3}e-\d\d exceeds 1e-9"),
+    ],
+    ids=["homogeneity", "convex-hull", "square-root"],
+)
+def test_a_failing_verify_check_prints_its_residual_and_bound(
+    capsys, monkeypatch, name, check, message
+):
+    monkeypatch.setattr(realize, name, _off_by(getattr(realize, name), 1e-6))
+    with pytest.raises(AssertionError, match="^%s$" % message):
+        getattr(verify, check)(fast=True)
+    rc, out, _ = run(capsys, "verify", "--fast")
+    assert rc == 1
+    assert re.search(r"^\[FAIL\] .* %s$" % message, out, re.M)
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])

@@ -831,6 +831,14 @@ def test_find_equilibria_raises_on_a_root_that_a_loose_newton_tol_leaves_unrefin
         find_equilibria(make_flag("A", (3, 2, 1)), newton_tol=tol)
 
 
+def test_find_equilibria_raises_where_it_finds_fewer_than_all_ten():
+    # at m = 10^6 one interior seed never reaches newton_tol: the search
+    # returned 9 of the 10 equilibria, with no error
+    message = "^the equilibrium search on A:1000000,1,1 found 9 of the 10 equilibria$"
+    with pytest.raises(ValueError, match=message):
+        find_equilibria(make_flag("A", (10**6, 1, 1)))
+
+
 def test_find_equilibria_raises_where_the_search_overflows():
     # at m = 10^200 the residual's norm overflows: the search dropped 3 of
     # the 10 equilibria with numpy's overflow warning, which the suite's

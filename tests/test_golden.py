@@ -24,6 +24,14 @@ last written when rank1_decompose's terms became the eigenprojectors
 products of eigenvectors: reconstruction and linearity went from 3.6e-15
 to 1.8e-15.
 
+verify_fast.txt was last written when verify's sample checks, realize's
+linear maps and induced_metric became fixed-order elementwise sums with no
+BLAS call, and the Ad-invariance check's unitaries Givens rotations in real
+arithmetic in place of haar_unitaries. Three detail lines moved: the metric
+factorization's max rel from 5.72e-16 to 4.35e-16, the convex hull's
+linearity from 1.8e-15 to 3.6e-15, and Ad-invariance's max rel from
+1.60e-15 to 9.12e-16.
+
 equilibria_A321.json pins the Newton search's 17-digit roots and Einstein
 constants at the default grid of 30. It and the limit column of
 portrait_D8.csv were last written when the search's finite-difference
@@ -290,17 +298,11 @@ def kernel_outputs(tmp_path_factory):
     return {kernel: out for kernel, (out, _) in runs.items()}
 
 
-# Known failures, each a float residual or root that BLAS or numpy's SIMD
-# loops round differently: the Newton search's solve and norm on the
-# OpenBLAS kernels, and in verify --fast the metric factorization and
-# Ad-invariance lines (Haswell), those and the metric homogeneity and convex
-# hull lines (Prescott), and the Ad-invariance line without AVX2
+# Known failures, each a root that BLAS rounds differently: the Newton
+# search's solve and norm on the OpenBLAS kernels
 KNOWN_KERNEL_FAILURES = {
     ("haswell", "equilibria_A321.json"),
     ("prescott", "equilibria_A321.json"),
-    ("haswell", "verify_fast.txt"),
-    ("prescott", "verify_fast.txt"),
-    ("no-avx2", "verify_fast.txt"),
 }
 
 

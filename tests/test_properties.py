@@ -18,6 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from flagricci.cli import load_config, parse_point  # noqa: E402
 from flagricci.collapse import hausdorff, is_subalgebra, orbit_distance  # noqa: E402
@@ -51,6 +52,7 @@ from flagricci.realize import (  # noqa: E402
     circle_point,
     coeffs_to_psd,
     frame_metric,
+    gram,
     is_psd,
     psd_to_coeffs,
     realizing_frame,
@@ -303,6 +305,35 @@ def test_realizing_frame_matches_the_eigenvector_form_and_is_a_section(x):
     assert np.abs(frame_metric(got) - x).max() <= 1e-9 * scale
 
 
+# entries of every size, signed zeros among them; squares of the largest
+# overflow to inf, and inf - inf gives nan, alike on a stack and on a point
+_ENTRY = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=40)
+@given(
+    data=st.data(),
+    lead=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    k=st.integers(1, 5),
+)
+def test_realize_maps_on_a_stack_have_the_bits_of_each_point(data, lead, k):
+    lead = tuple(lead)
+    frames, ys, xs = (
+        data.draw(hnp.arrays(np.float64, lead + shape, elements=_ENTRY))
+        for shape in ((2, k), (2, 2), (3,))
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        cases = (gram, frames), (frame_metric, frames), (psd_to_coeffs, ys), (coeffs_to_psd, xs)
+        for fn, stack in cases:
+            got = fn(stack)
+            for idx in np.ndindex(*lead):
+                assert fn(stack[idx]).tobytes() == got[idx].tobytes(), fn.__name__
+
+
 # --- torus frames and their orbit clouds ------------------------------------
 
 # family-A blocks of su(3) up to su(7)
@@ -354,6 +385,35 @@ def test_induced_metric_has_the_bits_of_the_per_element_brackets(blocks, tau, sc
     frame = model.frame(scale * tau)
     want = _metric_of_gram(model, _induced_gram(model, frame))
     assert induced_metric(model, frame).tobytes() == want.tobytes()
+
+
+@settings(max_examples=20)
+@given(
+    blocks=_BLOCKS,
+    taus=st.lists(_TAU, min_size=1, max_size=4),
+    scale=st.floats(-6.0, 6.0).map(lambda p: 10.0**p),
+)
+def test_induced_metric_on_a_stack_has_the_bits_of_each_frame(blocks, taus, scale):
+    model = build_model(*blocks)
+    frames = np.array([model.frame(scale * tau) for tau in taus])
+    got = induced_metric(model, frames)
+    assert got.shape == (len(taus), 3)
+    for frame, row in zip(frames, got):
+        assert induced_metric(model, frame).tobytes() == row.tobytes()
+    # two leading axes
+    assert induced_metric(model, frames[None]).tobytes() == got.tobytes()
+
+
+@settings(max_examples=20)
+@given(taus=st.lists(_TAU, max_size=4), at=st.integers(0, 4))
+def test_induced_metric_raises_on_a_stack_that_holds_one_frame_off_the_torus(taus, at):
+    # on su(4) a diagonal that is not constant on the 2x2 block is not a
+    # torus element; every other frame of the stack is
+    model = build_model(2, 1, 1)
+    frames = [model.frame(tau) for tau in taus]
+    frames.insert(min(at, len(frames)), np.array([[0.5, -0.5, 0.2, -0.2], model.omega[1]]))
+    with pytest.raises(ValueError, match="^induced metric is not block-scalar on the summands"):
+        induced_metric(model, np.array(frames))
 
 
 @settings(max_examples=15)
