@@ -357,6 +357,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         return p
 
     common_flag = dict(help="family string: A:m,n,p | D:ell | E")
+    ignored = dict(help="ignored; kept for compatibility")
 
     p = add("field", cmd_field, "evaluate the field and cone data at a point")
     p.add_argument("--flag", **common_flag)
@@ -373,7 +374,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = add("portrait", cmd_portrait, "grid of reduced-field vectors and endpoints")
     p.add_argument("--flag", **common_flag)
     p.add_argument("--grid", type=int, default=20)
-    p.add_argument("--eq-grid", type=int, default=20)
+    p.add_argument("--eq-grid", type=int, default=20, **ignored)
     p.add_argument("--t-max", type=float, default=T_MAX)
     p.add_argument("--rtol", type=float, default=RTOL)
     p.add_argument("--atol", type=float, default=ATOL)
@@ -381,8 +382,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = add("equilibria", cmd_equilibria, "find equilibria, write JSON")
     p.add_argument("--flag", **common_flag)
-    p.add_argument("--grid", type=int, default=30)
-    p.add_argument("--newton-tol", type=float, default=1e-12)
+    p.add_argument("--grid", type=int, default=30, **ignored)
+    p.add_argument("--newton-tol", type=float, default=1e-12, **ignored)
     p.add_argument("--out")
 
     p = add("realize", cmd_realize, "realize metric coefficients by a torus frame")

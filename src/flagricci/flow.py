@@ -42,12 +42,17 @@ cleaned state. The lockstep applies the rule row by row and calls f on the
 other rows' columns only. So a run's n_field_evals counts the field values
 actually computed: 1 + 6 (accepted + rejected) + fresh, one at the start,
 six per attempted step and one per accepted step that does not take g.
+
+The equilibria are closed forms: _exact_equilibria builds the ten in
+fractions.Fraction with their exact Einstein constants and stabilities, and
+find_equilibria rounds each number once to float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,7 +64,6 @@ from .fields import (
     cone_form,
     point_field,
     require_finite,
-    ricci_field,
 )
 from .flags import FlagSpec
 
@@ -71,8 +75,6 @@ T_MAX = 50.0
 RTOL = 1e-9
 ATOL = 1e-12
 LIMIT_TOL = 1e-4  # farthest a final state lies from the equilibrium it goes to
-# equilibria of every flag here: 3 vertices, 3 on the faces and 4 interior
-EQUILIBRIUM_COUNT = 10
 # integrate_many's largest batch that runs row by row on the float loop. At
 # t_max 50 (CPU time, best of 5 alternating runs, median of 5 repeats,
 # 2 vCPUs) the lockstep took 1.83, 1.21, 1.12, 0.91, 0.71 and 0.59 times the
@@ -623,11 +625,6 @@ class Equilibrium:
         }
 
 
-def _in_closed_domain(uv, slack=1e-12) -> bool:
-    u, v = uv
-    return u >= -slack and v >= -slack and u + v <= 1.0 + slack
-
-
 def jacobian(spec: FlagSpec, uv) -> np.ndarray:
     """Exact Jacobian of reduced_field at uv = (u, v), a 2x2 array.
 
@@ -653,111 +650,62 @@ def jacobian(spec: FlagSpec, uv) -> np.ndarray:
     ])
 
 
-def _newton_root(f, spec, seed, tol, max_iter=60):
-    # Newton's method on the reduced field (u, v) -> the first two
-    # components of f(u, v, 1 - u - v), f = point_field(spec): on three
-    # floats that is reduced_field bit for bit, up to the sign of a zero
-    # residual, whose norm is 0 either way
-    p = np.array(seed, dtype=float)
-    for _ in range(max_iter):
-        u, v = p.tolist()
-        y1, y2, _ = f((u, v, 1.0 - u - v))
-        val = np.array((y1, y2))
-        norm = float(np.linalg.norm(val))
-        if norm <= tol:
-            return p
-        if not math.isfinite(norm):
-            msg = "the equilibrium search on %s overflows the float range"
-            raise ValueError(msg % spec.label)
-        try:
-            delta = np.linalg.solve(jacobian(spec, p), -val)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)):
-            return None
-        if float(np.linalg.norm(delta)) > 10.0:
-            return None
-        p = p + delta
-    return None
+def _exact_equilibria(spec: FlagSpec) -> list[tuple]:
+    """The 10 equilibria in Fractions, each as (x, lambda, stability, location).
 
-
-def _stability(eigvals, zero_tol=1e-7) -> str:
-    re = np.real(eigvals)
-    if np.any(np.abs(re) <= zero_tol):
-        return "degenerate"
-    if np.all(re < 0):
-        return "sink"
-    if np.all(re > 0):
-        return "source"
-    return "saddle"
-
-
-def _location(x, tol=1e-9) -> str:
-    zeros = int(np.sum(np.abs(x) <= tol))
-    if zeros == 0:
-        return "interior"
-    if zeros == 1:
-        return "face"
-    return "vertex"
+    With (a, b) the cubic's coefficients: the vertices e_k, the edge
+    midpoints, the Kaehler points x_k = 1/2 with x_i : x_j = b_i : b_j, and
+    the normal point b / sum b. These are all the zeros of the projected
+    field on the closed simplex (Kimura's classification;
+    test_the_ten_closed_form_equilibria_are_all_of_them proves it). lambda
+    = R.x / x.x, and R = lambda x holds exactly. The stability comes from
+    the signs of the determinant and trace of the exact jacobian, and the
+    location from the count of zero coordinates.
+    """
+    a, b = _cubic_coefficients(spec)
+    zero, half = Fraction(0), Fraction(1, 2)
+    points = [[Fraction(c, sum(b)) for c in b]]
+    for k in range(3):
+        i, j = [m for m in range(3) if m != k]
+        vertex, midpoint, kaehler = [zero] * 3, [half] * 3, [half] * 3
+        vertex[k], midpoint[k] = Fraction(1), zero
+        kaehler[i] = Fraction(b[i], 2 * (b[i] + b[j]))
+        kaehler[j] = Fraction(b[j], 2 * (b[i] + b[j]))
+        points += [vertex, midpoint, kaehler]
+    out = []
+    for x in points:
+        r = _cubic(a, b, *x)
+        lam = sum(ri * xi for ri, xi in zip(r, x)) / sum(xi * xi for xi in x)
+        assert list(r) == [lam * c for c in x], (spec.label, x)
+        (p, q), (s, t) = jacobian(spec, x[:2]).tolist()
+        det, trace = p * t - q * s, p + t
+        if det < 0:
+            stability = "saddle"
+        elif det == 0 or trace == 0:
+            stability = "degenerate"
+        else:
+            stability = "sink" if trace < 0 else "source"
+        out.append((x, lam, stability, ("interior", "face", "vertex")[x.count(0)]))
+    return out
 
 
 def find_equilibria(
     spec: FlagSpec, grid_n: int = 30, newton_tol: float = 1e-12
 ) -> list[Equilibrium]:
-    """Newton search over a barycentric seed grid of the closed triangle.
+    """The 10 equilibria of _exact_equilibria, each number rounded once to float.
 
-    Each iteration evaluates the reduced field on three Python floats
-    through fields.point_field, with reduced_field's bits, and, unless the
-    point has converged, makes one Newton step solved with the exact
-    jacobian. Roots are deduplicated at distance 1e-6 and validated as
-    Einstein points: the unprojected field must be proportional to the
-    point; a root that fails raises ValueError, as newton_tol is too loose.
-    Each root's stability comes from the eigenvalues of the exact jacobian
-    there. newton_tol must be finite and positive. A field whose norm
-    overflows the float range on the search's path raises ValueError
-    naming the flag, and so does a search that finds any number of
-    equilibria but EQUILIBRIUM_COUNT, as where the field is too large for
-    newton_tol to be reached.
+    They are ordered by their points to 6 decimals. grid_n and newton_tol
+    are ignored, kept for compatibility; grid_n below 10 and a newton_tol
+    that is not finite and positive still raise ValueError.
     """
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
     if not 0.0 < newton_tol < math.inf:
         raise ValueError("newton_tol must be finite and positive, got %r" % newton_tol)
-
-    f = point_field(spec)
-    roots = []
-    denom = grid_n - 1
-    # a field too large to square makes norm's dot overflow to inf, which
-    # _newton_root raises on in place of numpy's warning
-    with np.errstate(over="ignore"):
-        for i in range(grid_n):
-            for j in range(grid_n - i):
-                root = _newton_root(f, spec, (i / denom, j / denom), newton_tol)
-                if root is None or not _in_closed_domain(root, 1e-9):
-                    continue
-                if all(np.linalg.norm(root - r) > 1e-6 for r in roots):
-                    roots.append(root)
-
-    out = []
-    for root in roots:
-        x = np.array([root[0], root[1], 1.0 - root[0] - root[1]])
-        x[np.abs(x) <= 1e-10] = 0.0
-        x = x / x.sum()
-        r = ricci_field(spec, x)
-        lam = float(r @ x) / float(x @ x)
-        res = float(np.linalg.norm(r - lam * x))
-        if res > 1e-8 * max(1.0, np.linalg.norm(r)):
-            raise ValueError(
-                "Newton root %r fails the Einstein check: residual %.3e at newton_tol = %r"
-                % (x.tolist(), res, newton_tol)
-            )
-        eig = np.linalg.eigvals(jacobian(spec, x[:2]))
-        out.append(Equilibrium(x, lam, _stability(eig), _location(x)))
-    if len(out) != EQUILIBRIUM_COUNT:
-        msg = "the equilibrium search on %s found %d of the %d equilibria"
-        raise ValueError(msg % (spec.label, len(out), EQUILIBRIUM_COUNT))
-    # ordered by the points to 6 decimals, the scale at which roots are told
-    # apart, so that noise in their last bits does not reorder them
+    out = [
+        Equilibrium(np.array([float(c) for c in x]), float(lam), stability, location)
+        for x, lam, stability, location in _exact_equilibria(spec)
+    ]
     return sorted(out, key=lambda e: np.round(e.point, 6).tolist())
 
 

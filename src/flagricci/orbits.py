@@ -155,7 +155,8 @@ def induced_metric(model: LieModel, frame) -> np.ndarray:
     and checks it is block-scalar: x_i times the basis Gram on summand i,
     zero across summands. Raises ValueError when the isotypic structure is
     violated beyond METRIC_TOL. A stack of frames (..., 2, N) gives the
-    stack (..., 3) of their coefficients, and raises if any frame fails.
+    stack (..., 3) of their coefficients, and raises if any frame fails. A
+    non-finite frame, and one of any other shape, raise ValueError.
 
     There is no BLAS call. A bracket's real coordinates are the signs of
     model.bracket_signs times sqrt(2N) (h_k - h_j): each is one rounded
@@ -165,13 +166,15 @@ def induced_metric(model: LieModel, frame) -> np.ndarray:
     added in order. So a stack of F frames holds (F, B, 2N^2) coordinates
     and (F, B, B) Gram matrices, B = sum(dims), and nothing larger.
     """
-    frame = np.asarray(frame, dtype=float)
+    frame = require_finite(frame, "frame")
+    namb = model.n_ambient
+    if frame.shape[-2:] != (2, namb):
+        raise ValueError("frame must have shape (..., 2, %d), got %r" % (namb, frame.shape))
     signs = model.bracket_signs
     dims = model.dims
-    namb = model.n_ambient
     scale = np.sqrt(2.0 * namb)
     g = np.zeros(frame.shape[:-2] + (len(signs), len(signs)))
-    for k in range(frame.shape[-2]):
+    for k in range(2):
         h = frame[..., k, :]
         w = scale * (h[..., None, :] - h[..., :, None])
         w = w.reshape(h.shape[:-1] + (namb * namb,))

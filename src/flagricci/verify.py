@@ -16,7 +16,9 @@ digits they print do not depend on the BLAS kernel or numpy's SIMD paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -459,19 +461,32 @@ def check_integrator_order(fast=False) -> str:
     )
 
 
+def _nearest_float(f: float, q: Fraction) -> bool:
+    # f is a nearest float to q: neither float beside f lies closer
+    d = abs(Fraction(f) - q)
+    return all(d <= abs(Fraction(math.nextafter(f, to)) - q) for to in (-math.inf, math.inf))
+
+
 def check_equilibria(fast=False) -> str:
     spec = flags.make_flag("A", (1, 1, 1))
-    eqs = flow.find_equilibria(spec, grid_n=15 if fast else 30)
-    pts = np.array([e.point for e in eqs])
-    targets = [np.array([1, 1, 1]) / 3.0]
-    base = np.array([0.25, 0.25, 0.5])
-    targets += [np.roll(base, k) for k in range(3)]
-    for tgt in targets:
-        d = np.linalg.norm(pts - tgt, axis=1).min()
-        assert d <= 1e-8, "missing equilibrium near %r (closest %.2e)" % (tgt, d)
-    for i in range(len(eqs)):
-        for j in range(i + 1, len(eqs)):
-            assert np.linalg.norm(pts[i] - pts[j]) > 1e-6, "duplicate equilibria"
+    a, b = fields._cubic_coefficients(spec)
+    exact = flow._exact_equilibria(spec)
+    third, quarter, half = Fraction(1, 3), Fraction(1, 4), Fraction(1, 2)
+    base = [quarter, quarter, half]
+    for tgt in [[third] * 3] + [base[-k:] + base[:-k] for k in range(3)]:
+        assert any(x == tgt for x, *_ in exact), "missing equilibrium %s" % tgt
+    # each float equilibrium is the correctly rounded image of one exact
+    # equilibrium, where R = lambda x holds exactly
+    by_rounding = {tuple(map(float, x)): (x, lam) for x, lam, *_ in exact}
+    eqs = flow.find_equilibria(spec)
+    for e in eqs:
+        got = e.point.tolist()
+        assert tuple(got) in by_rounding, "%r is no exact equilibrium's rounding" % got
+        x, lam = by_rounding.pop(tuple(got))
+        assert list(fields._cubic(a, b, *x)) == [lam * c for c in x], "R != lambda x at %s" % x
+        got.append(e.einstein_constant)
+        assert all(map(_nearest_float, got, x + [lam])), "%r does not round %s" % (got, x + [lam])
+    assert not by_rounding, "exact equilibria %s not found" % list(by_rounding.values())
     return "%d equilibria; normal metric and all three Kaehler points found" % len(eqs)
 
 
@@ -479,7 +494,7 @@ def check_no_recurrence(fast=False) -> str:
     spec = flags.make_flag("A", (1, 1, 1))
     rng = _rng(116)
     n, t_max = (10, 100.0) if fast else (100, 200.0)
-    eqs = flow.find_equilibria(spec, grid_n=15)
+    eqs = flow.find_equilibria(spec)
     starts = realize.sample_disk(rng, n, radius_cap=0.999)
     bad_cls = 0
     worst_excursion = 0.0

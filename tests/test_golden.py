@@ -32,17 +32,18 @@ factorization's max rel from 5.72e-16 to 4.35e-16, the convex hull's
 linearity from 1.8e-15 to 3.6e-15, and Ad-invariance's max rel from
 1.60e-15 to 9.12e-16.
 
-equilibria_A321.json pins the Newton search's 17-digit roots and Einstein
-constants at the default grid of 30. It and the limit column of
-portrait_D8.csv were last written when the search's finite-difference
-Jacobian became the exact one. Matched equilibrium to equilibrium, 6 of
-the 10 in equilibria_A321.json moved, each point and Einstein constant by
-at most 5.4e-14, with the same stability and location; the list also
-took a new order: the equilibria are now sorted by their points to 6
-decimals, where the raw roots were sorted before, so that points sharing
-a coordinate (three on x1 = 0, three with x1 = 1/2) were ordered by noise
-in its last bits. portrait_D8.csv moved in 8 of 36 rows, only in the limit column's
-equilibrium labels, each coordinate by at most 4.5e-16.
+equilibria_A321.json holds the ten closed-form equilibria, each point
+coordinate and Einstein constant the exact rational rounded once to float,
+so its bytes depend on no BLAS kernel. It and the limit column of
+portrait_D8.csv were last written when the closed forms replaced the
+seeded Newton search. Matched in order (the same order, stabilities and
+locations), 6 of the 10 equilibria in equilibria_A321.json moved: 15 point
+coordinates by at most 1.09e-14 and 5 Einstein constants by at most
+2.17e-14, the face midpoints' to exactly 0.0. portrait_D8.csv moved in 8 of
+36 rows, only in the limit column's equilibrium labels, each coordinate by
+at most 2.2e-16: eq(0.25000000000000011;0.25000000000000011;
+0.49999999999999978) became eq(0.25;0.25;0.5), and
+eq(0.49999999999999994;0.5;0) became eq(0.5;0.5;0).
 
 To regenerate a CSV or JSON file, run the command of its case with
 `--out tests/golden/<name>`; any change in these bytes must be deliberate.
@@ -292,33 +293,14 @@ def kernel_outputs(tmp_path_factory):
         runs[kernel] = out, subprocess.Popen(argv, env=env, stderr=subprocess.PIPE)
     for out, proc in runs.values():
         _, err = proc.communicate(timeout=120)
-        # not an AssertionError, which the known failures expect
         if proc.returncode:
             raise subprocess.CalledProcessError(proc.returncode, proc.args, stderr=err)
     return {kernel: out for kernel, (out, _) in runs.items()}
 
 
-# Known failures, each a root that BLAS rounds differently: the Newton
-# search's solve and norm on the OpenBLAS kernels
-KNOWN_KERNEL_FAILURES = {
-    ("haswell", "equilibria_A321.json"),
-    ("prescott", "equilibria_A321.json"),
-}
-
-
 @pytest.mark.parametrize(
     "kernel,name",
-    [
-        pytest.param(
-            kernel,
-            name,
-            marks=[pytest.mark.xfail(strict=True, raises=AssertionError)]
-            if (kernel, name) in KNOWN_KERNEL_FAILURES
-            else [],
-        )
-        for kernel in KERNELS
-        for name in sorted(CASES) + ["verify_fast.txt"]
-    ],
+    [(kernel, name) for kernel in KERNELS for name in sorted(CASES) + ["verify_fast.txt"]],
 )
 def test_golden_bytes_on_every_kernel(kernel, name, kernel_outputs):
     got, want = (kernel_outputs[kernel] / name).read_bytes(), (GOLDEN / name).read_bytes()

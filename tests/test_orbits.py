@@ -285,3 +285,18 @@ def test_induced_metric_rejects_non_central_diagonal():
     bad = np.array([[0.5, -0.5, 0.2, -0.2], model.omega[1]])
     with pytest.raises(ValueError):
         induced_metric(model, bad)
+
+
+@pytest.mark.parametrize(
+    "frame, message",
+    [
+        (np.full((2, 3), np.nan), r"^frame\[0, 0\] = nan is not finite$"),
+        (np.zeros((3, 3)), r"^frame must have shape \(\.\.\., 2, 3\), got \(3, 3\)$"),
+        (np.zeros((2, 4)), r"^frame must have shape \(\.\.\., 2, 3\), got \(2, 4\)$"),
+    ],
+    ids=["nan", "three-rows", "four-columns"],
+)
+def test_induced_metric_rejects_a_frame_that_is_not_finite_or_not_2_by_n(frame, message):
+    # a torus frame is two finite rows of N phases
+    with pytest.raises(ValueError, match=message):
+        induced_metric(build_model(1, 1, 1), frame)
