@@ -458,8 +458,9 @@ def main(argv=None) -> int:
         # quietly, and point stdout at devnull so the final flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ValueError, OSError, IntegrationError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, OSError, IntegrationError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
 
 

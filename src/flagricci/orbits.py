@@ -25,6 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -221,6 +222,30 @@ def haar_unitaries(rng, n: int, count: int) -> np.ndarray:
 _JSON_ROWS = 64
 
 
+def _json_layout(n: int) -> tuple[np.ndarray, list[int]]:
+    """Where each coordinate of a flat orbit row comes from, for write_json.
+
+    Returns own, the positions of a row's 2N^2 independent coordinates (the
+    real parts above the diagonal of both matrices, then the imaginary
+    parts on and above it), and order, which gives each of the row's 4N^2
+    coordinates as a column of the table [row[own], -row[own[:h]], 0.0],
+    h = N (N - 1). An exactly anti-Hermitian row is that table's columns
+    in order.
+    """
+    m = n * n
+    r, c = np.triu_indices(n)
+    upper, lower, strict = r * n + c, c * n + r, r < c
+    mats = np.array([[0], [2 * m]])
+    re_up = (mats + upper[strict]).ravel()
+    own = np.concatenate([re_up, (mats + m + upper).ravel()])
+    h = len(re_up)
+    order = np.full(4 * m, len(own) + h)  # the real diagonal reads 0.0
+    order[(mats + lower[strict]).ravel()] = len(own) + np.arange(h)
+    order[(mats + m + lower).ravel()] = h + np.arange(len(own) - h)
+    order[own] = np.arange(len(own))
+    return own, order.tolist()
+
+
 def _rng_for(seed: int):
     return np.random.Generator(np.random.Philox(key=seed))
 
@@ -234,6 +259,10 @@ class OrbitCloud:
     Sampling is deterministic in (seed, count, N) via a counter-based
     generator, and the same seed yields the same unitaries for any frame,
     so clouds at different frames are directly comparable.
+
+    Every matrix of points is exactly anti-Hermitian: its lower triangle is
+    -conj of its upper triangle and its real diagonal is +0.0, bit for bit.
+    sample_orbit makes it so, and write_json refuses a cloud that is not.
     """
 
     n_ambient: int
@@ -257,17 +286,42 @@ class OrbitCloud:
         """Write json.dumps(self.as_dict()) and a newline to the text file fh.
 
         The bytes are the same, but the points go out _JSON_ROWS at a time:
-        only one block of rows is ever held as real coordinates, Python
-        floats and text. as_dict holds all count x 4N^2 coordinates as
-        floats, some 13 MiB for 2000 points in su(6)^2, and dumping it
-        takes as much again.
+        only one block of rows is ever held as real coordinates and text.
+        as_dict holds all count x 4N^2 coordinates as floats, some 13 MiB
+        for 2000 points in su(6)^2, and dumping it takes as much again.
+
+        Only the 2N^2 independent coordinates of a row go through repr, as
+        json writes a float. A mirrored real entry is the same text with
+        its sign flipped, since repr(-x) is "-" + repr(x), and the real
+        diagonal is "0.0". A block that is not exactly anti-Hermitian, or
+        holds a non-finite coordinate (json writes NaN where repr writes
+        nan), raises ValueError naming its first such point.
         """
+        own, order = _json_layout(self.n_ambient)
+        pick = itemgetter(*order)
+        h, w = self.n_ambient * (self.n_ambient - 1), len(own)
         fh.write('%s, "points": [' % json.dumps(self._header())[:-1])
         for s in range(0, self.count, _JSON_ROWS):
             block = self.points[s : s + _JSON_ROWS]
             rows = _flatten_real(block, self.n_ambient).reshape(len(block), -1)
-            # the block's rows without the enclosing brackets
-            fh.write((", " if s else "") + json.dumps(rows.tolist())[1:-1])
+            vals = rows[:, own]
+            table = np.concatenate([vals, -vals[:, :h], np.zeros((len(block), 1))], axis=1)
+            moved = table[:, order].view(np.int64) != rows.view(np.int64)
+            faults = (
+                (~np.isfinite(rows), "has a non-finite coordinate"),
+                (moved, "is not exactly anti-Hermitian"),
+            )
+            for bad, what in faults:
+                if bad.any():
+                    raise ValueError("orbit point %d %s" % (s + bad.any(axis=1).argmax(), what))
+            texts = list(map(repr, vals.ravel().tolist()))
+            out = []
+            for r in range(0, len(texts), w):
+                row = texts[r : r + w]
+                row += [t[1:] if t[0] == "-" else "-" + t for t in row[:h]]
+                row.append("0.0")
+                out.append("[%s]" % ", ".join(pick(row)))
+            fh.write((", " if s else "") + ", ".join(out))
         fh.write("]}\n")
 
     def _header(self) -> dict:
@@ -308,5 +362,11 @@ def sample_orbit(model: LieModel, frame, count: int, seed: int) -> OrbitCloud:
     points = np.empty((count, 2, n, n), dtype=complex)
     for k in range(2):
         np.matmul(us * (1j * frame[k]), uh, out=points[:, k])
+    # exactly anti-Hermitian: the upper triangle and the imaginary diagonal
+    # keep the products' bits, the rest follows from them
+    i, j = np.triu_indices(n, 1)
+    points.real[..., j, i] = -points.real[..., i, j]
+    points.imag[..., j, i] = points.imag[..., i, j]
+    points.real[..., range(n), range(n)] = 0.0
     return OrbitCloud(model.n_ambient, model.blocks, frame, int(seed), int(count), points)
 

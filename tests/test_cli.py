@@ -712,6 +712,41 @@ def test_out_errors_name_the_out_path(tmp_path, capsys, argv):
     assert os.listdir(target) == []
 
 
+_NO_MEMORY = "Unable to allocate 1.05 TiB for an array with shape (3000000000, 2, 3, 3)"
+
+
+def _raise_memory_error(message):
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "command, target, message",
+    [
+        ("orbit", "flagricci.cli.sample_orbit", _NO_MEMORY),
+        ("orbit", "flagricci.orbits.OrbitCloud.write_json", ""),
+        ("collapse", "flagricci.collapse.sample_orbit", _NO_MEMORY),
+    ],
+    ids=["orbit-sampling", "orbit-writing", "collapse-sampling"],
+)
+def test_running_out_of_memory_is_an_error(tmp_path, capsys, monkeypatch, command, target, message):
+    # as `--count 3000000000` does, without allocating: an error line and
+    # exit 2, and no temporary --out file left behind
+    monkeypatch.setattr(target, _raise_memory_error(message))
+    argv = {
+        "orbit": _orbit_argv((1, 1, 1), 3),
+        "collapse": ["collapse", "--flag", "A:1,1,1", "--point", "0.42,0.40,0.18"]
+        + ["--times", "0,1"],
+    }[command]
+    rc, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert out == ""
+    assert err == "error: %s\n" % (message or "out of memory")
+    assert os.listdir(tmp_path) == []
+
+
 def test_collapse_count_one_is_an_error(capsys):
     argv = ["collapse", "--flag", "A:1,1,1", "--point", "0.42,0.40,0.18", "--times", "0,1"]
     rc, out, err = run(capsys, *argv, "--count", "1")

@@ -256,12 +256,20 @@ def test_verify_fast_stdout_matches_golden(capsys):
 
 # Kernels a child process can be made to take on an AVX-512 machine:
 # OpenBLAS's AVX2 and SSE3 kernels, and numpy's SIMD loops without AVX2 or
-# AVX-512. Each reruns every golden command in one child process.
+# AVX-512. Each reruns every golden command, and the orbit command below,
+# in one child process.
 KERNELS = {
     "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
     "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
     "no-avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
 }
+
+# an orbit cloud whose bytes still depend on the BLAS kernel (the Haar
+# samples and the products' upper triangles), so it has no golden file;
+# its structure must hold on every kernel
+KERNEL_ORBIT = "orbit_A222.json"
+KERNEL_ORBIT_ARGV = ["orbit", "--flag", "A:2,2,2", "--point", "0.3,0.3,0.4"]
+KERNEL_ORBIT_ARGV += ["--count", "65", "--seed", "7"]
 
 # the golden commands in a child: argv[1] the cases as JSON, argv[2] the
 # directory for their files and for verify --fast's stdout
@@ -288,7 +296,8 @@ def kernel_outputs(tmp_path_factory):
     runs = {}
     for kernel, env in KERNELS.items():
         out = tmp_path_factory.mktemp(kernel)
-        argv = [sys.executable, "-c", _CHILD, json.dumps(CASES), str(out)]
+        cases = {**CASES, KERNEL_ORBIT: KERNEL_ORBIT_ARGV}
+        argv = [sys.executable, "-c", _CHILD, json.dumps(cases), str(out)]
         env = dict(os.environ, PYTHONPATH=path, **env)
         runs[kernel] = out, subprocess.Popen(argv, env=env, stderr=subprocess.PIPE)
     for out, proc in runs.values():
@@ -308,3 +317,19 @@ def test_golden_bytes_on_every_kernel(kernel, name, kernel_outputs):
         assert got == want
     else:
         assert got == want, CHANGES[Path(name).suffix](got, want)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_orbit_json_is_exactly_anti_hermitian_on_every_kernel(kernel, kernel_outputs):
+    text = (kernel_outputs[kernel] / KERNEL_ORBIT).read_text()
+    assert json.dumps(json.loads(text)) + "\n" == text
+    doc = json.loads(text)
+    n = doc["N"]
+    # each point: two matrices, each its real and then its imaginary part
+    pts = np.array(doc["points"]).reshape(doc["count"], 2, 2, n, n)
+    re, im = pts[:, :, 0], pts[:, :, 1]
+    i, j = np.triu_indices(n, 1)
+    d = np.arange(n)
+    assert re[..., j, i].tobytes() == (-re[..., i, j]).tobytes()
+    assert im[..., j, i].tobytes() == im[..., i, j].tobytes()
+    assert re[..., d, d].tobytes() == np.zeros((doc["count"], 2, n)).tobytes()

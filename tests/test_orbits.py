@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flagricci.orbits import (
+    OrbitCloud,
     _rng_for,
     build_model,
     haar_unitaries,
@@ -123,17 +124,25 @@ def test_sample_orbit_preserves_spectra():
 
 @pytest.mark.parametrize("blocks", [(1, 1, 1), (2, 1, 1), (3, 2, 1), (2, 2, 2), (3, 3, 3)])
 def test_sample_orbit_points_are_the_dense_products(blocks):
-    # scaling u's columns by diag(h) and multiplying into the cloud in place
-    # keeps the bits of the two triple products u h u^*
+    # the upper triangle and the imaginary diagonal keep the bits of the two
+    # triple products u h u^*; the lower triangle is exactly -conj of the
+    # upper one and the real diagonal is +0.0
     model = build_model(*blocks)
+    n = model.n_ambient
     x = np.array([0.3, 0.3, 0.4])
     frame = model.frame(realizing_frame(x))
     cloud = sample_orbit(model, frame, 300, seed=4)
-    us = haar_unitaries(_rng_for(4), model.n_ambient, 300)
+    us = haar_unitaries(_rng_for(4), n, 300)
     uh = np.conjugate(np.swapaxes(us, -1, -2))
     h1, h2 = (1j * np.diag(h) for h in frame)
     dense = np.stack([us @ h1 @ uh, us @ h2 @ uh], axis=1)
-    assert cloud.points.tobytes() == dense.tobytes()
+    pts = cloud.points
+    i, j = np.triu_indices(n, 1)
+    d = np.arange(n)
+    assert pts[..., i, j].tobytes() == dense[..., i, j].tobytes()
+    assert pts.imag[..., d, d].tobytes() == dense.imag[..., d, d].tobytes()
+    assert pts[..., j, i].tobytes() == (-np.conj(dense[..., i, j])).tobytes()
+    assert pts.real[..., d, d].tobytes() == np.zeros((300, 2, n)).tobytes()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.0, 0.5, "3", None])
@@ -232,6 +241,47 @@ def test_write_json_writes_one_block_of_rows_at_a_time():
     assert len(fh.chunks) == 5
     assert [c.count("], [") for c in fh.chunks[1:4]] == [63, 63, 0]
     assert "".join(fh.chunks) == json.dumps(cloud.as_dict()) + "\n"
+
+
+def _exact_cloud(count):
+    # su(3) points whose upper triangles hold signed zeros, the least
+    # subnormal, a small, a huge and a negative number, mirrored exactly
+    vals = np.array([0.0, -0.0, 5e-324, 1e-05, 1e16, -2.5])
+    v = vals[(np.arange(count)[:, None, None] + np.arange(2)[:, None] + np.arange(6)) % 6]
+    i, j = np.triu_indices(3, 1)
+    d = np.arange(3)
+    pts = np.zeros((count, 2, 3, 3), dtype=complex)
+    pts.real[..., i, j], pts.imag[..., i, j] = v[..., :3], v[..., 3:]
+    pts.real[..., j, i], pts.imag[..., j, i] = -v[..., :3], v[..., 3:]
+    pts.imag[..., d, d] = v[..., ::2]
+    return OrbitCloud(3, (1, 1, 1), build_model(1, 1, 1).omega, 0, count, pts)
+
+
+@pytest.mark.parametrize("count", [1, 64, 65])
+def test_write_json_of_exact_edge_values_matches_dumps(count):
+    cloud = _exact_cloud(count)
+    assert _json_text(cloud) == json.dumps(cloud.as_dict()) + "\n"
+
+
+@pytest.mark.parametrize(
+    "part, index, value, message",
+    [
+        ("real", (64, 1, 0, 0), -0.0, "is not exactly anti-Hermitian"),
+        ("real", (64, 0, 1, 0), 1e-05, "is not exactly anti-Hermitian"),
+        ("imag", (64, 1, 2, 1), 2.5, "is not exactly anti-Hermitian"),
+        ("imag", (64, 0, 1, 1), np.nan, "has a non-finite coordinate"),
+        ("imag", (64, 1, 2, 2), -np.inf, "has a non-finite coordinate"),
+    ],
+    ids=["negative-zero-diagonal", "lower-not-mirrored", "imaginary-not-mirrored", "nan", "inf"],
+)
+def test_write_json_refuses_a_point_off_the_structure(part, index, value, message):
+    # json would write each of these clouds (NaN and -Infinity where repr
+    # writes nan and -inf), so only a refusal keeps the bytes of json.dumps;
+    # the imaginary diagonal is free, so there only the value is at fault
+    cloud = _exact_cloud(65)
+    getattr(cloud.points, part)[index] = value
+    with pytest.raises(ValueError, match="^orbit point 64 %s$" % message):
+        cloud.write_json(io.StringIO())
 
 
 def test_flat_embedding_is_isometric():
