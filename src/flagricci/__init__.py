@@ -43,7 +43,6 @@ from .orbits import (
     LieModel,
     OrbitCloud,
     build_model,
-    haar_unitaries,
     induced_metric,
     sample_orbit,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "find_equilibria",
     "frame_metric",
     "gram",
-    "haar_unitaries",
     "hausdorff",
     "induced_metric",
     "integrate",

@@ -468,9 +468,9 @@ def collapse_run(
     to a realizable degenerate point (an edge-midpoint type limit); vertices
     and interior limits raise NonRealizableError carrying the verdict. The
     distances are orbit_distance, exact, and take no samples. Only the limit
-    orbit is sampled, with count Haar points drawn from seed; resolution is
-    the median nearest-neighbour distance of that cloud, the scale below
-    which a sampled cloud could not resolve the profile.
+    orbit is sampled, with count points of sample_orbit keyed by seed;
+    resolution is the median nearest-neighbour distance of that cloud, the
+    scale below which a sampled cloud could not resolve the profile.
     """
     if count < 2:
         raise ValueError(

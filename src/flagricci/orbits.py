@@ -30,7 +30,7 @@ from operator import itemgetter
 import numpy as np
 
 from .fields import require_finite
-from .realize import gram
+from .realize import _sum_of_products, gram
 
 # largest off-block residual of induced_metric's Gram matrix, relative to its
 # largest entry (at least 1)
@@ -206,7 +206,8 @@ def haar_unitaries(rng, n: int, count: int) -> np.ndarray:
     """Haar-distributed SU(n) elements, (count, n, n) complex.
 
     QR of complex Gaussians with the R-diagonal phase fix, then a global
-    det^(-1/n) phase to land in SU(n).
+    det^(-1/n) phase to land in SU(n). The package does not call it: it is
+    the tests' law reference for sample_orbit, and a name perfbench spans.
     """
     z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
     z /= np.sqrt(2.0)
@@ -216,6 +217,27 @@ def haar_unitaries(rng, n: int, count: int) -> np.ndarray:
     q *= ph[:, None, :]
     q *= np.exp(-np.log(np.linalg.det(q)) / n)[:, None, None]
     return q
+
+
+def _orthonormalize(z) -> np.ndarray:
+    """Orthonormalize z's k complex columns in place by CGS2 (Gram-Schmidt twice).
+
+    z is (2, k, ..., N): the real and imaginary parts of k columns over any
+    stack axes. Each inner product and norm is a left-to-right sum
+    (realize._sum_of_products), with no BLAS call. Of complex Gaussians this
+    gives k columns of a Haar unitary (Mezzadri, Notices AMS 54, 2007).
+    """
+    for j in range(z.shape[1]):
+        col = z[:, j]
+        for _ in range(2 if j else 0):
+            # <q, col> = (qr.cr + qi.ci) + i (qr.ci - qi.cr) for each column q before col
+            s = _sum_of_products(z[:, None, :j], col[None, :, None])
+            cre, cim = (s[0, 0] + s[1, 1])[..., None], (s[0, 1] - s[1, 0])[..., None]
+            for i in range(j):
+                col -= cre[i] * z[:, i] + cim[i] * np.stack([-z[1, i], z[0, i]])
+        s = _sum_of_products(col, col)
+        col /= np.sqrt(s[0] + s[1])[..., None]
+    return z
 
 
 # rows per block that OrbitCloud.write_json flattens and writes at once
@@ -255,9 +277,8 @@ class OrbitCloud:
     """Sampled adjoint-orbit points of a torus frame.
 
     frame is the (2, N) phase array of (h1, h2), and points has shape
-    (count, 2, N, N): pairs (u h1 u^-1, u h2 u^-1) over Haar samples u.
-    Sampling is deterministic in (seed, count, N) via a counter-based
-    generator, and the same seed yields the same unitaries for any frame,
+    (count, 2, N, N): pairs (u h1 u^-1, u h2 u^-1) over Haar-random u, made
+    of u's block projections, which depend on (seed, count, blocks) alone,
     so clouds at different frames are directly comparable.
 
     Every matrix of points is exactly anti-Hermitian: its lower triangle is
@@ -338,35 +359,47 @@ class OrbitCloud:
 def sample_orbit(model: LieModel, frame, count: int, seed: int) -> OrbitCloud:
     """Sample the adjoint orbit of the (2, N) frame at Haar-random points.
 
-    seed is the Philox key of the Haar samples, an integer in [0, 2**128).
-    A non-finite frame, and one whose orbit coordinates could leave the
-    float range, raise ValueError.
+    seed is the Philox key, in [0, 2**128), of Gaussians of shape (2, m + n,
+    count, N) that _orthonormalize makes the block-1 and block-2 columns. A
+    count that is not a positive integer, a frame that is not (2, N), finite
+    and constant on the blocks, or whose orbit could leave the float range,
+    raises ValueError.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError("count must be a positive integer, got %r" % (count,))
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
         raise ValueError("seed must be an integer in [0, 2**128), got %r" % (seed,))
     frame = require_finite(frame, "frame")
     n = model.n_ambient
+    if frame.shape != (2, n):
+        raise ValueError("frame must have shape (2, %d), got %r" % (n, frame.shape))
+    h = frame[:, [r.start for r in model.block_ranges]]
+    if not np.array_equal(frame, np.repeat(h, model.blocks, axis=1)):
+        raise ValueError("frame is not constant on the blocks %r of the model" % (model.blocks,))
     # an entry of u h u^* is at most max |h| in modulus and its real
     # coordinates scale it by sqrt(2N); half the float range leaves room
-    # for the rounding of the products
+    # for the rounding of the sums, and the differences h_r - h_3 stay finite
     peak = float(np.max(np.abs(frame)))
     if peak > sys.float_info.max / (2.0 * math.sqrt(2.0 * n)):
         msg = "the orbit of a frame with max |h| = %.3e overflows the float range"
         raise ValueError(msg % peak)
-    us = haar_unitaries(_rng_for(seed), n, count)
-    uh = np.conjugate(np.swapaxes(us, -1, -2))
-    # u h u^* for each frame element, written straight into its slot; scaling
-    # u's columns by the diagonal 1j * h has the bits of the product u @ h
+    q = _orthonormalize(_rng_for(seed).standard_normal((2, sum(model.blocks[:2]), count, n)))
+    # Re and Im of the upper triangles of P_1 and P_2, sums of q_a conj(q_b)
+    i, j = np.triu_indices(n)
+    proj = np.zeros((2, 2, count, 1, len(i)))
+    for c in range(q.shape[1]):
+        a, b = q[:, c][..., None, i], q[:, c][..., None, j]
+        p = proj[int(c >= model.blocks[0])]
+        p[0] += a[0] * b[0] + a[1] * b[1]
+        p[1] += a[1] * b[0] - a[0] * b[1]
+    del q, a, b  # no column is held while the points are built
+    # i (h_3 I + (h_1 - h_3) P_1 + (h_2 - h_3) P_2) of each row, exactly anti-Hermitian
+    dh = h[:, :2] - h[:, 2:]
+    re = -(dh[:, :1] * proj[0, 1] + dh[:, 1:] * proj[1, 1])
+    im = dh[:, :1] * proj[0, 0] + dh[:, 1:] * proj[1, 0]
     points = np.empty((count, 2, n, n), dtype=complex)
-    for k in range(2):
-        np.matmul(us * (1j * frame[k]), uh, out=points[:, k])
-    # exactly anti-Hermitian: the upper triangle and the imaginary diagonal
-    # keep the products' bits, the rest follows from them
-    i, j = np.triu_indices(n, 1)
-    points.real[..., j, i] = -points.real[..., i, j]
-    points.imag[..., j, i] = points.imag[..., i, j]
+    points.real[..., j, i], points.imag[..., j, i] = -re, im
+    points.real[..., i, j], points.imag[..., i, j] = re, im
     points.real[..., range(n), range(n)] = 0.0
+    points.imag[..., range(n), range(n)] += h[:, 2:]
     return OrbitCloud(model.n_ambient, model.blocks, frame, int(seed), int(count), points)
-

@@ -9,9 +9,10 @@ The checks of realize's linear maps and of orbits.induced_metric draw their
 samples as stacks, in the order a loop over samples draws them, and call
 each stacked map once; the maps on the float path (is_psd, sym_sqrt,
 realizing_frame, rank1_decompose) run point by point. Their matrix
-products (_matmul, _cmatmul), and the Ad-invariance check's unitaries and
-brackets, are elementwise sums in a fixed order with no BLAS call, so the
-digits they print do not depend on the BLAS kernel or numpy's SIMD paths.
+products (_matmul, _cmatmul), the Ad-invariance check's brackets and its
+unitaries (orbits._orthonormalize) are elementwise sums in a fixed order with
+no BLAS call, so the digits they print do not depend on the BLAS kernel or
+numpy's SIMD paths.
 """
 
 from __future__ import annotations
@@ -289,46 +290,14 @@ def check_oracle_equivalence(fast=False) -> str:
     return "induced = frame metric on su(3), su(4) x %d pairs, max rel %.2e" % (n, worst)
 
 
-def _unit_phases(rng, shape):
-    """Unit complex numbers (a + ib) / |a + ib| of standard normal a, b, as a
-    (real, imaginary) pair: +, *, / and sqrt only."""
-    z = rng.standard_normal((2,) + shape)
-    r = np.sqrt(z[0] * z[0] + z[1] * z[1])
-    return z[0] / r, z[1] / r
-
-
-def _unitaries(rng, n, count):
-    """(count, n, n) unitaries as (real, imaginary) pairs: a diagonal of unit
-    phases times one Givens rotation per coordinate pair, each of the form
-    [[c, -conj(e) s], [e s, c]] with c + is and e unit phases. Built with
-    +, -, *, / and sqrt alone, so their bits do not depend on BLAS or on
-    numpy's SIMD paths."""
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    dr, di = _unit_phases(rng, (count, n))
-    cos, sin = _unit_phases(rng, (count, len(pairs)))
-    er, ei = _unit_phases(rng, (count, len(pairs)))
-    eye = np.arange(n)
-    ur, ui = np.zeros((count, n, n)), np.zeros((count, n, n))
-    ur[:, eye, eye], ui[:, eye, eye] = dr, di
-    for k, (p, q) in enumerate(pairs):
-        gr, gi = np.zeros((count, n, n)), np.zeros((count, n, n))
-        gr[:, eye, eye] = 1.0
-        c, s = cos[:, k], sin[:, k]
-        gr[:, p, p] = gr[:, q, q] = c
-        gr[:, p, q], gi[:, p, q] = -er[:, k] * s, ei[:, k] * s
-        gr[:, q, p], gi[:, q, p] = er[:, k] * s, ei[:, k] * s
-        ur, ui = _cmatmul((ur, ui), (gr, gi))
-    return ur, ui
-
-
 def check_ad_invariance(fast=False) -> str:
     rng = _rng(113)
     model = orbits.build_model(1, 1, 1)
     n = 3 if fast else 10
     namb = model.n_ambient
     scale = np.sqrt(2.0 * namb)
-    ur, ui = _unitaries(np.random.default_rng(7), namb, n)
-    u = ur[:, None], ui[:, None]
+    z = orbits._orthonormalize(np.random.default_rng(7).standard_normal((2, namb, n, namb)))
+    u = tuple(np.moveaxis(z, 1, -1)[:, :, None])  # unitary j's column c is z[:, c, j]
     uh = np.swapaxes(u[0], -1, -2), -np.swapaxes(u[1], -1, -2)
     basis = np.array([b for bas in model.summand_bases for b in bas])
     # one frame per unitary; its two i diag(h) have no real part

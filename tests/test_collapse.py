@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from flagricci import collapse, realize
+from flagricci import collapse, orbits, realize
 from flagricci.collapse import (
     NonRealizableError,
     _distinct,
@@ -612,6 +612,47 @@ def test_collapse_run_needs_two_points_for_a_resolution(count):
     # profile_ok would hold for any distances
     with pytest.raises(ValueError, match="^count must be at least 2: a sampling resolution"):
         collapse_run(A111, MODEL3, np.array([0.42, 0.40, 0.18]), times=[0.0, 1.0], count=count)
+
+
+def test_collapse_run_rejects_a_count_that_is_not_an_integer():
+    with pytest.raises(ValueError, match=r"^count must be a positive integer, got 2\.5$"):
+        collapse_run(A111, MODEL3, np.array([0.42, 0.40, 0.18]), times=[0.0, 1.0], count=2.5)
+
+
+def test_sampling_never_calls_haar_unitaries(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("haar_unitaries called")
+
+    monkeypatch.setattr(orbits, "haar_unitaries", refuse)
+    model = build_model(2, 1, 1)
+    assert sample_orbit(model, model.omega, 5, 0).points.shape == (5, 2, 4, 4)
+    run = collapse_run(A111, MODEL3, np.array([0.42, 0.40, 0.18]), times=[0.0, 1.0], count=20)
+    assert run.resolution > 0.0
+
+
+# seed-to-seed standard deviation of the resolution of 1000-point clouds on
+# A(2,2,2) at the midpoint (1/2, 1/2, 0): 0.0102 for sample_orbit and 0.0088
+# for haar_unitaries clouds, each over seeds 0-39, whose means differed by 0.0006
+RESOLUTION_SPREAD = 0.010
+
+
+def test_sampling_resolution_has_the_law_of_haar_clouds():
+    # the same statistic of sample_orbit's clouds and of dense u h u^*
+    # products over haar_unitaries, over six seeds each: their means agree
+    # within two seed-to-seed spreads, and neither spread is out of scale
+    model = build_model(2, 2, 2)
+    n, count = model.n_ambient, 1000
+    frame = model.frame(realizing_frame(np.array([0.5, 0.5, 0.0])))
+    new, ref = [], []
+    for seed in range(6):
+        new.append(sampling_resolution(sample_orbit(model, frame, count, seed)))
+        us = orbits.haar_unitaries(orbits._rng_for(seed), n, count)
+        uh = np.conj(np.swapaxes(us, -1, -2))
+        pts = np.stack([us @ (1j * np.diag(h)) @ uh for h in frame], axis=1)
+        cloud = orbits.OrbitCloud(n, model.blocks, frame, seed, count, pts)
+        ref.append(sampling_resolution(cloud))
+    assert abs(np.mean(new) - np.mean(ref)) <= 2.0 * RESOLUTION_SPREAD
+    assert max(np.std(new, ddof=1), np.std(ref, ddof=1)) <= 2.0 * RESOLUTION_SPREAD
 
 
 def test_limit_cloud_rank_drops():

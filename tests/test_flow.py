@@ -492,33 +492,83 @@ def _face_flow_error(spec, traj, k):
     return worst
 
 
+def _kaehler_line_error(spec, traj, k):
+    """Largest error of traj's states on the Kaehler line x_k = 1/2.
+
+    With (i, j) the other two coordinates and t = 2 x_i, the line's flow is
+    t' = c t (1 - t)(t - t*), c = (b_i + b_j) / 4 and t* = b_i / (b_i + b_j)
+    (test_the_kaehler_lines_are_invariant_from_the_saddle_to_two_midpoints).
+    The partial fractions of 1 / (t (1 - t)(t - t*)) give the exact time
+    from t0 to t as (G(t) - G(t0)) / c, with
+    G(t) = -ln t / t* - ln(1 - t) / (1 - t*) + ln |t - t*| / (t* (1 - t*)).
+    A state's error is its time's error times its speed |x_i'| = |t'| / 2,
+    and its x_k must stay within 4 ulps of 1/2. A state whose x_i or x_j
+    the integrator clamped to 0 is a face midpoint, at rest, and renormalized
+    by the clamped mass, so it is skipped.
+    """
+    i, j = [m for m in range(3) if m != k]
+    _, b = _cubic_coefficients(spec)
+    c, ts = (b[i] + b[j]) / 4.0, b[i] / (b[i] + b[j])
+    worst, g0 = 0.0, None
+    for time, x in zip(traj.times.tolist(), traj.states.tolist()):
+        # 1 - t as 2 x_j, which keeps its digits as x_j tends to 0
+        t, u = 2.0 * x[i], 2.0 * x[j]
+        if t * u == 0.0:
+            continue
+        assert abs(x[k] - 0.5) <= 4 * 2.0**-53, (time, x)
+        g = -math.log(t) / ts - math.log(u) / (1.0 - ts)
+        g += math.log(abs(t - ts)) / (ts * (1.0 - ts))
+        g0 = g if g0 is None else g0
+        speed = c * t * u * abs(t - ts) / 2.0
+        worst = max(worst, abs((g - g0) / c - time) * speed)
+    return worst
+
+
 # The face flows' global error is proportional to rtol: the largest over
 # all three faces of the ten members, 11 starts on each, was 0.26 rtol at
 # every rtol from 1e-6 to 1e-10 (at 1e-11 the atol of 1e-12 takes over).
 FACE_ERROR_C = 0.3
+# The Kaehler lines' error, as the time error times the speed, was at most
+# 0.0020 rtol in the batch at rtol 1e-6 and 0.0155 rtol alone at 1e-9, over
+# the ten members with two starts on each line
+KAEHLER_ERROR_C = 0.02
 
 
 @pytest.mark.parametrize("flag", CATALOGUE)
 def test_face_rows_follow_the_closed_form_face_flow(flag):
-    # the lockstep on a batch of face starts, and integrate on one start of
-    # each face at a tighter rtol, against the exact solution
+    # the lockstep on a batch of face starts and of starts on the Kaehler
+    # lines, and integrate on one start of each face and two of each line at
+    # a tighter rtol, against the exact solutions
     spec = parse_flag(flag)
+    _, b = _cubic_coefficients(spec)
     per_face = flow.FLOAT_LOOP_ROWS // 3 + 1
-    starts, faces = [], []
+    starts, checks = [], []
     for k in range(3):
         i, j = [m for m in range(3) if m != k]
         for xi in ((np.arange(per_face) + 0.3) / per_face).tolist():
             x = [0.0, 0.0, 0.0]
             x[i], x[j] = xi, 1.0 - xi
             starts.append(x)
-            faces.append(k)
+            checks.append((_face_flow_error, k, FACE_ERROR_C))
+    singles = [starts[k * per_face + 1] for k in range(3)]
+    for k in range(3):
+        # one start on each side of the saddle t*
+        i, j = [m for m in range(3) if m != k]
+        t_star = b[i] / (b[i] + b[j])
+        for t0 in (t_star / 2.0, (1.0 + t_star) / 2.0):
+            x = [0.5, 0.5, 0.5]
+            x[i] = t0 / 2.0
+            x[j] = 0.5 - x[i]
+            starts.append(x)
+            checks.append((_kaehler_line_error, k, KAEHLER_ERROR_C))
+    singles += starts[-6:]
     assert len(starts) > flow.FLOAT_LOOP_ROWS
     rows = integrate_many(spec, np.array(starts), t_max=20.0, rtol=1e-6)
-    for k, row in zip(faces, rows):
-        assert _face_flow_error(spec, row, k) <= FACE_ERROR_C * 1e-6
-    for k in range(3):
-        single = integrate(spec, starts[k * per_face + 1], t_max=20.0, rtol=1e-9)
-        assert _face_flow_error(spec, single, k) <= FACE_ERROR_C * 1e-9
+    for (error, k, bound), row in zip(checks, rows):
+        assert error(spec, row, k) <= bound * 1e-6
+    for x, (error, k, bound) in zip(singles, checks[: 3 * per_face : per_face] + checks[-6:]):
+        single = integrate(spec, x, t_max=20.0, rtol=1e-9)
+        assert error(spec, single, k) <= bound * 1e-9
 
 
 def test_lockstep_step_budget_names_the_row(monkeypatch):
@@ -730,6 +780,14 @@ def test_find_equilibria_matches_the_closed_form_equilibria(spec, grid_n):
         r = _cubic(a, b, *x)
         lam = sum(ri * xi for ri, xi in zip(r, x)) / sum(xi * xi for xi in x)
         assert list(r) == [lam * xi for xi in x], x
+        # F = 0 at the face midpoints, the sinks on the disk's boundary
+        # circle, and F < 0 at the normal point and the three Kaehler saddles
+        x1, x2, x3 = x
+        form = x1 * x1 + x2 * x2 + x3 * x3 - 2 * (x1 * x2 + x1 * x3 + x2 * x3)
+        if location == "interior":
+            assert form < 0, x
+        else:
+            assert form == {"vertex": 1, "face": 0}[location], x
         exact.append((x, location, lam))
     eqs = find_equilibria(spec, grid_n=grid_n)
     assert len(eqs) == 10
@@ -826,6 +884,47 @@ def test_the_ten_closed_form_equilibria_are_all_of_them(case):
     for p in interior:
         assert all(c > 0 for c in p) and sum(p) == 1
         assert [c.subs(dict(zip(x, p))) for c in conics] == [0, 0]
+
+
+def _exact_field(spec, x):
+    """The projected field X = R - (sum R) x at a point x of Fractions."""
+    r = _cubic(*_cubic_coefficients(spec), *x)
+    total = r[0] + r[1] + r[2]
+    return [ri - total * xi for ri, xi in zip(r, x)]
+
+
+def _on_kaehler_line(k, t):
+    # the point of the line x_k = 1/2 with x_i = t / 2 and x_j = (1 - t) / 2
+    i, j = [m for m in range(3) if m != k]
+    x = [Fraction(1, 2)] * 3
+    x[i], x[j] = t / 2, (1 - t) / 2
+    return x
+
+
+@pytest.mark.parametrize("flag", CATALOGUE)
+def test_the_kaehler_lines_are_invariant_from_the_saddle_to_two_midpoints(flag):
+    # On the line x_k = 1/2 of the simplex, with t = 2 x_i: R is a cubic in
+    # t, R_k = -x_k (4 a_k + b_k) x_i x_j a quadratic, so X_k = R_k - (sum
+    # R) / 2 has degree at most 3 in t, and its zeros at 4 points make it
+    # vanish on the whole line. Then sum R = 2 R_k there, and the line's
+    # flow t' = 2 X_i = 2 R_i - 4 R_k x_i also has degree at most 3, so 4
+    # points fix it: t' = ((b_i + b_j) / 4) t (1 - t)(t - t*) with t* =
+    # b_i / (b_i + b_j) in (0, 1), whose roots are exactly the midpoints t =
+    # 0 and t = 1 and the Kaehler saddle t*.
+    spec = parse_flag(flag)
+    a, b = _cubic_coefficients(spec)
+    ts = [Fraction(-1, 3), Fraction(1, 7), Fraction(2, 3), Fraction(5, 4)]
+    for k in range(3):
+        i, j = [m for m in range(3) if m != k]
+        assert 4 * a[k] + b[k] == b[i] + b[j]
+        t_star = Fraction(b[i], b[i] + b[j])
+        assert 0 < t_star < 1
+        for t in ts:
+            x = _exact_field(spec, _on_kaehler_line(k, t))
+            assert x[k] == 0, (k, t)
+            assert 2 * x[i] == Fraction(b[i] + b[j], 4) * t * (1 - t) * (t - t_star), (k, t)
+        for t in (Fraction(0), t_star, Fraction(1)):
+            assert _exact_field(spec, _on_kaehler_line(k, t)) == [0, 0, 0], (k, t)
 
 
 @pytest.mark.parametrize("flag", CATALOGUE)

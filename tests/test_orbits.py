@@ -8,7 +8,6 @@ import pytest
 
 from flagricci.orbits import (
     OrbitCloud,
-    _rng_for,
     build_model,
     haar_unitaries,
     induced_metric,
@@ -110,39 +109,33 @@ def test_haar_unitaries_are_unitary_and_deterministic():
 
 
 def test_sample_orbit_preserves_spectra():
-    model = build_model(2, 1, 1)
-    frame = model.frame(np.array([[0.4, -0.2], [0.1, 0.5]]))
-    cloud = sample_orbit(model, frame, 40, seed=9)
-    assert cloud.points.shape == (40, 2, 4, 4)
-    # 1j * h = -diag(frame[k]) is Hermitian
-    w1 = np.sort(-frame[0])
-    w2 = np.sort(-frame[1])
-    for pair in cloud.points:
-        assert np.allclose(np.sort(np.linalg.eigvalsh(1j * pair[0])), w1, atol=1e-12)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(1j * pair[1])), w2, atol=1e-12)
-
-
-@pytest.mark.parametrize("blocks", [(1, 1, 1), (2, 1, 1), (3, 2, 1), (2, 2, 2), (3, 3, 3)])
-def test_sample_orbit_points_are_the_dense_products(blocks):
-    # the upper triangle and the imaginary diagonal keep the bits of the two
-    # triple products u h u^*; the lower triangle is exactly -conj of the
-    # upper one and the real diagonal is +0.0
-    model = build_model(*blocks)
-    n = model.n_ambient
+    # -i times a point u (i diag(h)) u^* is Hermitian with the frame row's
+    # phases as its spectrum, on all five block sizes
+    cases = [((2, 1, 1), [[0.4, -0.2], [0.1, 0.5]])]
     x = np.array([0.3, 0.3, 0.4])
-    frame = model.frame(realizing_frame(x))
-    cloud = sample_orbit(model, frame, 300, seed=4)
-    us = haar_unitaries(_rng_for(4), n, 300)
-    uh = np.conjugate(np.swapaxes(us, -1, -2))
-    h1, h2 = (1j * np.diag(h) for h in frame)
-    dense = np.stack([us @ h1 @ uh, us @ h2 @ uh], axis=1)
-    pts = cloud.points
-    i, j = np.triu_indices(n, 1)
-    d = np.arange(n)
-    assert pts[..., i, j].tobytes() == dense[..., i, j].tobytes()
-    assert pts.imag[..., d, d].tobytes() == dense.imag[..., d, d].tobytes()
-    assert pts[..., j, i].tobytes() == (-np.conj(dense[..., i, j])).tobytes()
-    assert pts.real[..., d, d].tobytes() == np.zeros((300, 2, n)).tobytes()
+    cases += [(b, realizing_frame(x)) for b in [(1, 1, 1), (2, 1, 1), (3, 2, 1), (2, 2, 2), (3, 3, 3)]]
+    for blocks, tau in cases:
+        model = build_model(*blocks)
+        frame = model.frame(tau)
+        cloud = sample_orbit(model, frame, 300, seed=4)
+        assert cloud.points.shape == (300, 2) + (model.n_ambient,) * 2
+        for k in range(2):
+            spectra = np.linalg.eigvalsh(-1j * cloud.points[:, k])
+            assert np.abs(spectra - np.sort(frame[k])).max() <= 1e-12, blocks
+
+
+def test_sample_orbit_projections_average_to_the_block_share():
+    # with h = 1 on block r and 0 elsewhere a point is i P_r exactly, and
+    # over Haar samples E[P_r] = (m_r / N) I; an entry of P_r has a standard
+    # deviation below 0.25 here, so the mean of count points lies within
+    # 5 * 0.25 / sqrt(count) of it
+    model = build_model(3, 2, 1)
+    frame = np.repeat(np.eye(3)[:2], model.blocks, axis=1)
+    count = 4000
+    p1, p2 = np.moveaxis(-1j * sample_orbit(model, frame, count, 11).points, 1, 0)
+    eye = np.eye(model.n_ambient)
+    for p, m in ((p1, 3), (p2, 2), (eye - p1 - p2, 1)):
+        assert np.abs(p.mean(axis=0) - m / 6 * eye).max() <= 1.25 / math.sqrt(count)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.0, 0.5, "3", None])
@@ -150,6 +143,32 @@ def test_sample_orbit_rejects_bad_seeds(seed):
     model = build_model(1, 1, 1)
     with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*128\), got "):
         sample_orbit(model, model.omega, 5, seed)
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.5, True, "3", None])
+def test_sample_orbit_rejects_bad_counts(count):
+    model = build_model(1, 1, 1)
+    with pytest.raises(ValueError, match=r"^count must be a positive integer, got "):
+        sample_orbit(model, model.omega, count, 0)
+
+
+@pytest.mark.parametrize(
+    "frame, message",
+    [
+        (np.zeros((3, 4)), r"^frame must have shape \(2, 4\), got \(3, 4\)$"),
+        (np.zeros((2, 3)), r"^frame must have shape \(2, 4\), got \(2, 3\)$"),
+        (np.zeros(8), r"^frame must have shape \(2, 4\), got \(8,\)$"),
+        (
+            np.array([[0.5, -0.5, 0.2, -0.2], [0.0] * 4]),
+            r"^frame is not constant on the blocks \(2, 1, 1\) of the model$",
+        ),
+    ],
+    ids=["three-rows", "three-columns", "flat", "not-block-constant"],
+)
+def test_sample_orbit_rejects_a_frame_that_is_not_a_torus_frame(frame, message):
+    # the points are built from the frame's one value per block
+    with pytest.raises(ValueError, match=message):
+        sample_orbit(build_model(2, 1, 1), frame, 3, 0)
 
 
 def test_sample_orbit_accepts_the_seed_range_ends():
@@ -172,17 +191,18 @@ def test_sample_orbit_rejects_a_frame_whose_orbit_overflows():
 
 
 def test_sample_orbit_at_the_overflow_bound_is_finite():
+    # block-constant frames at the bound, whose differences h_r - h_3 reach 2b
     model = build_model(1, 2, 1)
     b = sys.float_info.max / (2.0 * math.sqrt(2.0 * model.n_ambient))
-    frame = np.array([[b, -b, 0.0, 0.0], [0.0, 0.0, b, -b]])
-    cloud = sample_orbit(model, frame, 50, 2)
-    assert np.isfinite(cloud.flat_points).all()
+    for frame in ([[b, -b, -b, -b], [-b, b, b, -b]], [[-b, b, b, b], [b, 0.0, 0.0, -b]]):
+        cloud = sample_orbit(model, np.array(frame), 50, 2)
+        assert np.isfinite(cloud.flat_points).all()
     with pytest.raises(ValueError, match="overflows the float range$"):
         sample_orbit(model, np.array([[2.0 * b, -b, -b, 0.0], [0.0] * 4]), 1, 0)
 
 
 def test_sample_orbit_same_seed_same_unitaries():
-    # the conjugating unitaries depend only on the seed, so clouds of two
+    # the block projections depend only on the seed, so clouds of two
     # different torus pairs are directly comparable point by point
     model = build_model(1, 1, 1)
     a = sample_orbit(model, model.frame([[0.5, 0.0], [0.0, 0.5]]), 10, seed=3)
