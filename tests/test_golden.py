@@ -325,10 +325,11 @@ def test_golden_bytes_on_every_kernel(kernel, name, kernel_outputs):
         assert got == want, CHANGES[Path(name).suffix](got, want)
 
 
-def test_golden_orbit_is_exactly_anti_hermitian():
-    # the golden bytes are json.dumps of the cloud, and every point's two
-    # matrices are exactly anti-Hermitian
-    text = (GOLDEN / "orbit_A211.json").read_text()
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_orbit_json_is_exactly_anti_hermitian_on_every_kernel(kernel, kernel_outputs):
+    # each kernel's orbit file is json.dumps of the cloud, and every point's
+    # two matrices are exactly anti-Hermitian
+    text = (kernel_outputs[kernel] / "orbit_A211.json").read_text()
     assert json.dumps(json.loads(text)) + "\n" == text
     doc = json.loads(text)
     n = doc["N"]

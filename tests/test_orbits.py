@@ -124,6 +124,34 @@ def test_sample_orbit_preserves_spectra():
             assert np.abs(spectra - np.sort(frame[k])).max() <= 1e-12, blocks
 
 
+@pytest.mark.parametrize("blocks", [(1, 1, 1), (2, 1, 1), (3, 2, 1), (2, 2, 2), (3, 3, 3)])
+def test_sample_orbit_points_are_the_dense_products(blocks):
+    # LAPACK's QR of the same Gaussian block columns spans the same nested
+    # subspaces as the sampler's Gram-Schmidt, so the dense products
+    # i (h_3 I + (h_1 - h_3) Q_1 Q_1^* + (h_2 - h_3) Q_2 Q_2^*) are the points
+    # up to rounding; the lower triangle is exactly -conj of the upper one
+    # and the real diagonal is +0.0
+    from flagricci.orbits import _rng_for
+
+    model = build_model(*blocks)
+    n, (m1, m2, _) = model.n_ambient, model.blocks
+    frame = model.frame(realizing_frame(np.array([0.3, 0.3, 0.4])))
+    cloud = sample_orbit(model, frame, 300, seed=4)
+    z = _rng_for(4).standard_normal((2, m1 + m2, 300, n))
+    q, _ = np.linalg.qr(np.moveaxis(z[0] + 1j * z[1], 0, -1))
+    p1, p2 = (c @ np.conj(np.swapaxes(c, -1, -2)) for c in (q[..., :m1], q[..., m1:]))
+    h = frame[:, [r.start for r in model.block_ranges]]
+    dense = np.stack(
+        [1j * (h3 * np.eye(n) + (h1 - h3) * p1 + (h2 - h3) * p2) for h1, h2, h3 in h], axis=1
+    )
+    pts = cloud.points
+    assert np.abs(pts - dense).max() <= 1e-12
+    i, j = np.triu_indices(n, 1)
+    d = np.arange(n)
+    assert pts[..., j, i].tobytes() == (-np.conj(pts[..., i, j])).tobytes()
+    assert pts.real[..., d, d].tobytes() == np.zeros((300, 2, n)).tobytes()
+
+
 def test_sample_orbit_projections_average_to_the_block_share():
     # with h = 1 on block r and 0 elsewhere a point is i P_r exactly, and
     # over Haar samples E[P_r] = (m_r / N) I; an entry of P_r has a standard
